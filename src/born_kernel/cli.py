@@ -41,6 +41,7 @@ from .representation import (
     PreconditionViolated,
     SizeLimitExceeded,
     derive_representation,
+    family_size_cap,
     generate_rich_family,
     verify_representation,
 )
@@ -111,7 +112,20 @@ def _witness_json(witness: tuple) -> list:
     ]
 
 
-def cmd_check(args) -> int:
+def _failure_report(command: str, digest: str, check: str) -> dict:
+    """Report of a run that failed one named check with no witnesses."""
+    return {
+        "schema": "v1",
+        "command": command,
+        "inputs_digest": digest,
+        "verdicts": [
+            {"check": check, "result": "fail", "witness_count": 0, "witnesses": []}
+        ],
+    }
+
+
+def _load_ordering(args):
+    """The ordering named on the command line and the digest of both inputs."""
     family_raw = _read_bytes(args.family)
     ordering_raw = _read_bytes(args.ordering)
     try:
@@ -121,6 +135,11 @@ def cmd_check(args) -> int:
         )
     except FormatError as exc:
         raise InputError(str(exc))
+    return ordering, digest_bytes(family_raw, ordering_raw)
+
+
+def cmd_check(args) -> int:
+    ordering, digest = _load_ordering(args)
     reports = run_all_checks(ordering)
     verdicts = []
     for rep in reports:
@@ -135,7 +154,7 @@ def cmd_check(args) -> int:
     report = {
         "schema": "v1",
         "command": "check",
-        "inputs_digest": digest_bytes(family_raw, ordering_raw),
+        "inputs_digest": digest,
         "verdicts": verdicts,
     }
     lines = [
@@ -147,43 +166,18 @@ def cmd_check(args) -> int:
 
 
 def cmd_derive(args) -> int:
-    family_raw = _read_bytes(args.family)
-    ordering_raw = _read_bytes(args.ordering)
-    try:
-        family = family_from_json(_parse_json(family_raw, args.family))
-        ordering = ordering_from_json(
-            _parse_json(ordering_raw, args.ordering), family
-        )
-    except FormatError as exc:
-        raise InputError(str(exc))
-    digest = digest_bytes(family_raw, ordering_raw)
+    if args.K < 1:
+        raise InputError("K must be positive")
+    ordering, digest = _load_ordering(args)
     try:
         assignment = derive_representation(ordering, args.K)
-    except PreconditionViolated as exc:
+    except (
+        PreconditionViolated, MissingUniformMeasurement, NonconformingDenominator
+    ) as exc:
+        name = getattr(exc, "axiom", type(exc).__name__)
         raise DomainFailure(
-            f"precondition failed: {exc.axiom}",
-            {
-                "schema": "v1",
-                "command": "derive",
-                "inputs_digest": digest,
-                "verdicts": [
-                    {"check": f"precondition:{exc.axiom}", "result": "fail",
-                     "witness_count": 0, "witnesses": []}
-                ],
-            },
-        )
-    except (MissingUniformMeasurement, NonconformingDenominator) as exc:
-        raise DomainFailure(
-            f"precondition failed: {type(exc).__name__}",
-            {
-                "schema": "v1",
-                "command": "derive",
-                "inputs_digest": digest,
-                "verdicts": [
-                    {"check": f"precondition:{type(exc).__name__}",
-                     "result": "fail", "witness_count": 0, "witnesses": []}
-                ],
-            },
+            f"precondition failed: {name}",
+            _failure_report("derive", digest, f"precondition:{name}"),
         )
     ok, witnesses = verify_representation(assignment, ordering)
     doc = assignment_to_json(assignment)
@@ -345,23 +339,16 @@ def cmd_gen_rich(args) -> int:
     if args.K < 1 or args.max_outcomes < 1:
         raise InputError("K and max outcomes must be positive")
     try:
-        family = generate_rich_family(args.K, args.max_outcomes)
+        cap = family_size_cap()
+    except ValueError as exc:
+        raise InputError(str(exc))
+    digest = digest_bytes(f"{args.K}:{args.max_outcomes}".encode())
+    try:
+        # Both caps: measurements in the family, events in its ordering.
+        family = generate_rich_family(args.K, args.max_outcomes, cap)
+        ordering = induced_ordering(family)
     except SizeLimitExceeded as exc:
-        raise DomainFailure(
-            str(exc),
-            {
-                "schema": "v1",
-                "command": "gen-rich",
-                "inputs_digest": digest_bytes(
-                    f"{args.K}:{args.max_outcomes}".encode()
-                ),
-                "verdicts": [
-                    {"check": "size-cap", "result": "fail", "witness_count": 0,
-                     "witnesses": []}
-                ],
-            },
-        )
-    ordering = induced_ordering(family)
+        raise DomainFailure(str(exc), _failure_report("gen-rich", digest, "size-cap"))
     out = Path(args.out)
     ordering_out = (
         Path(args.ordering_out)
@@ -375,7 +362,7 @@ def cmd_gen_rich(args) -> int:
     report = {
         "schema": "v1",
         "command": "gen-rich",
-        "inputs_digest": digest_bytes(f"{args.K}:{args.max_outcomes}".encode()),
+        "inputs_digest": digest,
         "verdicts": [
             {"check": "size-cap", "result": "pass", "witness_count": 0,
              "witnesses": []}

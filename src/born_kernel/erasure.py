@@ -22,6 +22,7 @@ from .ordering import (
     EventRef,
     MeasurementFamily,
     WeightedMeasurement,
+    enumerate_event_refs,
     induced_ordering,
 )
 from .quantum import WeightsDontSumToOne
@@ -358,11 +359,7 @@ def coarse_event_probability_invariance(
     after = _with_uniform(refined, k_after)
     pr_after = derive_representation(induced_ordering(after), k_after)
 
-    for mid in family.sorted_ids:
-        m = family.by_id[mid]
-        for mask in range(2 ** len(m.outcomes)):
-            ref = EventRef(mid, m.mask_event(mask))
-            image = suboutcome_image(family, spec, ref)
-            if pr_before.value(ref) != pr_after.value(image):
-                return False
-    return True
+    return all(
+        pr_before.value(ref) == pr_after.value(suboutcome_image(family, spec, ref))
+        for ref in enumerate_event_refs(family)
+    )

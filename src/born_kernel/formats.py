@@ -54,6 +54,16 @@ def _expect(doc: Any, key: str, context: str) -> Any:
     return doc[key]
 
 
+def _expect_list(doc: Any, key: str, context: str) -> list:
+    """A field that must be a JSON list (a string or object is not read as one)."""
+    value = _expect(doc, key, context)
+    if not isinstance(value, list):
+        raise FormatError(
+            f"{context}: field {key!r} must be a list, got {type(value).__name__}"
+        )
+    return value
+
+
 def _check_schema(doc: Any, context: str) -> None:
     if _expect(doc, "schema", context) != SCHEMA:
         raise FormatError(f"{context}: unsupported schema {doc.get('schema')!r}")
@@ -170,7 +180,7 @@ def model_from_json(
             observable=observable_from_json(
                 _expect(doc, "observable", "model"), policy
             ),
-            outcome_labels=tuple(_expect(doc, "outcome_labels", "model")),
+            outcome_labels=tuple(_expect_list(doc, "outcome_labels", "model")),
             convention={
                 str(k): float(v)
                 for k, v in _expect(doc, "convention", "model").items()
@@ -194,9 +204,7 @@ def quadruple_from_json(
     doc: Any, policy: NumericPolicy = DEFAULT_POLICY
 ) -> MeasurementQuadruple:
     _check_schema(doc, "quadruple")
-    event_doc = _expect(doc, "event", "quadruple")
-    if not isinstance(event_doc, list):
-        raise FormatError("quadruple: event must be a list of eigenvalues")
+    event_doc = _expect_list(doc, "event", "quadruple")
     try:
         return MeasurementQuadruple(
             state=state_from_json(_expect(doc, "state", "quadruple"), policy),
@@ -228,12 +236,12 @@ def family_to_json(family: MeasurementFamily) -> dict:
 def family_from_json(doc: Any) -> MeasurementFamily:
     _check_schema(doc, "family")
     measurements = []
-    for i, mdoc in enumerate(_expect(doc, "measurements", "family")):
+    for i, mdoc in enumerate(_expect_list(doc, "measurements", "family")):
         ctx = f"family.measurements[{i}]"
-        outcomes = tuple(str(o) for o in _expect(mdoc, "outcomes", ctx))
+        outcomes = tuple(str(o) for o in _expect_list(mdoc, "outcomes", ctx))
         weights = tuple(
             rational_from_json(w, f"{ctx}.weights[{j}]")
-            for j, w in enumerate(_expect(mdoc, "weights", ctx))
+            for j, w in enumerate(_expect_list(mdoc, "weights", ctx))
         )
         try:
             measurements.append(
@@ -259,7 +267,7 @@ def event_ref_from_json(
     doc: Any, family: MeasurementFamily, context: str = "event ref"
 ) -> EventRef:
     mid = str(_expect(doc, "measurement", context))
-    event_doc = _expect(doc, "event", context)
+    event_doc = _expect_list(doc, "event", context)
     if mid not in family.by_id:
         raise FormatError(f"{context}: unknown measurement {mid!r}")
     event = frozenset(str(o) for o in event_doc)
@@ -273,26 +281,18 @@ def ordering_to_json(ordering: LikelihoodOrdering) -> dict:
     """Relation as the list of ordered pairs asserted true.
 
     Unlisted pairs are false.  Pairs are emitted in canonical
-    (measurement id, event bitmask) order.
+    (measurement id, event bitmask) order, which is the row-major order
+    of the matrix over the ordering's canonical refs.
     """
-    family = ordering.family
-    order = sorted(
-        range(len(ordering.refs)),
-        key=lambda i: ref_sort_key(family, ordering.refs[i]),
-    )
-    pairs = []
-    for i in order:
-        for j in order:
-            if ordering.matrix[i, j]:
-                pairs.append(
-                    [
-                        event_ref_to_json(ordering.refs[i]),
-                        event_ref_to_json(ordering.refs[j]),
-                    ]
-                )
+    refs = ordering.refs
+    pairs = [
+        [event_ref_to_json(refs[i]), event_ref_to_json(refs[j])]
+        for i, row in enumerate(ordering.matrix)
+        for j in np.flatnonzero(row)
+    ]
     return {
         "schema": SCHEMA,
-        "family_digest": family_digest(family),
+        "family_digest": family_digest(ordering.family),
         "pairs": pairs,
     }
 
@@ -311,7 +311,7 @@ def ordering_from_json(doc: Any, family: MeasurementFamily) -> LikelihoodOrderin
     index = {r: i for i, r in enumerate(refs)}
     n = len(refs)
     matrix = np.zeros((n, n), dtype=bool)
-    for k, pair in enumerate(_expect(doc, "pairs", "ordering")):
+    for k, pair in enumerate(_expect_list(doc, "pairs", "ordering")):
         if not isinstance(pair, list) or len(pair) != 2:
             raise FormatError(f"ordering.pairs[{k}]: each pair is [left, right]")
         a = event_ref_from_json(pair[0], family, f"ordering.pairs[{k}][0]")
@@ -340,7 +340,7 @@ def assignment_to_json(assignment: ProbabilityAssignment) -> dict:
 def assignment_from_json(doc: Any, family: MeasurementFamily) -> ProbabilityAssignment:
     _check_schema(doc, "assignment")
     values: dict[EventRef, Fraction] = {}
-    for k, vdoc in enumerate(_expect(doc, "values", "assignment")):
+    for k, vdoc in enumerate(_expect_list(doc, "values", "assignment")):
         ctx = f"assignment.values[{k}]"
         ref = event_ref_from_json(vdoc, family, ctx)
         values[ref] = rational_from_json(_expect(vdoc, "probability", ctx), ctx)

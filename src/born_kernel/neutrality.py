@@ -17,12 +17,8 @@ from typing import Callable, Mapping
 
 import numpy as np
 
-from .numeric import DEFAULT_POLICY, NumericPolicy
-from .quantum import Observable, StateVector
-
-
-def _max_abs(m: np.ndarray) -> float:
-    return float(np.max(np.abs(m))) if m.size else 0.0
+from .numeric import DEFAULT_POLICY, NumericPolicy, max_abs
+from .quantum import Observable, StateVector, spectral_weight
 
 
 class NotUnitary(ValueError):
@@ -64,12 +60,7 @@ class MeasurementQuadruple:
 
     def event_weight(self) -> float:
         """Summed weight <psi|P(x)|psi> over the event's eigenvalues."""
-        psi = self.state.components
-        total = 0.0
-        for x in self.event:
-            p = self.observable.projector(x)
-            total += float(np.real(psi.conj() @ (p @ psi)))
-        return min(1.0, max(0.0, total))
+        return spectral_weight(self.state, self.observable, self.event)
 
 
 @dataclass(frozen=True)
@@ -115,14 +106,14 @@ def unitary_transform(
     if dim_out != new_observable.dim:
         raise ValueError("transform output dimension does not match new observable")
     tol = policy.projector_tol
-    residual = _max_abs(u.conj().T @ u - np.eye(dim_in))
+    residual = max_abs(u.conj().T @ u - np.eye(dim_in))
     if residual > tol:
         raise NotUnitary(
             f"max |U^dag U - I| = {residual:.3e} exceeds {tol:.3e}"
         )
     lhs = u @ q.observable.dense()
     rhs = new_observable.dense() @ u
-    residual = _max_abs(lhs - rhs)
+    residual = max_abs(lhs - rhs)
     if residual > tol:
         raise IntertwiningFails(
             f"max |U X - X' U| = {residual:.3e} exceeds {tol:.3e}"

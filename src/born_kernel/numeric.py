@@ -7,7 +7,10 @@ arithmetic.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, fields
+
+import numpy as np
 
 
 @dataclass(frozen=True)
@@ -19,6 +22,9 @@ class NumericPolicy:
     eigenvalue_tol  -- eigenvalue clustering and event/eigenvalue matching
     rational_tol    -- maximum gap tolerated when snapping a float weight to
                        a bounded-denominator rational
+
+    Every tolerance must be finite and positive: a NaN makes each
+    ``> tol`` comparison false and so switches validation off.
     """
 
     norm_tol: float = 1e-12
@@ -26,5 +32,16 @@ class NumericPolicy:
     eigenvalue_tol: float = 1e-9
     rational_tol: float = 1e-9
 
+    def __post_init__(self) -> None:
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{f.name} must be finite and positive, got {value!r}")
+
 
 DEFAULT_POLICY = NumericPolicy()
+
+
+def max_abs(m: np.ndarray) -> float:
+    """Largest absolute entry; 0.0 for an empty array."""
+    return float(np.max(np.abs(m))) if m.size else 0.0

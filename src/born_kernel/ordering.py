@@ -132,6 +132,32 @@ class MeasurementFamily:
     def sorted_ids(self) -> tuple[str, ...]:
         return tuple(sorted(self.by_id))
 
+    @cached_property
+    def _event_refs(self) -> tuple[EventRef, ...]:
+        """Every (event, measurement) pair, in canonical order."""
+        refs: list[EventRef] = []
+        for mid in self.sorted_ids:
+            m = self.by_id[mid]
+            for mask in range(2 ** len(m.outcomes)):
+                refs.append(EventRef(mid, m.mask_event(mask)))
+        return tuple(refs)
+
+    @cached_property
+    def slices(self) -> dict[str, slice]:
+        """Canonical positions of each measurement's events, in id order.
+
+        Event ``mask`` of measurement ``mid`` sits at position
+        ``slices[mid].start + mask``; this is the one internal address
+        of an event.
+        """
+        out: dict[str, slice] = {}
+        start = 0
+        for mid in self.sorted_ids:
+            stop = start + 2 ** len(self.by_id[mid].outcomes)
+            out[mid] = slice(start, stop)
+            start = stop
+        return out
+
     def __contains__(self, measurement_id: str) -> bool:
         return measurement_id in self.by_id
 
@@ -160,32 +186,50 @@ def ref_sort_key(family: MeasurementFamily, ref: EventRef) -> tuple[str, int]:
 
 def enumerate_event_refs(family: MeasurementFamily) -> tuple[EventRef, ...]:
     """Every (event, measurement) pair, in canonical order."""
-    refs: list[EventRef] = []
+    return family._event_refs
+
+
+def subset_sums(values: Sequence[int]) -> list[int]:
+    """``out[mask]`` is the sum of ``values[i]`` over the set bits i of mask.
+
+    Doubles the list one value at a time.  Plain Python ints: numerators
+    on a common denominator may exceed any fixed-width type.
+    """
+    out = [0]
+    for v in values:
+        out += [s + v for s in out]
+    return out
+
+
+def rational_subset_sums(values: Sequence[Fraction]) -> list[Fraction]:
+    """:func:`subset_sums` of exact rationals, on their common denominator."""
+    den = math.lcm(*(v.denominator for v in values))
+    nums = subset_sums([v.numerator * (den // v.denominator) for v in values])
+    return [Fraction(n, den) for n in nums]
+
+
+def weight_vector(family: MeasurementFamily) -> list[Fraction]:
+    """Exact weight of every event, in canonical position order."""
+    out: list[Fraction] = []
     for mid in family.sorted_ids:
-        m = family.by_id[mid]
-        for mask in range(2 ** len(m.outcomes)):
-            refs.append(EventRef(mid, m.mask_event(mask)))
-    return tuple(refs)
+        out += rational_subset_sums(family.by_id[mid].weights)
+    return out
 
 
 def event_weights(family: MeasurementFamily) -> dict[EventRef, Fraction]:
     """Exact weight of every event in the family's total event space."""
-    out: dict[EventRef, Fraction] = {}
-    for mid in family.sorted_ids:
-        m = family.by_id[mid]
-        # Subset sums over the integer numerators on the measurement's
-        # common denominator, doubling one outcome at a time.  Plain
-        # Python ints: denominators may exceed any fixed-width type.
-        den = 1
-        for w in m.weights:
-            den = den * w.denominator // math.gcd(den, w.denominator)
-        nums = [0]
-        for w in m.weights:
-            step = w.numerator * (den // w.denominator)
-            nums = nums + [n + step for n in nums]
-        for mask in range(2 ** len(m.outcomes)):
-            out[EventRef(mid, m.mask_event(mask))] = Fraction(nums[mask], den)
-    return out
+    return dict(zip(enumerate_event_refs(family), weight_vector(family)))
+
+
+def order_matrix(scores: Sequence) -> np.ndarray:
+    """``out[i, j]`` is True exactly when ``scores[i] >= scores[j]``.
+
+    Scores may be any totally ordered values (exact rationals included);
+    they are compared once, through their dense ranks.
+    """
+    rank_of = {s: r for r, s in enumerate(sorted(set(scores)))}
+    ranks = np.array([rank_of[s] for s in scores], dtype=np.int64)
+    return ranks[:, None] >= ranks[None, :]
 
 
 @dataclass(frozen=True, eq=False)
@@ -193,9 +237,12 @@ class LikelihoodOrdering:
     """Total two-place relation over the family's event space.
 
     ``matrix[i, j]`` is True exactly when ``refs[i]`` is judged at least
-    as likely as ``refs[j]``.  The derived relations: equal likelihood
-    means both directions hold, strict means forward holds and equal
-    fails.  No axiom is assumed; conformance is what the checkers test.
+    as likely as ``refs[j]``.  ``refs`` must be
+    :func:`enumerate_event_refs` of the family, so row and column i are
+    the event at canonical position i (see ``MeasurementFamily.slices``).
+    The derived relations: equal likelihood means both directions hold,
+    strict means forward holds and equal fails.  No axiom is assumed;
+    conformance is what the checkers test.
     """
 
     family: MeasurementFamily
@@ -207,6 +254,11 @@ class LikelihoodOrdering:
         n = len(self.refs)
         if m.shape != (n, n):
             raise ValueError(f"matrix shape {m.shape} does not match {n} event refs")
+        if tuple(self.refs) != enumerate_event_refs(self.family):
+            raise ValueError(
+                "refs must be the family's event refs in canonical order "
+                "(enumerate_event_refs)"
+            )
         m = np.array(m)
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
@@ -243,6 +295,10 @@ class LikelihoodOrdering:
         return self.simeq(ref, self.empty_ref(ref.measurement_id))
 
 
+class SizeLimitExceeded(ValueError):
+    """Requested family would exceed the configured size cap."""
+
+
 # Extensional relations are n x n boolean matrices over the total event
 # space; refuse sizes where that stops being a desk-scale object.
 MAX_EXTENSIONAL_EVENTS = 20_000
@@ -251,24 +307,20 @@ MAX_EXTENSIONAL_EVENTS = 20_000
 def _check_event_space_size(family: MeasurementFamily) -> None:
     n = family.event_count()
     if n > MAX_EXTENSIONAL_EVENTS:
-        raise ValueError(
-            f"family has {n} events; extensional orderings are capped at "
-            f"{MAX_EXTENSIONAL_EVENTS} (a measurement with k outcomes "
+        raise SizeLimitExceeded(
+            f"family has {n:,} events; extensional orderings are capped at "
+            f"{MAX_EXTENSIONAL_EVENTS:,} (a measurement with k outcomes "
             f"contributes 2**k events)"
         )
 
 
 def _ordering_from_scores(
-    family: MeasurementFamily,
-    refs: Sequence[EventRef],
-    scores: Sequence,
+    family: MeasurementFamily, scores: Sequence
 ) -> LikelihoodOrdering:
-    """Total preorder: ref a >= ref b iff score(a) >= score(b)."""
-    distinct = sorted(set(scores))
-    rank_of = {s: r for r, s in enumerate(distinct)}
-    ranks = np.array([rank_of[s] for s in scores], dtype=np.int64)
-    matrix = ranks[:, None] >= ranks[None, :]
-    return LikelihoodOrdering(family, tuple(refs), matrix)
+    """Total preorder: event a >= event b iff score(a) >= score(b)."""
+    return LikelihoodOrdering(
+        family, enumerate_event_refs(family), order_matrix(scores)
+    )
 
 
 def induced_ordering(family: MeasurementFamily) -> LikelihoodOrdering:
@@ -278,9 +330,7 @@ def induced_ordering(family: MeasurementFamily) -> LikelihoodOrdering:
     equal-weight events equally likely.
     """
     _check_event_space_size(family)
-    refs = enumerate_event_refs(family)
-    weights = event_weights(family)
-    return _ordering_from_scores(family, refs, [weights[r] for r in refs])
+    return _ordering_from_scores(family, weight_vector(family))
 
 
 def outcome_count_ordering(family: MeasurementFamily) -> LikelihoodOrdering:
@@ -290,14 +340,10 @@ def outcome_count_ordering(family: MeasurementFamily) -> LikelihoodOrdering:
     generically violates the equivalence of equal-weight events.
     """
     _check_event_space_size(family)
-    refs = enumerate_event_refs(family)
-    counts = []
-    for r in refs:
-        m = family.by_id[r.measurement_id]
-        counts.append(
-            sum(1 for o in r.event if m.weights[m._position[o]] > 0)
-        )
-    return _ordering_from_scores(family, refs, counts)
+    counts: list[int] = []
+    for mid in family.sorted_ids:
+        counts += subset_sums([int(w > 0) for w in family.by_id[mid].weights])
+    return _ordering_from_scores(family, counts)
 
 
 @dataclass(frozen=True)
@@ -317,11 +363,24 @@ class AxiomReport:
     evidence: EventRef | None = None
 
 
-def _sorted_witnesses(
-    family: MeasurementFamily, witnesses: Iterable[tuple[EventRef, ...]]
-) -> tuple[tuple[EventRef, ...], ...]:
-    return tuple(
-        sorted(witnesses, key=lambda w: tuple(ref_sort_key(family, r) for r in w))
+def _report(
+    ordering: LikelihoodOrdering, axiom: str, witnesses: Iterable[tuple[int, ...]]
+) -> AxiomReport:
+    """Report from witnesses given as position tuples.
+
+    Position order is (measurement id, event bitmask) order, so sorting
+    the tuples sorts the witnesses canonically.
+    """
+    refs = ordering.refs
+    found = tuple(tuple(refs[i] for i in w) for w in sorted(witnesses))
+    return AxiomReport(axiom, satisfied=not found, witnesses=found)
+
+
+def _null_mask(ordering: LikelihoodOrdering) -> np.ndarray:
+    """Per position: is the event judged equal to its measurement's empty event."""
+    h = ordering.matrix
+    return np.concatenate(
+        [h[sl, sl.start] & h[sl.start, sl] for sl in ordering.family.slices.values()]
     )
 
 
@@ -337,30 +396,18 @@ def check_transitivity(ordering: LikelihoodOrdering) -> AxiomReport:
     bad = reach & ~h
     witnesses = []
     for i, k in zip(*np.nonzero(bad)):
-        middles = np.nonzero(h[i, :] & h[:, k])[0]
-        j = int(middles[0])
-        witnesses.append((ordering.refs[int(i)], ordering.refs[j], ordering.refs[int(k)]))
-    return AxiomReport(
-        "Transitivity",
-        satisfied=not witnesses,
-        witnesses=_sorted_witnesses(ordering.family, witnesses),
-    )
+        j = np.nonzero(h[i, :] & h[:, k])[0][0]
+        witnesses.append((int(i), int(j), int(k)))
+    return _report(ordering, "Transitivity", witnesses)
 
 
 def check_separation(ordering: LikelihoodOrdering) -> AxiomReport:
     """Check that some event is not null."""
-    null_flags = []
-    evidence = None
-    for ref in ordering.refs:
-        if ordering.is_null(ref):
-            null_flags.append((ref,))
-        elif evidence is None:
-            evidence = ref
-    if evidence is not None:
+    null = _null_mask(ordering)
+    if not null.all():
+        evidence = ordering.refs[int(np.argmin(null))]
         return AxiomReport("Separation", True, (), evidence=evidence)
-    return AxiomReport(
-        "Separation", False, _sorted_witnesses(ordering.family, null_flags)
-    )
+    return _report(ordering, "Separation", ((i,) for i in range(len(null))))
 
 
 def check_dominance(ordering: LikelihoodOrdering) -> AxiomReport:
@@ -369,34 +416,23 @@ def check_dominance(ordering: LikelihoodOrdering) -> AxiomReport:
     Runs over every nested event pair of every measurement (submask
     enumeration).  A witness is the offending (E, F) pair.
     """
-    family = ordering.family
     h = ordering.matrix
+    null = _null_mask(ordering)
     witnesses = []
-    for mid in family.sorted_ids:
-        m = family.by_id[mid]
-        n_masks = 2 ** len(m.outcomes)
-        refs_by_mask = [EventRef(mid, m.mask_event(mask)) for mask in range(n_masks)]
-        idx = np.array([ordering.index[r] for r in refs_by_mask], dtype=np.intp)
-        empty_i = idx[0]
-        null_by_mask = (h[idx, empty_i] & h[empty_i, idx]).tolist()
-        h_local = h[np.ix_(idx, idx)]
-        for f_mask in range(n_masks):
+    for sl in ordering.family.slices.values():
+        h_local = h[sl, sl]
+        null_by_mask = null[sl].tolist()
+        for f_mask in range(sl.stop - sl.start):
             row = h_local[f_mask]
             col = h_local[:, f_mask]
             e_mask = f_mask
             while True:
-                if not row[e_mask]:
-                    witnesses.append((refs_by_mask[e_mask], refs_by_mask[f_mask]))
-                elif bool(col[e_mask]) != null_by_mask[f_mask & ~e_mask]:
-                    witnesses.append((refs_by_mask[e_mask], refs_by_mask[f_mask]))
+                if not row[e_mask] or bool(col[e_mask]) != null_by_mask[f_mask & ~e_mask]:
+                    witnesses.append((sl.start + e_mask, sl.start + f_mask))
                 if e_mask == 0:
                     break
                 e_mask = (e_mask - 1) & f_mask
-    return AxiomReport(
-        "Dominance",
-        satisfied=not witnesses,
-        witnesses=_sorted_witnesses(family, witnesses),
-    )
+    return _report(ordering, "Dominance", witnesses)
 
 
 def check_equivalence(ordering: LikelihoodOrdering) -> AxiomReport:
@@ -406,10 +442,9 @@ def check_equivalence(ordering: LikelihoodOrdering) -> AxiomReport:
     family's weights; the ordering is then required to relate every such
     pair in both directions.
     """
-    weights = event_weights(ordering.family)
     groups: dict[Fraction, list[int]] = {}
-    for i, ref in enumerate(ordering.refs):
-        groups.setdefault(weights[ref], []).append(i)
+    for i, w in enumerate(weight_vector(ordering.family)):
+        groups.setdefault(w, []).append(i)
     h = ordering.matrix
     witnesses = []
     for idx in groups.values():
@@ -419,13 +454,8 @@ def check_equivalence(ordering: LikelihoodOrdering) -> AxiomReport:
         if block.all():
             continue
         for a, b in zip(*np.nonzero(~block)):
-            i, j = idx[int(a)], idx[int(b)]
-            witnesses.append((ordering.refs[i], ordering.refs[j]))
-    return AxiomReport(
-        "Equivalence",
-        satisfied=not witnesses,
-        witnesses=_sorted_witnesses(ordering.family, witnesses),
-    )
+            witnesses.append((idx[int(a)], idx[int(b)]))
+    return _report(ordering, "Equivalence", witnesses)
 
 
 ALL_CHECKS = (
@@ -442,7 +472,7 @@ def run_all_checks(ordering: LikelihoodOrdering) -> tuple[AxiomReport, ...]:
 
 def null_events(ordering: LikelihoodOrdering) -> set[EventRef]:
     """All events judged equal to the empty event of their measurement."""
-    return {ref for ref in ordering.refs if ordering.is_null(ref)}
+    return {ordering.refs[int(i)] for i in np.flatnonzero(_null_mask(ordering))}
 
 
 def replay_witness(
@@ -465,7 +495,6 @@ def replay_witness(
         return ordering.is_null(ref)
     if axiom == "Dominance":
         e, f = witness
-        m = ordering.family.by_id[e.measurement_id]
         if not e.event <= f.event:
             return False
         if not ordering.holds(f, e):

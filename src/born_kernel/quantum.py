@@ -19,7 +19,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .numeric import DEFAULT_POLICY, NumericPolicy
+from .numeric import DEFAULT_POLICY, NumericPolicy, max_abs
 
 
 class NonHermitianInput(ValueError):
@@ -104,9 +104,9 @@ class Observable:
                 dim = p.shape[0]
             elif p.shape[0] != dim:
                 raise ValueError("all projectors must share one dimension")
-            if _max_abs(p - p.conj().T) > tol:
+            if max_abs(p - p.conj().T) > tol:
                 raise ValueError(f"projector for eigenvalue {value} is not Hermitian")
-            if _max_abs(p @ p - p) > tol:
+            if max_abs(p @ p - p) > tol:
                 raise ValueError(f"projector for eigenvalue {value} is not idempotent")
             pairs.append((float(value), _frozen_array(p)))
         values = [v for v, _ in pairs]
@@ -116,12 +116,12 @@ class Observable:
                     raise ValueError(
                         f"eigenvalues {values[i]} and {values[j]} are not separated"
                     )
-                if _max_abs(pairs[i][1] @ pairs[j][1]) > tol:
+                if max_abs(pairs[i][1] @ pairs[j][1]) > tol:
                     raise ValueError(
                         f"projectors for {values[i]} and {values[j]} are not orthogonal"
                     )
         total = sum(p for _, p in pairs)
-        if _max_abs(total - np.eye(dim)) > tol:
+        if max_abs(total - np.eye(dim)) > tol:
             raise ValueError("projectors do not sum to the identity")
         object.__setattr__(self, "spectral_pairs", tuple(pairs))
 
@@ -196,10 +196,6 @@ class MeasurementModel:
         return out
 
 
-def _max_abs(m: np.ndarray) -> float:
-    return float(np.max(np.abs(m))) if m.size else 0.0
-
-
 def spectral_decompose(
     matrix: np.ndarray,
     tol: float = DEFAULT_POLICY.eigenvalue_tol,
@@ -217,7 +213,7 @@ def spectral_decompose(
     m = np.asarray(matrix, dtype=np.complex128)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError("input must be a square matrix")
-    residual = _max_abs(m - m.conj().T)
+    residual = max_abs(m - m.conj().T)
     if residual > tol:
         raise NonHermitianInput(
             f"matrix is not Hermitian: max |M - M^dag| = {residual:.3e} > {tol:.3e}"
@@ -258,13 +254,19 @@ def weight(model: MeasurementModel, event: Iterable[str]) -> float:
     once.  Returns exactly 0.0 for the empty event; otherwise the value
     is clamped to [0, 1].
     """
-    eigenvalues = model.eigenvalue_image(event)
-    if not eigenvalues:
-        return 0.0
-    psi = model.state.components
+    return spectral_weight(
+        model.state, model.observable, model.eigenvalue_image(event)
+    )
+
+
+def spectral_weight(
+    state: StateVector, observable: Observable, eigenvalues: Iterable[float]
+) -> float:
+    """Sum of <psi|P(x)|psi> over the given eigenvalues, clamped to [0, 1]."""
+    psi = state.components
     total = 0.0
     for x in eigenvalues:
-        p = model.observable.projector(x)
+        p = observable.projector(x)
         total += float(np.real(psi.conj() @ (p @ psi)))
     return min(1.0, max(0.0, total))
 

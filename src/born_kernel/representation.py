@@ -19,7 +19,7 @@ import os
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -28,13 +28,13 @@ from .ordering import (
     EventRef,
     LikelihoodOrdering,
     MeasurementFamily,
+    SizeLimitExceeded,
     WeightedMeasurement,
-    ref_sort_key,
+    enumerate_event_refs,
+    order_matrix,
+    rational_subset_sums,
+    subset_sums,
 )
-
-
-class SizeLimitExceeded(ValueError):
-    """Requested family would exceed the configured size cap."""
 
 
 class PreconditionViolated(ValueError):
@@ -99,20 +99,15 @@ class ProbabilityAssignment:
         singleton_values: dict[tuple[str, str], Fraction],
     ) -> "ProbabilityAssignment":
         """Extend per-outcome values additively over every event."""
-        values: dict[EventRef, Fraction] = {}
+        vector: list[Fraction] = []
         for mid in family.sorted_ids:
-            m = family.by_id[mid]
             per_outcome = []
-            for o in m.outcomes:
+            for o in family.by_id[mid].outcomes:
                 if (mid, o) not in singleton_values:
                     raise ValueError(f"missing value for outcome {o!r} of {mid!r}")
                 per_outcome.append(Fraction(singleton_values[(mid, o)]))
-            sums = [Fraction(0)]
-            for v in per_outcome:
-                sums = sums + [s + v for s in sums]
-            for mask in range(2 ** len(m.outcomes)):
-                values[EventRef(mid, m.mask_event(mask))] = sums[mask]
-        return cls(family, values)
+            vector += rational_subset_sums(per_outcome)
+        return cls(family, dict(zip(enumerate_event_refs(family), vector)))
 
     def value(self, ref: EventRef) -> Fraction:
         return self.values[ref]
@@ -229,31 +224,28 @@ def derive_representation(
                     f"1/{K} grid"
                 )
 
+    h = ordering.matrix
+    uniform_start = family.slices[uniform.id].start
     singleton_values: dict[tuple[str, str], Fraction] = {}
-    for mid in family.sorted_ids:
+    for mid, sl in family.slices.items():
         m = family.by_id[mid]
         offset = 0
-        for o, w in zip(m.outcomes, m.weights):
+        for i, (o, w) in enumerate(zip(m.outcomes, m.weights)):
             k = w.numerator * (K // w.denominator)
-            block = EventRef(uniform.id, frozenset(uniform.outcomes[offset:offset + k]))
-            target = EventRef(mid, frozenset({o}))
+            block = uniform_start + (((1 << k) - 1) << offset)
+            target = sl.start + (1 << i)
             # Equal weight guarantees the ordering judged them alike; the
             # equivalence check above already certified this, so a failure
             # here means the ordering mutated underneath us.
-            if not ordering.simeq(block, target):
+            if not (h[block, target] and h[target, block]):
                 raise PreconditionViolated(
                     "Equivalence",
-                    f"{target.label()} is not judged equal to its uniform block",
+                    f"{ordering.refs[target].label()} is not judged equal to "
+                    "its uniform block",
                 )
             singleton_values[(mid, o)] = Fraction(k, K)
             offset += k
     return ProbabilityAssignment.from_singletons(family, singleton_values)
-
-
-def _rank_vector(values: Sequence[Fraction]) -> np.ndarray:
-    distinct = sorted(set(values))
-    rank_of = {v: r for r, v in enumerate(distinct)}
-    return np.array([rank_of[v] for v in values], dtype=np.int64)
 
 
 def verify_representation(
@@ -274,47 +266,30 @@ def verify_representation(
     ):
         raise FamilyMismatch("assignment and ordering have different families")
     family = ordering.family
-    witnesses: list[tuple] = []
-
-    for mid in family.sorted_ids:
-        m = family.by_id[mid]
-        empty = EventRef(mid, frozenset())
-        full = EventRef(mid, frozenset(m.outcomes))
-        if assignment.value(empty) != 0:
-            witnesses.append(("boundary", empty))
-        if assignment.value(full) != 1:
-            witnesses.append(("boundary", full))
-
-    for mid in family.sorted_ids:
-        m = family.by_id[mid]
-        n_masks = 2 ** len(m.outcomes)
-        vals = [assignment.value(EventRef(mid, m.mask_event(u))) for u in range(n_masks)]
-        for union in range(n_masks):
+    refs = ordering.refs
+    vals = [assignment.value(r) for r in refs]
+    # Witnesses as (tag, positions...); position order is canonical order.
+    found: list[tuple] = []
+    for sl in family.slices.values():
+        start, local = sl.start, vals[sl]
+        if local[0] != 0:
+            found.append(("boundary", start))
+        if local[-1] != 1:
+            found.append(("boundary", sl.stop - 1))
+        for union in range(len(local)):
             sub = union
             while True:
                 other = union & ~sub
-                if sub <= other and vals[union] != vals[sub] + vals[other]:
-                    witnesses.append(
-                        (
-                            "additivity",
-                            EventRef(mid, m.mask_event(sub)),
-                            EventRef(mid, m.mask_event(other)),
-                        )
-                    )
+                if sub <= other and local[union] != local[sub] + local[other]:
+                    found.append(("additivity", start + sub, start + other))
                 if sub == 0:
                     break
                 sub = (sub - 1) & union
 
-    refs = ordering.refs
-    pr_ranks = _rank_vector([assignment.value(r) for r in refs])
-    pr_matrix = pr_ranks[:, None] >= pr_ranks[None, :]
-    mismatch = pr_matrix != ordering.matrix
-    for i, j in zip(*np.nonzero(mismatch)):
-        witnesses.append(("order", refs[int(i)], refs[int(j)]))
+    mismatch = order_matrix(vals) != ordering.matrix
+    found += [("order", int(i), int(j)) for i, j in zip(*np.nonzero(mismatch))]
 
-    witnesses.sort(
-        key=lambda w: (w[0], tuple(ref_sort_key(family, r) for r in w[1:]))
-    )
+    witnesses = [(w[0], *(refs[i] for i in w[1:])) for w in sorted(found)]
     return (not witnesses, witnesses)
 
 
@@ -331,10 +306,8 @@ def _measurement_candidates(
     would keep.
     """
     n = len(m.outcomes)
-    n_masks = 2 ** n
-    refs_by_mask = [EventRef(m.id, m.mask_event(mask)) for mask in range(n_masks)]
-    idx = np.array([ordering.index[r] for r in refs_by_mask], dtype=np.intp)
-    h_local = ordering.matrix[np.ix_(idx, idx)]
+    sl = ordering.family.slices[m.id]
+    h_local = ordering.matrix[sl, sl]
 
     single = [1 << i for i in range(n)]
     # Pairwise constraints between singletons: (ge, le) booleans.
@@ -379,11 +352,9 @@ def _measurement_candidates(
 
     # Event-level filter: value order over this measurement's full event
     # space must reproduce the ordering's submatrix.
-    masks = np.arange(n_masks, dtype=np.int64)
-    membership = ((masks[:, None] >> np.arange(n)) & 1).astype(np.int64)
     survivors = []
     for v in out:
-        vals = membership @ np.array(v, dtype=np.int64)
+        vals = np.array(subset_sums(v))
         if np.array_equal(vals[:, None] >= vals[None, :], h_local):
             survivors.append(v)
     return survivors
@@ -432,39 +403,25 @@ def uniqueness_search(
     if any(not c for c in per_measurement.values()):
         return []
 
-    # Join measurements one at a time, filtering on cross-measurement
-    # order agreement as we go.
-    joined_refs: list[EventRef] = []
+    # Join measurements one at a time in canonical order, so the events
+    # already joined are the position prefix [:start], filtering on
+    # cross-measurement order agreement as we go.
+    h = ordering.matrix
     partials: list[tuple[tuple[int, ...], ...]] = [()]
     partial_vals: list[list[int]] = [[]]
-    for mid in mids:
-        m = family.by_id[mid]
-        n_masks = 2 ** len(m.outcomes)
-        refs_by_mask = [EventRef(mid, m.mask_event(mask)) for mask in range(n_masks)]
-        masks = np.arange(n_masks, dtype=np.int64)
-        membership = (
-            (masks[:, None] >> np.arange(len(m.outcomes))) & 1
-        ).astype(np.int64)
-        if joined_refs:
-            rows = np.array(
-                [ordering.index[r] for r in refs_by_mask], dtype=np.intp
-            )
-            cols = np.array([ordering.index[r] for r in joined_refs], dtype=np.intp)
-            h_new_old = ordering.matrix[np.ix_(rows, cols)]
-            h_old_new = ordering.matrix[np.ix_(cols, rows)]
+    for mid, sl in family.slices.items():
+        h_new_old = h[sl, : sl.start]
+        h_old_new = h[: sl.start, sl]
+        cands = [(c, np.array(subset_sums(c))) for c in per_measurement[mid]]
         new_partials = []
         new_vals = []
         for partial, old_vals in zip(partials, partial_vals):
             old_arr = np.array(old_vals, dtype=np.int64)
-            for cand in per_measurement[mid]:
-                vals = membership @ np.array(cand, dtype=np.int64)
-                if joined_refs:
-                    ge_new_old = vals[:, None] >= old_arr[None, :]
-                    if not np.array_equal(ge_new_old, h_new_old):
-                        continue
-                    ge_old_new = old_arr[:, None] >= vals[None, :]
-                    if not np.array_equal(ge_old_new, h_old_new):
-                        continue
+            for cand, vals in cands:
+                if not np.array_equal(vals[:, None] >= old_arr[None, :], h_new_old):
+                    continue
+                if not np.array_equal(old_arr[:, None] >= vals[None, :], h_old_new):
+                    continue
                 new_partials.append(partial + (cand,))
                 new_vals.append(old_vals + vals.tolist())
         partials = new_partials
@@ -476,7 +433,6 @@ def uniqueness_search(
             )
         if not partials:
             return []
-        joined_refs.extend(refs_by_mask)
 
     results = []
     for partial in sorted(partials):

@@ -77,6 +77,38 @@ class TestGenRich:
         )
         assert proc.returncode == 1
 
+    def test_non_integer_env_cap_exit_2(self, tmp_path):
+        import os
+
+        env = dict(os.environ, BORN_KERNEL_CAP="abc")
+        proc = subprocess.run(
+            [
+                sys.executable, "-m", "born_kernel", "gen-rich",
+                "-K", "3", "--max-outcomes", "3",
+                "--out", str(tmp_path / "fam.json"),
+            ],
+            text=True,
+            capture_output=True,
+            env=env,
+        )
+        assert proc.returncode == 2
+        assert "BORN_KERNEL_CAP" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    def test_event_cap_exit_1_with_report(self, tmp_path):
+        # 2,048 measurements pass the measurement cap; their 354,294
+        # events exceed the 20,000-event cap of extensional orderings.
+        out = tmp_path / "big.json"
+        proc = run_cli("gen-rich", "-K", "12", "--max-outcomes", "12", "--out", str(out))
+        assert proc.returncode == 1
+        report = json.loads(proc.stdout)
+        assert report["command"] == "gen-rich"
+        assert report["verdicts"] == [
+            {"check": "size-cap", "result": "fail", "witness_count": 0, "witnesses": []}
+        ]
+        assert "354,294" in proc.stderr and "20,000" in proc.stderr
+        assert not out.exists()
+
 
 class TestCheck:
     def test_induced_ordering_passes(self, rich_files):
@@ -200,6 +232,16 @@ class TestDerive:
         assert singleton[0]["probability"] == {"num": "1", "den": "1"}
 
 
+    def test_nonpositive_k_exit_2(self, rich_files, tmp_path):
+        family, ordering = rich_files
+        proc = run_cli(
+            "derive", "--family", str(family), "--ordering", str(ordering),
+            "-K", "0", "--out", str(tmp_path / "pr.json"),
+        )
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+
+
 class TestDemoErasure:
     def test_half_equal(self):
         proc = run_cli("demo-erasure", "--p-num", "1", "--p-den", "2")
@@ -289,6 +331,24 @@ class TestCanon:
             "canon", "--quad", str(path), "--numeric-policy", str(bad_policy)
         )
         assert proc.returncode == 2
+
+    @pytest.mark.parametrize(
+        "policy", ['{"norm_tol": "nan", "projector_tol": "nan"}', '{"norm_tol": -1}']
+    )
+    def test_non_positive_or_nan_policy_exit_2(self, tmp_path, policy):
+        # A state with squared norm 9 is rejected under the default policy;
+        # a NaN tolerance would make every "> tol" test false and pass it.
+        path = self.make_quad_file(tmp_path, [1.0, 0.0], frozenset({1.0}))
+        doc = json.loads(path.read_text())
+        doc["state"]["components"] = [[3.0, 0.0], [0.0, 0.0]]
+        path.write_text(json.dumps(doc))
+        assert run_cli("canon", "--quad", str(path)).returncode == 2
+        policy_path = tmp_path / "policy.json"
+        policy_path.write_text(policy)
+        proc = run_cli("canon", "--quad", str(path), "--numeric-policy", str(policy_path))
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert "finite and positive" in proc.stderr
 
 
 class TestDeterministicReports:

@@ -227,3 +227,49 @@ class TestDeterminism:
         one = canonical_dumps(ordering_to_json(induced_ordering(family)))
         two = canonical_dumps(ordering_to_json(induced_ordering(family)))
         assert one == two
+
+
+def _read_family(edit):
+    doc = family_to_json(generate_rich_family(2, 2))
+    edit(doc)
+    family_from_json(doc)
+
+
+def _read_ordering(edit):
+    family = generate_rich_family(2, 2)
+    doc = ordering_to_json(induced_ordering(family))
+    edit(doc)
+    ordering_from_json(doc, family)
+
+
+def _read_assignment(edit):
+    family = generate_rich_family(2, 2)
+    doc = assignment_to_json(ProbabilityAssignment(family, dict(event_weights(family))))
+    edit(doc)
+    assignment_from_json(doc, family)
+
+
+def _read_model(edit):
+    doc = model_to_json(make_rich_measurement([Fraction(1, 2), Fraction(1, 2)]))
+    edit(doc)
+    model_from_json(doc)
+
+
+@pytest.mark.parametrize(
+    "read, edit",
+    [
+        (_read_family, lambda d: d.update(measurements="ab")),
+        (_read_family, lambda d: d["measurements"][0].update(outcomes="ab")),
+        (_read_family, lambda d: d["measurements"][1].update(weights={"num": "1", "den": "1"})),
+        (_read_ordering, lambda d: d.update(pairs={"a": "b"})),
+        (_read_ordering, lambda d: d["pairs"][-1][0].update(event="o1")),
+        (_read_assignment, lambda d: d.update(values={"a": "b"})),
+        (_read_assignment, lambda d: d["values"][1].update(event="o1")),
+        (_read_model, lambda d: d.update(outcome_labels="o1")),
+    ],
+    ids=["measurements", "outcomes", "weights", "pairs", "pair-event", "values",
+         "value-event", "outcome-labels"],
+)
+def test_string_or_object_where_a_list_is_expected(read, edit):
+    with pytest.raises(FormatError, match="must be a list"):
+        read(edit)

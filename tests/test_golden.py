@@ -1,12 +1,25 @@
 """Golden bytes: the CLI's reports and written files on fixed small inputs.
 
 Every report and artifact below is pinned by its sha256, so a refactor
-of the kernel's internals must leave each of them byte-identical.
+of the kernel's internals must leave each of them byte-identical.  The
+properties at the end pin the two facts the byte identity rests on: the
+subset-sum helper equals the per-mask sum, and canonical position order
+is (measurement id, event bitmask) order.
 """
 import hashlib
 import json
+from fractions import Fraction
 
+from hypothesis import given, strategies as st
+
+from born_kernel import EventRef, MeasurementFamily, WeightedMeasurement
 from born_kernel.cli import main
+from born_kernel.ordering import (
+    enumerate_event_refs,
+    rational_subset_sums,
+    ref_sort_key,
+    subset_sums,
+)
 
 # A d=3 bet: eigenvalues 0, 1, 2 on (|0>+|1>)/sqrt2, (|0>-|1>)/sqrt2, |2>;
 # state 0.6|0> + 0.8|2>, event {0, 2}, weight 0.18 + 0.64 = 0.82.
@@ -101,3 +114,56 @@ def golden_digests(tmp_path, monkeypatch, capsysbinary) -> dict:
 
 def test_cli_outputs_are_byte_identical(tmp_path, monkeypatch, capsysbinary):
     assert golden_digests(tmp_path, monkeypatch, capsysbinary) == GOLDEN
+
+
+# -- canonical positions ------------------------------------------------
+
+measurement_specs = st.lists(
+    st.tuples(st.text(alphabet="ab-1", min_size=1, max_size=3), st.integers(1, 4)),
+    min_size=1,
+    max_size=4,
+    unique_by=lambda spec: spec[0],
+)
+
+
+def _family(specs) -> MeasurementFamily:
+    return MeasurementFamily(
+        tuple(
+            WeightedMeasurement(
+                mid, tuple(f"o{i}" for i in range(n)), (Fraction(1, n),) * n
+            )
+            for mid, n in specs
+        )
+    )
+
+
+def _brute_sums(values, zero):
+    return [
+        sum((v for i, v in enumerate(values) if mask >> i & 1), zero)
+        for mask in range(2 ** len(values))
+    ]
+
+
+@given(st.lists(st.integers(-(10**30), 10**30), max_size=8))
+def test_subset_sums_match_per_mask_sums(values):
+    assert subset_sums(values) == _brute_sums(values, 0)
+
+
+@given(st.lists(st.fractions(min_value=-5, max_value=5, max_denominator=10**9), max_size=6))
+def test_rational_subset_sums_match_per_mask_sums(values):
+    sums = rational_subset_sums(values)
+    assert sums == _brute_sums(values, Fraction(0))
+    assert all(isinstance(s, Fraction) for s in sums)
+
+
+@given(measurement_specs)
+def test_position_order_is_ref_sort_key_order(specs):
+    family = _family(specs)
+    refs = enumerate_event_refs(family)
+    keys = [ref_sort_key(family, r) for r in refs]
+    assert keys == sorted(keys) and len(set(keys)) == len(keys)
+    for mid, sl in family.slices.items():
+        m = family.by_id[mid]
+        assert sl.stop - sl.start == 2 ** len(m.outcomes)
+        for mask in range(sl.stop - sl.start):
+            assert refs[sl.start + mask] == EventRef(mid, m.mask_event(mask))

@@ -10,6 +10,7 @@ from born_kernel import (
     NoRationalWithinTolerance,
     NonHermitianInput,
     NonpositiveWeight,
+    NumericPolicy,
     Observable,
     StateVector,
     UnknownOutcomeLabel,
@@ -264,3 +265,10 @@ class TestValidation:
         sigma_z = spectral_decompose(np.diag([1.0, -1.0]).astype(complex))
         with pytest.raises(ValueError):
             MeasurementModel("bad", state, sigma_z, ("up", "down"), {"up": 1.0})
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), 0.0, -1e-9])
+@pytest.mark.parametrize("field", ["norm_tol", "projector_tol", "eigenvalue_tol", "rational_tol"])
+def test_policy_tolerances_must_be_finite_and_positive(field, bad):
+    with pytest.raises(ValueError, match=field):
+        NumericPolicy(**{field: bad})
