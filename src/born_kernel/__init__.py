@@ -1,7 +1,7 @@
 """Verification kernel for weight-based likelihood orderings.
 
 The package splits into a floating-point quantum layer (states,
-observables, spectral projectors, the weight function) and an
+observables stored as an eigenbasis, the weight function) and an
 exact-rational decision kernel (likelihood orderings, rationality
 axioms, representing probability measures), plus the neutrality
 transforms, the erasure games, and a command-line front end.

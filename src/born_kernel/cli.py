@@ -112,16 +112,24 @@ def _witness_json(witness: tuple) -> list:
     ]
 
 
-def _failure_report(command: str, digest: str, check: str) -> dict:
-    """Report of a run that failed one named check with no witnesses."""
+def _verdict(check: str, ok: bool, witnesses=()) -> dict:
     return {
+        "check": check,
+        "result": "pass" if ok else "fail",
+        "witness_count": len(witnesses),
+        "witnesses": [_witness_json(w) for w in witnesses],
+    }
+
+
+def _report(command: str, digest: str, verdicts: list[dict], **artifacts) -> dict:
+    """The v1 report of one command; ``artifacts`` only where it has some."""
+    report = {
         "schema": "v1",
         "command": command,
         "inputs_digest": digest,
-        "verdicts": [
-            {"check": check, "result": "fail", "witness_count": 0, "witnesses": []}
-        ],
+        "verdicts": verdicts,
     }
+    return {**report, "artifacts": artifacts} if artifacts else report
 
 
 def _load_ordering(args):
@@ -141,22 +149,8 @@ def _load_ordering(args):
 def cmd_check(args) -> int:
     ordering, digest = _load_ordering(args)
     reports = run_all_checks(ordering)
-    verdicts = []
-    for rep in reports:
-        verdicts.append(
-            {
-                "check": rep.axiom,
-                "result": "pass" if rep.satisfied else "fail",
-                "witness_count": len(rep.witnesses),
-                "witnesses": [_witness_json(w) for w in rep.witnesses],
-            }
-        )
-    report = {
-        "schema": "v1",
-        "command": "check",
-        "inputs_digest": digest,
-        "verdicts": verdicts,
-    }
+    verdicts = [_verdict(r.axiom, r.satisfied, r.witnesses) for r in reports]
+    report = _report("check", digest, verdicts)
     lines = [
         f"check {v['check']}: {v['result']} ({v['witness_count']} witnesses)"
         for v in verdicts
@@ -177,25 +171,15 @@ def cmd_derive(args) -> int:
         name = getattr(exc, "axiom", type(exc).__name__)
         raise DomainFailure(
             f"precondition failed: {name}",
-            _failure_report("derive", digest, f"precondition:{name}"),
+            _report("derive", digest, [_verdict(f"precondition:{name}", False)]),
         )
     ok, witnesses = verify_representation(assignment, ordering)
     doc = assignment_to_json(assignment)
     Path(args.out).write_text(canonical_dumps(doc), encoding="utf-8")
-    report = {
-        "schema": "v1",
-        "command": "derive",
-        "inputs_digest": digest,
-        "verdicts": [
-            {
-                "check": "representation",
-                "result": "pass" if ok else "fail",
-                "witness_count": len(witnesses),
-                "witnesses": [_witness_json(w) for w in witnesses],
-            }
-        ],
-        "artifacts": {"assignment_path": str(args.out), "K": args.K},
-    }
+    report = _report(
+        "derive", digest, [_verdict("representation", ok, witnesses)],
+        assignment_path=str(args.out), K=args.K,
+    )
     lines = [
         f"derive: wrote {args.out}",
         f"check representation: {'pass' if ok else 'fail'} "
@@ -247,32 +231,16 @@ def cmd_demo_erasure(args) -> int:
                 ),
             }
         )
-    report = {
-        "schema": "v1",
-        "command": "demo-erasure",
-        "inputs_digest": digest_bytes(
-            f"{args.p_num}/{args.p_den}:{args.index_range}".encode()
-        ),
-        "verdicts": [
-            {
-                "check": "reachable-sets-equal",
-                "result": "pass" if equal else "fail",
-                "witness_count": 0,
-                "witnesses": [],
-            }
-        ],
-        "artifacts": {
-            "p": f"{args.p_num}/{args.p_den}",
-            "index_range": args.index_range,
-            "game1_states": [
-                _canonical_state_json(k) for k in sorted(set1.states)
-            ],
-            "game2_states": [
-                _canonical_state_json(k) for k in sorted(set2.states)
-            ],
-            "sweep": sweep,
-        },
-    }
+    report = _report(
+        "demo-erasure",
+        digest_bytes(f"{args.p_num}/{args.p_den}:{args.index_range}".encode()),
+        [_verdict("reachable-sets-equal", equal)],
+        p=f"{args.p_num}/{args.p_den}",
+        index_range=args.index_range,
+        game1_states=[_canonical_state_json(k) for k in sorted(set1.states)],
+        game2_states=[_canonical_state_json(k) for k in sorted(set2.states)],
+        sweep=sweep,
+    )
     lines = [
         f"p = {args.p_num}/{args.p_den}, index range {args.index_range}",
         f"game 1 reaches {len(set1)} states, game 2 reaches {len(set2)} states",
@@ -310,21 +278,15 @@ def cmd_canon(args) -> int:
         raise InputError(str(exc))
     form = canonical_form(quadruple, policy=policy)
     canon = canonical_quadruple(quadruple, policy=policy)
-    report = {
-        "schema": "v1",
-        "command": "canon",
-        "inputs_digest": digest_bytes(quad_raw),
-        "verdicts": [
-            {"check": "canonicalize", "result": "pass", "witness_count": 0,
-             "witnesses": []}
-        ],
-        "artifacts": {
-            "weight": f"{form.weight_value:.12g}",
-            "c": f"{form.c:.12g}",
-            "d": f"{form.d:.12g}",
-            "canonical_quadruple": _round12(quadruple_to_json(canon)),
-        },
-    }
+    report = _report(
+        "canon",
+        digest_bytes(quad_raw),
+        [_verdict("canonicalize", True)],
+        weight=f"{form.weight_value:.12g}",
+        c=f"{form.c:.12g}",
+        d=f"{form.d:.12g}",
+        canonical_quadruple=_round12(quadruple_to_json(canon)),
+    )
     lines = [
         f"weight = {form.weight_value:.12g}",
         f"c = {form.c:.12g}",
@@ -348,7 +310,9 @@ def cmd_gen_rich(args) -> int:
         family = generate_rich_family(args.K, args.max_outcomes, cap)
         ordering = induced_ordering(family)
     except SizeLimitExceeded as exc:
-        raise DomainFailure(str(exc), _failure_report("gen-rich", digest, "size-cap"))
+        raise DomainFailure(
+            str(exc), _report("gen-rich", digest, [_verdict("size-cap", False)])
+        )
     out = Path(args.out)
     ordering_out = (
         Path(args.ordering_out)
@@ -359,22 +323,16 @@ def cmd_gen_rich(args) -> int:
     ordering_out.write_text(
         canonical_dumps(ordering_to_json(ordering)), encoding="utf-8"
     )
-    report = {
-        "schema": "v1",
-        "command": "gen-rich",
-        "inputs_digest": digest,
-        "verdicts": [
-            {"check": "size-cap", "result": "pass", "witness_count": 0,
-             "witnesses": []}
-        ],
-        "artifacts": {
-            "family_path": str(out),
-            "ordering_path": str(ordering_out),
-            "measurements": len(family.measurements),
-            "K": args.K,
-            "max_outcomes": args.max_outcomes,
-        },
-    }
+    report = _report(
+        "gen-rich",
+        digest,
+        [_verdict("size-cap", True)],
+        family_path=str(out),
+        ordering_path=str(ordering_out),
+        measurements=len(family.measurements),
+        K=args.K,
+        max_outcomes=args.max_outcomes,
+    )
     lines = [
         f"gen-rich: {len(family.measurements)} measurements "
         f"(K={args.K}, max outcomes={args.max_outcomes})",

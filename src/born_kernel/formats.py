@@ -64,6 +64,14 @@ def _expect_list(doc: Any, key: str, context: str) -> list:
     return value
 
 
+def _number(value: Any, kind: type, context: str) -> Any:
+    """``kind(value)`` for kind float or int; FormatError where it fails."""
+    try:
+        return kind(value)
+    except (TypeError, ValueError, OverflowError):
+        raise FormatError(f"{context}: {value!r} is not a number")
+
+
 def _check_schema(doc: Any, context: str) -> None:
     if _expect(doc, "schema", context) != SCHEMA:
         raise FormatError(f"{context}: unsupported schema {doc.get('schema')!r}")
@@ -92,7 +100,7 @@ def complex_to_json(z: complex) -> list[float]:
 def complex_from_json(doc: Any, context: str = "complex") -> complex:
     if not isinstance(doc, (list, tuple)) or len(doc) != 2:
         raise FormatError(f"{context}: complex values are [re, im] pairs")
-    return complex(float(doc[0]), float(doc[1]))
+    return complex(_number(doc[0], float, context), _number(doc[1], float, context))
 
 
 def matrix_to_json(m: np.ndarray) -> list:
@@ -100,8 +108,8 @@ def matrix_to_json(m: np.ndarray) -> list:
 
 
 def matrix_from_json(doc: Any, context: str = "matrix") -> np.ndarray:
-    if not isinstance(doc, list) or not doc:
-        raise FormatError(f"{context}: matrix must be a nonempty row list")
+    if not isinstance(doc, list) or not doc or not all(isinstance(r, list) for r in doc):
+        raise FormatError(f"{context}: matrix must be a nonempty list of row lists")
     rows = [[complex_from_json(z, context) for z in row] for row in doc]
     return np.array(rows, dtype=np.complex128)
 
@@ -122,7 +130,7 @@ def state_from_json(
     vec = np.array(
         [complex_from_json(z, context) for z in components], dtype=np.complex128
     )
-    if "dim" in doc and int(doc["dim"]) != vec.shape[0]:
+    if "dim" in doc and _number(doc["dim"], int, f"{context}.dim") != vec.shape[0]:
         raise FormatError(f"{context}: dim does not match component count")
     try:
         return StateVector(vec, policy=policy)
@@ -143,17 +151,14 @@ def observable_to_json(obs: Observable) -> dict:
 def observable_from_json(
     doc: Any, policy: NumericPolicy = DEFAULT_POLICY, context: str = "observable"
 ) -> Observable:
-    pairs_doc = _expect(doc, "spectral_pairs", context)
     pairs = []
-    for i, pair in enumerate(pairs_doc):
-        v = float(_expect(pair, "eigenvalue", f"{context}.spectral_pairs[{i}]"))
-        p = matrix_from_json(
-            _expect(pair, "projector", f"{context}.spectral_pairs[{i}]"),
-            f"{context}.spectral_pairs[{i}].projector",
-        )
+    for i, pair in enumerate(_expect_list(doc, "spectral_pairs", context)):
+        ctx = f"{context}.spectral_pairs[{i}]"
+        v = _number(_expect(pair, "eigenvalue", ctx), float, f"{ctx}.eigenvalue")
+        p = matrix_from_json(_expect(pair, "projector", ctx), f"{ctx}.projector")
         pairs.append((v, p))
     try:
-        return Observable(tuple(pairs), policy=policy)
+        return Observable.from_pairs(pairs, policy)
     except ValueError as exc:
         raise FormatError(f"{context}: {exc}")
 
@@ -182,7 +187,7 @@ def model_from_json(
             ),
             outcome_labels=tuple(_expect_list(doc, "outcome_labels", "model")),
             convention={
-                str(k): float(v)
+                str(k): _number(v, float, f"model.convention.{k}")
                 for k, v in _expect(doc, "convention", "model").items()
             },
         )
@@ -211,7 +216,7 @@ def quadruple_from_json(
             observable=observable_from_json(
                 _expect(doc, "observable", "quadruple"), policy
             ),
-            event=frozenset(float(x) for x in event_doc),
+            event=frozenset(_number(x, float, "quadruple.event") for x in event_doc),
         )
     except ValueError as exc:
         raise FormatError(f"quadruple: {exc}")

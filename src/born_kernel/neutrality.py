@@ -18,7 +18,7 @@ from typing import Callable, Mapping
 import numpy as np
 
 from .numeric import DEFAULT_POLICY, NumericPolicy, max_abs
-from .quantum import Observable, StateVector, spectral_weight
+from .quantum import Observable, StateVector, match_value, spectral_weight
 
 
 class NotUnitary(ValueError):
@@ -45,14 +45,9 @@ class MeasurementQuadruple:
     def __post_init__(self) -> None:
         if self.state.dim != self.observable.dim:
             raise ValueError("state and observable dimensions differ")
-        tol = self.observable.policy.eigenvalue_tol
-        snapped = set()
-        for x in self.event:
-            matches = [v for v in self.observable.eigenvalues if abs(v - x) <= tol]
-            if not matches:
-                raise ValueError(f"event value {x} is not an eigenvalue")
-            snapped.add(matches[0])
-        object.__setattr__(self, "event", frozenset(snapped))
+        spectrum = self.observable.eigenvalues
+        snapped = frozenset(spectrum[self.observable.index(x)] for x in self.event)
+        object.__setattr__(self, "event", snapped)
 
     @property
     def dim(self) -> int:
@@ -129,27 +124,28 @@ def relabel(
 ) -> MeasurementQuadruple:
     """Rename results through f, merging eigenspaces that collide.
 
-    The new observable's eigenspace for value z is the sum of the
-    projectors of every x with f(x) = z; the new event is the image
+    The new observable's eigenspace for value z is spanned by the
+    eigenvectors of every x with f(x) = z; the new event is the image
     f(E).  The image event's weight can only grow: it is unchanged
     exactly when f pulls f(E) back onto E (in particular whenever f is
     injective on the spectrum).
     """
+    obs = q.observable
     if callable(f):
-        mapping = {x: float(f(x)) for x in q.observable.eigenvalues}
+        mapping = {x: float(f(x)) for x in obs.eigenvalues}
     else:
-        mapping = {x: float(f[x]) for x in q.observable.eigenvalues}
-    merged: dict[float, np.ndarray] = {}
-    for x, p in q.observable.spectral_pairs:
-        z = mapping[x]
-        # Snap near-identical relabeled values onto one representative.
-        for existing in merged:
-            if abs(existing - z) <= policy.eigenvalue_tol:
-                z = existing
-                break
-        merged[z] = merged.get(z, 0) + p
+        mapping = {x: float(f[x]) for x in obs.eigenvalues}
+    # Near-identical relabeled values snap onto the first of them; each
+    # old cluster is then renumbered to its image's place in sorted order.
+    tol = policy.eigenvalue_tol
+    merged: list[float] = []
+    for z in mapping.values():
+        if all(abs(y - z) > tol for y in merged):
+            merged.append(z)
+    image = [match_value(merged, z, tol) for z in mapping.values()]
+    rank = np.argsort(np.argsort(merged))
     new_observable = Observable(
-        tuple(sorted(merged.items())), policy=q.observable.policy
+        tuple(sorted(merged)), obs.basis, rank[image][obs.cluster], policy=obs.policy
     )
     new_event = frozenset(mapping[x] for x in q.event)
     return MeasurementQuadruple(q.state, new_observable, new_event)
@@ -173,14 +169,8 @@ def canonical_form(
     event weight; degenerate weights 0 and 1 are admitted with c or d
     equal to zero.
     """
-    binary = _indicator_relabeled(q)
-    psi = binary.state.components
-    if 0.0 in binary.event:
-        p0 = binary.observable.projector(0.0)
-        c = float(np.linalg.norm(p0 @ psi))
-    else:
-        c = 0.0
-    c = min(1.0, max(0.0, c))
+    # The binary event is {0.0} or empty, so its weight is c^2.
+    c = float(np.sqrt(_indicator_relabeled(q).event_weight()))
     w = c * c
     d = float(np.sqrt(max(0.0, 1.0 - w)))
     return CanonicalForm(weight_value=w, c=c, d=d)
@@ -198,13 +188,7 @@ def canonical_quadruple(
     state = StateVector(
         np.array([form.c, form.d], dtype=np.complex128), policy=policy
     )
-    observable = Observable(
-        (
-            (0.0, np.array([[1.0, 0.0], [0.0, 0.0]], dtype=np.complex128)),
-            (1.0, np.array([[0.0, 0.0], [0.0, 1.0]], dtype=np.complex128)),
-        ),
-        policy=policy,
-    )
+    observable = Observable((0.0, 1.0), np.eye(2), (0, 1), policy=policy)
     return MeasurementQuadruple(state, observable, frozenset({0.0}))
 
 

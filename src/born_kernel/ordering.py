@@ -267,6 +267,11 @@ class LikelihoodOrdering:
     def index(self) -> dict[EventRef, int]:
         return {r: i for i, r in enumerate(self.refs)}
 
+    @cached_property
+    def reports(self) -> tuple[AxiomReport, ...]:
+        """The reports of ``ALL_CHECKS``, run once per ordering."""
+        return tuple(check(self) for check in ALL_CHECKS)
+
     def _i(self, ref: EventRef) -> int:
         try:
             return self.index[ref]
@@ -467,7 +472,7 @@ ALL_CHECKS = (
 
 
 def run_all_checks(ordering: LikelihoodOrdering) -> tuple[AxiomReport, ...]:
-    return tuple(check(ordering) for check in ALL_CHECKS)
+    return ordering.reports
 
 
 def null_events(ordering: LikelihoodOrdering) -> set[EventRef]:

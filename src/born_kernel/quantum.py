@@ -1,8 +1,8 @@
 """Finite-dimensional quantum machinery.
 
-States, discrete-spectrum self-adjoint observables (as spectral pairs),
-measurement models with explicit outcome-label conventions, and the
-weight function
+States, discrete-spectrum self-adjoint observables (one orthonormal
+eigenbasis, each column tagged with its eigenvalue), measurement models
+with explicit outcome-label conventions, and the weight function
 
     W(E) = sum over x in C(E) of <psi| P(x) |psi>
 
@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -52,6 +53,15 @@ def _frozen_array(a: np.ndarray) -> np.ndarray:
     return out
 
 
+def match_value(values: Sequence[float], x: float, tol: float) -> int:
+    """Position of the first value within tol of x; like ``list.index``,
+    ValueError if there is none."""
+    for i, v in enumerate(values):
+        if abs(v - x) <= tol:
+            return i
+    raise ValueError(f"{x} is not an eigenvalue")
+
+
 @dataclass(frozen=True, eq=False)
 class StateVector:
     """Normalized vector in a finite-dimensional complex Hilbert space."""
@@ -80,68 +90,114 @@ class StateVector:
 
 @dataclass(frozen=True, eq=False)
 class Observable:
-    """Discrete-spectrum self-adjoint operator stored as spectral pairs.
+    """Discrete-spectrum self-adjoint operator stored as one eigenbasis.
 
-    Each pair is (eigenvalue, projector onto that eigenspace).  Validation
-    enforces distinct eigenvalues, Hermitian idempotent projectors,
-    pairwise orthogonality, and completeness (projectors sum to identity).
+    Column j of the unitary ``basis`` V lies in the eigenspace of
+    ``eigenvalues[cluster[j]]``, so the operator is V diag(λ[cluster]) V†
+    and the projector onto the x-eigenspace is P(x) = V_x V_x†, V_x the
+    columns of x.  An eigenvalue may own no column: its projector is zero.
+    Validation: V is square and unitary within ``projector_tol``, every
+    column names an eigenvalue, and eigenvalues are separated by more
+    than ``eigenvalue_tol``.  Those make the projectors Hermitian,
+    idempotent, pairwise orthogonal and complete by construction.
     """
 
-    spectral_pairs: tuple[tuple[float, np.ndarray], ...]
+    eigenvalues: tuple[float, ...]
+    basis: np.ndarray
+    cluster: np.ndarray
     policy: NumericPolicy = field(default=DEFAULT_POLICY, repr=False)
 
     def __post_init__(self) -> None:
-        if not self.spectral_pairs:
+        values = tuple(float(v) for v in self.eigenvalues)
+        v = np.asarray(self.basis, dtype=np.complex128)
+        cluster = np.asarray(self.cluster, dtype=np.int64)
+        if not values:
+            raise ValueError("observable needs at least one eigenvalue")
+        if v.ndim != 2 or v.shape[0] != v.shape[1]:
+            raise ValueError("eigenbasis must be a square matrix")
+        if cluster.shape != v.shape[1:] or np.any((cluster < 0) | (cluster >= len(values))):
+            raise ValueError("every eigenbasis column must name one eigenvalue")
+        ordered = np.sort(values)
+        for a, b in zip(ordered, ordered[1:]):
+            if b - a <= self.policy.eigenvalue_tol:
+                raise ValueError(f"eigenvalues {a} and {b} are not separated")
+        residual = max_abs(v.conj().T @ v - np.eye(v.shape[0]))
+        if residual > self.policy.projector_tol:
+            raise ValueError(
+                f"eigenbasis is not orthonormal: max |V^dag V - I| = {residual:.3e}"
+            )
+        object.__setattr__(self, "eigenvalues", values)
+        object.__setattr__(self, "basis", _frozen_array(v))
+        object.__setattr__(self, "cluster", _frozen_array(cluster))
+
+    @classmethod
+    def from_pairs(
+        cls,
+        pairs: Sequence[tuple[float, np.ndarray]],
+        policy: NumericPolicy = DEFAULT_POLICY,
+    ) -> "Observable":
+        """Observable from (eigenvalue, projector) pairs P_0..P_{k-1}.
+
+        Each P_i must be Hermitian within t = ``projector_tol``.  One
+        ``eigh`` of Σ (i+1) P_i gives the basis V; its eigenvalues, rounded,
+        say which P_i owns each column.  Each P_i must then equal
+        V_i V_i† within t per entry.  The V_i V_i† are orthogonal
+        projectors, pairwise orthogonal and complete, so a set that passes
+        has P_i² − P_i and P_i P_j within 2√d·t + d·t² + t per entry and
+        Σ P_i − I within k·t (d the dimension, k the number of pairs),
+        where separate idempotence, orthogonality and completeness checks
+        would bound each by t; a set passing those passes this one within
+        about d·t.  Exact projectors, to rounding, pass both.
+        """
+        if not pairs:
             raise ValueError("observable needs at least one spectral pair")
-        tol = self.policy.projector_tol
-        pairs: list[tuple[float, np.ndarray]] = []
-        dim = None
-        for value, proj in self.spectral_pairs:
+        tol = policy.projector_tol
+        values, projectors = [], []
+        for value, proj in pairs:
             p = np.asarray(proj, dtype=np.complex128)
             if p.ndim != 2 or p.shape[0] != p.shape[1]:
                 raise ValueError("projector must be a square matrix")
-            if dim is None:
-                dim = p.shape[0]
-            elif p.shape[0] != dim:
+            if projectors and p.shape != projectors[0].shape:
                 raise ValueError("all projectors must share one dimension")
             if max_abs(p - p.conj().T) > tol:
                 raise ValueError(f"projector for eigenvalue {value} is not Hermitian")
-            if max_abs(p @ p - p) > tol:
-                raise ValueError(f"projector for eigenvalue {value} is not idempotent")
-            pairs.append((float(value), _frozen_array(p)))
-        values = [v for v, _ in pairs]
-        for i in range(len(values)):
-            for j in range(i + 1, len(values)):
-                if abs(values[i] - values[j]) <= self.policy.eigenvalue_tol:
-                    raise ValueError(
-                        f"eigenvalues {values[i]} and {values[j]} are not separated"
-                    )
-                if max_abs(pairs[i][1] @ pairs[j][1]) > tol:
-                    raise ValueError(
-                        f"projectors for {values[i]} and {values[j]} are not orthogonal"
-                    )
-        total = sum(p for _, p in pairs)
-        if max_abs(total - np.eye(dim)) > tol:
+            values.append(float(value))
+            projectors.append(p)
+        a = sum((i + 1) * p for i, p in enumerate(projectors))
+        levels, basis = np.linalg.eigh((a + a.conj().T) / 2.0)
+        cluster = np.rint(levels).astype(np.int64) - 1
+        if np.any((cluster < 0) | (cluster >= len(values))):
             raise ValueError("projectors do not sum to the identity")
-        object.__setattr__(self, "spectral_pairs", tuple(pairs))
+        obs = cls(tuple(values), basis, cluster, policy)
+        for x, p in zip(values, projectors):
+            if max_abs(p - obs.projector(x)) > tol:
+                raise ValueError(
+                    f"projector for eigenvalue {x} is not one of a set of orthogonal "
+                    "projectors summing to the identity"
+                )
+        return obs
 
     @property
     def dim(self) -> int:
-        return int(self.spectral_pairs[0][1].shape[0])
+        return int(self.basis.shape[0])
 
-    @property
-    def eigenvalues(self) -> tuple[float, ...]:
-        return tuple(v for v, _ in self.spectral_pairs)
+    def index(self, x: float) -> int:
+        """Position of the first eigenvalue within ``eigenvalue_tol`` of x."""
+        return match_value(self.eigenvalues, x, self.policy.eigenvalue_tol)
 
     def projector(self, eigenvalue: float) -> np.ndarray:
-        for v, p in self.spectral_pairs:
-            if abs(v - eigenvalue) <= self.policy.eigenvalue_tol:
-                return p
-        raise KeyError(f"{eigenvalue} is not an eigenvalue of this observable")
+        cols = self.basis[:, self.cluster == self.index(eigenvalue)]
+        return cols @ cols.conj().T
+
+    @cached_property
+    def spectral_pairs(self) -> tuple[tuple[float, np.ndarray], ...]:
+        """(eigenvalue, projector) pairs, built on first use."""
+        return tuple((x, _frozen_array(self.projector(x))) for x in self.eigenvalues)
 
     def dense(self) -> np.ndarray:
-        """Reassemble the operator as sum of eigenvalue * projector."""
-        return sum(v * p for v, p in self.spectral_pairs)
+        """Reassemble the operator as V diag(λ[cluster]) V†."""
+        values = np.array(self.eigenvalues)[self.cluster]
+        return (self.basis * values) @ self.basis.conj().T
 
 
 @dataclass(frozen=True, eq=False)
@@ -173,15 +229,9 @@ class MeasurementModel:
         extra = [s for s in conv if s not in labels]
         if extra:
             raise ValueError(f"convention maps unknown labels {extra}")
-        tol = self.observable.policy.eigenvalue_tol
-        snapped: dict[str, float] = {}
-        for s, x in conv.items():
-            matches = [v for v in self.observable.eigenvalues if abs(v - x) <= tol]
-            if not matches:
-                raise ValueError(f"convention value {x} for {s!r} is not an eigenvalue")
-            snapped[s] = matches[0]
-        hit = {v for v in snapped.values()}
-        if len(hit) != len(self.observable.eigenvalues):
+        spectrum = self.observable.eigenvalues
+        snapped = {s: spectrum[self.observable.index(x)] for s, x in conv.items()}
+        if len(set(snapped.values())) != len(spectrum):
             raise ValueError("convention is not surjective onto the spectrum")
         object.__setattr__(self, "outcome_labels", labels)
         object.__setattr__(self, "convention", snapped)
@@ -201,11 +251,11 @@ def spectral_decompose(
     tol: float = DEFAULT_POLICY.eigenvalue_tol,
     policy: NumericPolicy = DEFAULT_POLICY,
 ) -> Observable:
-    """Decompose a Hermitian matrix into clustered spectral pairs.
+    """Decompose a Hermitian matrix into clustered eigenvalues.
 
     Eigenvalues within ``tol`` of each other are merged into a single
-    eigenspace (their projectors summed).  Raises
-    :class:`NonHermitianInput` if the symmetry check fails and
+    eigenspace: their eigenvectors share one cluster, valued at their
+    mean.  Raises :class:`NonHermitianInput` if the symmetry check fails and
     :class:`DegenerateClustering` if a merged cluster is smeared over more
     than ``tol`` (the spectrum is too ill-conditioned to call its
     eigenvalues either equal or distinct).
@@ -219,32 +269,24 @@ def spectral_decompose(
             f"matrix is not Hermitian: max |M - M^dag| = {residual:.3e} > {tol:.3e}"
         )
     eigvals, eigvecs = np.linalg.eigh((m + m.conj().T) / 2.0)
-
-    clusters: list[list[int]] = [[0]]
-    for i in range(1, len(eigvals)):
-        if eigvals[i] - eigvals[clusters[-1][-1]] < tol:
-            clusters[-1].append(i)
-        else:
-            clusters.append([i])
-    pairs = []
-    for idx in clusters:
-        spread = float(eigvals[idx[-1]] - eigvals[idx[0]])
+    groups = np.split(eigvals, np.flatnonzero(np.diff(eigvals) >= tol) + 1)
+    for g in groups:
+        spread = float(g[-1] - g[0])
         if spread > tol:
             raise DegenerateClustering(
-                f"cluster around {float(np.mean(eigvals[idx])):.6g} spans "
+                f"cluster around {float(np.mean(g)):.6g} spans "
                 f"{spread:.3e} > {tol:.3e}"
             )
-        vecs = eigvecs[:, idx]
-        proj = vecs @ vecs.conj().T
-        proj = (proj + proj.conj().T) / 2.0
-        pairs.append((float(np.mean(eigvals[idx])), proj))
+    cluster = np.repeat(np.arange(len(groups)), [len(g) for g in groups])
     obs_policy = NumericPolicy(
         norm_tol=policy.norm_tol,
         projector_tol=policy.projector_tol,
         eigenvalue_tol=min(tol, policy.eigenvalue_tol),
         rational_tol=policy.rational_tol,
     )
-    return Observable(tuple(pairs), policy=obs_policy)
+    return Observable(
+        tuple(float(np.mean(g)) for g in groups), eigvecs, cluster, policy=obs_policy
+    )
 
 
 def weight(model: MeasurementModel, event: Iterable[str]) -> float:
@@ -262,12 +304,18 @@ def weight(model: MeasurementModel, event: Iterable[str]) -> float:
 def spectral_weight(
     state: StateVector, observable: Observable, eigenvalues: Iterable[float]
 ) -> float:
-    """Sum of <psi|P(x)|psi> over the given eigenvalues, clamped to [0, 1]."""
-    psi = state.components
-    total = 0.0
-    for x in eigenvalues:
-        p = observable.projector(x)
-        total += float(np.real(psi.conj() @ (p @ psi)))
+    """Sum of <psi|P(x)|psi> over the given eigenvalues, clamped to [0, 1].
+
+    <psi|P(x)|psi> is the squared norm of V_x† psi, so one transform
+    V† psi serves every eigenvalue.
+    """
+    amplitudes = observable.basis.conj().T @ state.components
+    per_cluster = np.bincount(
+        observable.cluster,
+        weights=amplitudes.real**2 + amplitudes.imag**2,
+        minlength=len(observable.eigenvalues),
+    )
+    total = sum((float(per_cluster[observable.index(x)]) for x in eigenvalues), 0.0)
     return min(1.0, max(0.0, total))
 
 
@@ -296,11 +344,9 @@ def make_rich_measurement(
     amplitudes = np.array([np.sqrt(float(w)) for w in ws], dtype=np.complex128)
     amplitudes /= np.sqrt(float(np.sum(np.abs(amplitudes) ** 2)))
     state = StateVector(amplitudes, policy=policy)
-    basis = np.eye(n, dtype=np.complex128)
-    pairs = tuple(
-        (float(i + 1), np.outer(basis[:, i], basis[:, i].conj())) for i in range(n)
+    observable = Observable(
+        tuple(float(i + 1) for i in range(n)), np.eye(n), np.arange(n), policy=policy
     )
-    observable = Observable(pairs, policy=policy)
     labels = tuple(f"o{i + 1}" for i in range(n))
     convention = {labels[i]: float(i + 1) for i in range(n)}
     return MeasurementModel(label, state, observable, labels, convention)

@@ -24,7 +24,6 @@ from typing import Iterable
 import numpy as np
 
 from .ordering import (
-    ALL_CHECKS,
     EventRef,
     LikelihoodOrdering,
     MeasurementFamily,
@@ -207,8 +206,7 @@ def derive_representation(
     if K < 1:
         raise ValueError("K must be positive")
     family = ordering.family
-    for check in ALL_CHECKS:
-        report = check(ordering)
+    for report in ordering.reports:
         if not report.satisfied:
             raise PreconditionViolated(report.axiom)
     uniform = _find_uniform(family, K)

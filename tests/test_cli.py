@@ -333,6 +333,27 @@ class TestCanon:
         assert proc.returncode == 2
 
     @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda d: d.update(event=[None]),
+            lambda d: d["state"]["components"].__setitem__(0, [0.6, None]),
+            lambda d: d["state"].update(dim=None),
+            lambda d: d["observable"]["spectral_pairs"][0].update(eigenvalue=None),
+            lambda d: d["observable"]["spectral_pairs"][0].update(projector=[1.0, 0.0]),
+        ],
+        ids=["event", "state-component", "state-dim", "eigenvalue", "projector-row"],
+    )
+    def test_malformed_number_exit_2(self, tmp_path, edit):
+        path = self.make_quad_file(tmp_path, [0.6, 0.8], frozenset({1.0}))
+        doc = json.loads(path.read_text())
+        edit(doc)
+        path.write_text(json.dumps(doc))
+        proc = run_cli("canon", "--quad", str(path))
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize(
         "policy", ['{"norm_tol": "nan", "projector_tol": "nan"}', '{"norm_tol": -1}']
     )
     def test_non_positive_or_nan_policy_exit_2(self, tmp_path, policy):

@@ -25,8 +25,10 @@ from born_kernel.formats import (
     family_digest,
     family_from_json,
     family_to_json,
+    matrix_to_json,
     model_from_json,
     model_to_json,
+    observable_from_json,
     ordering_from_json,
     ordering_to_json,
     quadruple_from_json,
@@ -273,3 +275,45 @@ def _read_model(edit):
 def test_string_or_object_where_a_list_is_expected(read, edit):
     with pytest.raises(FormatError, match="must be a list"):
         read(edit)
+
+
+def _observable_doc(pairs):
+    return {
+        "dim": len(pairs[0][1]),
+        "spectral_pairs": [
+            {"eigenvalue": v, "projector": matrix_to_json(np.asarray(p, dtype=complex))}
+            for v, p in pairs
+        ],
+    }
+
+
+E0, E1, E2 = (np.diag(np.eye(3)[i]) for i in range(3))
+OBLIQUE = np.array([[1.0, 0.5, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
+
+
+@pytest.mark.parametrize(
+    "pairs",
+    [
+        # Idempotent, mutually annihilating and complete, but not Hermitian.
+        [(0.0, OBLIQUE), (1.0, np.eye(3) - OBLIQUE)],
+        [(0.0, 0.9 * E0), (1.0, E1), (2.0, E2)],
+        [(0.0, E0 + E1), (1.0, E1 + E2)],
+        [(0.0, E0), (1.0, E1)],
+        [(0.0, E0), (5e-10, E1), (2.0, E2)],
+    ],
+    ids=["non-hermitian", "scaled", "overlapping", "incomplete", "close-eigenvalues"],
+)
+def test_invalid_projector_sets_are_rejected(pairs):
+    with pytest.raises(FormatError):
+        observable_from_json(_observable_doc(pairs))
+
+
+def test_zero_projector_is_accepted():
+    obs = observable_from_json(
+        _observable_doc([(0.0, E0), (1.0, E1 + E2), (2.0, np.zeros((3, 3)))])
+    )
+    assert obs.eigenvalues == (0.0, 1.0, 2.0)
+    np.testing.assert_allclose(obs.projector(2.0), np.zeros((3, 3)))
+    state = StateVector(np.array([0.6, 0.0, 0.8], dtype=complex))
+    assert MeasurementQuadruple(state, obs, frozenset({2.0})).event_weight() == 0.0
+    np.testing.assert_allclose(obs.dense(), np.diag([0.0, 1.0, 1.0]))

@@ -3,10 +3,12 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from born_kernel import (
     DegenerateClustering,
     MeasurementModel,
+    MeasurementQuadruple,
     NoRationalWithinTolerance,
     NonHermitianInput,
     NonpositiveWeight,
@@ -17,9 +19,11 @@ from born_kernel import (
     WeightsDontSumToOne,
     make_rich_measurement,
     rational_weight,
+    relabel,
     spectral_decompose,
     weight,
 )
+from born_kernel.formats import observable_from_json, observable_to_json
 
 
 def random_hermitian(rng, dim):
@@ -250,7 +254,7 @@ class TestValidation:
     def test_observable_requires_completeness(self):
         p0 = np.array([[1, 0], [0, 0]], dtype=complex)
         with pytest.raises(ValueError):
-            Observable(((0.0, p0),))
+            Observable.from_pairs(((0.0, p0),))
 
     def test_convention_must_be_surjective(self):
         state = StateVector(np.array([1, 0], dtype=complex))
@@ -272,3 +276,51 @@ class TestValidation:
 def test_policy_tolerances_must_be_finite_and_positive(field, bad):
     with pytest.raises(ValueError, match=field):
         NumericPolicy(**{field: bad})
+
+
+def planted_case(seed):
+    """A Hermitian matrix with a known eigenbasis and planted eigenvalue
+    clusters (d <= 8), a state, and the planted levels."""
+    rng = np.random.default_rng(seed)
+    d = int(rng.integers(1, 9))
+    k = int(rng.integers(1, d + 1))
+    cluster = rng.permutation(np.r_[np.arange(k), rng.integers(0, k, size=d - k)])
+    levels = np.sort(rng.choice(np.arange(-20, 21), size=k, replace=False)) + rng.uniform(0, 0.5)
+    q, r = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
+    basis = q * (np.diag(r) / np.abs(np.diag(r)))
+    matrix = (basis * levels[cluster]) @ basis.conj().T
+    return (matrix + matrix.conj().T) / 2, random_state(rng, d), levels, rng
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_planted_clusters_round_trip_and_weigh(seed):
+    matrix, state, levels, rng = planted_case(seed)
+    obs = spectral_decompose(matrix)
+    np.testing.assert_allclose(obs.eigenvalues, levels, rtol=0, atol=1e-9)
+    np.testing.assert_allclose(obs.dense(), matrix, rtol=0, atol=1e-9)
+
+    for back in (
+        Observable.from_pairs(obs.spectral_pairs),
+        observable_from_json(observable_to_json(obs)),
+    ):
+        assert back.eigenvalues == obs.eigenvalues
+        np.testing.assert_allclose(back.dense(), matrix, rtol=0, atol=1e-9)
+
+    labels = tuple(f"x{i}" for i in range(len(levels)))
+    model = MeasurementModel("planted", state, obs, labels, dict(zip(labels, obs.eigenvalues)))
+    psi = state.components
+    single = {x: float(np.real(psi.conj() @ obs.projector(x) @ psi)) for x in obs.eigenvalues}
+    for _ in range(4):
+        event = [labels[i] for i in np.flatnonzero(rng.integers(0, 2, size=len(labels)))]
+        expected = sum(single[model.convention[s]] for s in event)
+        assert weight(model, event) == pytest.approx(expected, abs=1e-10)
+
+    if len(levels) >= 2:
+        a, b = rng.choice(obs.eigenvalues, size=2, replace=False)
+        merged = relabel(
+            MeasurementQuadruple(state, obs, frozenset({a})),
+            {x: (100.0 if x in (a, b) else x) for x in obs.eigenvalues},
+        )
+        assert merged.event == frozenset({100.0})
+        assert merged.event_weight() == pytest.approx(single[a] + single[b], abs=1e-10)

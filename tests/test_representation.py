@@ -1,6 +1,7 @@
 """Representing measures: rich families, derivation, verification, search."""
 import itertools
 import os
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -21,10 +22,12 @@ from born_kernel import (
     generate_rich_family,
     induced_ordering,
     outcome_count_ordering,
+    run_all_checks,
     uniform_measurement,
     uniqueness_search,
     verify_representation,
 )
+from born_kernel.ordering import ALL_CHECKS
 from born_kernel.representation import rich_family_size
 from conftest import grid_measurement, random_family
 
@@ -87,6 +90,23 @@ class TestGenerateRichFamily:
         assert any(
             all(w == Fraction(1, 4) for w in m.weights) for m in uniform
         )
+
+
+def check_calls(fn, *args):
+    """Names of the axiom checks entered, however bound, while fn runs."""
+    codes = {check.__code__ for check in ALL_CHECKS}
+    calls = []
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code in codes:
+            calls.append(frame.f_code.co_name)
+
+    sys.setprofile(profile)
+    try:
+        fn(*args)
+    finally:
+        sys.setprofile(None)
+    return calls
 
 
 class TestDeriveRepresentation:
@@ -156,6 +176,11 @@ class TestDeriveRepresentation:
         with pytest.raises(PreconditionViolated) as err:
             derive_representation(outcome_count_ordering(family), 4)
         assert err.value.axiom == "Equivalence"
+
+    def test_derive_after_run_all_checks_runs_no_check(self):
+        ordering = induced_ordering(generate_rich_family(4, 4))
+        assert len(check_calls(run_all_checks, ordering)) == len(ALL_CHECKS)
+        assert check_calls(derive_representation, ordering, 4) == []
 
     def test_always_verifies_when_preconditions_hold(self):
         rng = np.random.default_rng(17)
