@@ -31,6 +31,7 @@ from .ordering import (
     check_dominance,
     check_equivalence,
     check_separation,
+    check_totality,
     check_transitivity,
     enumerate_event_refs,
     event_weights,

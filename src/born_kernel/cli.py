@@ -14,9 +14,9 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
+from typing import Any
 
 from .erasure import GameSpec, reachable_set, sets_equal
 from .formats import (
@@ -29,11 +29,12 @@ from .formats import (
     family_to_json,
     ordering_from_json,
     ordering_to_json,
+    policy_from_json,
     quadruple_from_json,
     quadruple_to_json,
 )
 from .neutrality import canonical_form, canonical_quadruple
-from .numeric import DEFAULT_POLICY, NumericPolicy
+from .numeric import DEFAULT_POLICY
 from .ordering import induced_ordering, run_all_checks
 from .representation import (
     MissingUniformMeasurement,
@@ -50,6 +51,9 @@ EXIT_OK = 0
 EXIT_DOMAIN = 1
 EXIT_INPUT = 2
 
+# demo-erasure plays 32 games over R**2 microstate choices: time and report grow as R**2.
+MAX_ERASURE_CHOICES = 10_000
+
 
 class InputError(Exception):
     """Anything wrong with the inputs themselves: maps to exit 2."""
@@ -63,39 +67,13 @@ class DomainFailure(Exception):
         self.report = report
 
 
-def _read_bytes(path: str) -> bytes:
+def _read_json(path: str) -> tuple[bytes, Any]:
+    """The bytes of a JSON file and the document they hold."""
+    raw = Path(path).read_bytes()
     try:
-        return Path(path).read_bytes()
-    except OSError as exc:
-        raise InputError(f"cannot read {path}: {exc}")
-
-
-def _parse_json(raw: bytes, path: str):
-    try:
-        return json.loads(raw.decode("utf-8"))
+        return raw, json.loads(raw.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        if isinstance(exc, json.JSONDecodeError):
-            raise InputError(
-                f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}: "
-                f"{exc.msg}"
-            )
-        raise InputError(f"{path}: not valid UTF-8")
-
-
-def _load_policy(path: str | None) -> NumericPolicy:
-    if path is None:
-        return DEFAULT_POLICY
-    doc = _parse_json(_read_bytes(path), path)
-    if not isinstance(doc, dict):
-        raise InputError(f"{path}: numeric policy must be a JSON object")
-    allowed = {"norm_tol", "projector_tol", "eigenvalue_tol", "rational_tol"}
-    unknown = set(doc) - allowed
-    if unknown:
-        raise InputError(f"{path}: unknown policy fields {sorted(unknown)}")
-    try:
-        return replace(DEFAULT_POLICY, **{k: float(v) for k, v in doc.items()})
-    except (TypeError, ValueError) as exc:
-        raise InputError(f"{path}: bad policy value ({exc})")
+        raise InputError(f"{path}: not valid UTF-8 JSON: {exc}")
 
 
 def _emit(report: dict, text_lines: list[str], as_json: bool) -> None:
@@ -134,15 +112,9 @@ def _report(command: str, digest: str, verdicts: list[dict], **artifacts) -> dic
 
 def _load_ordering(args):
     """The ordering named on the command line and the digest of both inputs."""
-    family_raw = _read_bytes(args.family)
-    ordering_raw = _read_bytes(args.ordering)
-    try:
-        family = family_from_json(_parse_json(family_raw, args.family))
-        ordering = ordering_from_json(
-            _parse_json(ordering_raw, args.ordering), family
-        )
-    except FormatError as exc:
-        raise InputError(str(exc))
+    family_raw, family_doc = _read_json(args.family)
+    ordering_raw, ordering_doc = _read_json(args.ordering)
+    ordering = ordering_from_json(ordering_doc, family_from_json(family_doc))
     return ordering, digest_bytes(family_raw, ordering_raw)
 
 
@@ -209,40 +181,41 @@ def cmd_demo_erasure(args) -> int:
             f"p = {args.p_num}/{args.p_den} is not a probability strictly "
             "between 0 and 1"
         )
-    if args.index_range < 1:
+    R = args.index_range
+    if R < 1:
         raise InputError("index range must be at least 1")
+    digest = digest_bytes(f"{args.p_num}/{args.p_den}:{R}".encode())
+    if R * R > MAX_ERASURE_CHOICES:
+        raise DomainFailure(
+            f"index range {R} gives {R * R:,} microstate choices per game; "
+            f"demo-erasure is capped at {MAX_ERASURE_CHOICES:,}",
+            _report("demo-erasure", digest, [_verdict("size-cap", False)]),
+        )
     p = Fraction(args.p_num, args.p_den)
     prep = [("up", p), ("down", 1 - p)]
     game1 = GameSpec(frozenset({"up"}))
     game2 = GameSpec(frozenset({"down"}))
-    set1 = reachable_set(prep, game1, args.index_range)
-    set2 = reachable_set(prep, game2, args.index_range)
+    set1 = reachable_set(prep, game1, R)
+    set2 = reachable_set(prep, game2, R)
     equal = sets_equal(set1, set2)
     sweep = []
     for k in range(1, 16):
         pk = Fraction(k, 16)
         prep_k = [("up", pk), ("down", 1 - pk)]
-        sweep.append(
-            {
-                "p": f"{k}/16",
-                "equal": sets_equal(
-                    reachable_set(prep_k, game1, args.index_range),
-                    reachable_set(prep_k, game2, args.index_range),
-                ),
-            }
-        )
+        sets_k = [reachable_set(prep_k, game, R) for game in (game1, game2)]
+        sweep.append({"p": f"{k}/16", "equal": sets_equal(*sets_k)})
     report = _report(
         "demo-erasure",
-        digest_bytes(f"{args.p_num}/{args.p_den}:{args.index_range}".encode()),
+        digest,
         [_verdict("reachable-sets-equal", equal)],
         p=f"{args.p_num}/{args.p_den}",
-        index_range=args.index_range,
+        index_range=R,
         game1_states=[_canonical_state_json(k) for k in sorted(set1.states)],
         game2_states=[_canonical_state_json(k) for k in sorted(set2.states)],
         sweep=sweep,
     )
     lines = [
-        f"p = {args.p_num}/{args.p_den}, index range {args.index_range}",
+        f"p = {args.p_num}/{args.p_den}, index range {R}",
         f"game 1 reaches {len(set1)} states, game 2 reaches {len(set2)} states",
         f"reachable sets equal: {'yes' if equal else 'no'}",
         "",
@@ -270,12 +243,11 @@ def _round12(doc):
 
 
 def cmd_canon(args) -> int:
-    quad_raw = _read_bytes(args.quad)
-    policy = _load_policy(args.numeric_policy)
-    try:
-        quadruple = quadruple_from_json(_parse_json(quad_raw, args.quad), policy)
-    except FormatError as exc:
-        raise InputError(str(exc))
+    quad_raw, quad_doc = _read_json(args.quad)
+    policy = DEFAULT_POLICY
+    if args.numeric_policy is not None:
+        policy = policy_from_json(_read_json(args.numeric_policy)[1])
+    quadruple = quadruple_from_json(quad_doc, policy)
     form = canonical_form(quadruple, policy=policy)
     canon = canonical_quadruple(quadruple, policy=policy)
     report = _report(
@@ -366,7 +338,7 @@ def build_parser() -> argparse.ArgumentParser:
         )
         p.set_defaults(text=False)
 
-    p = sub.add_parser("check", help="run the four axiom checks")
+    p = sub.add_parser("check", help="run the five axiom checks")
     p.add_argument("--family", required=True, help="family JSON path")
     p.add_argument("--ordering", required=True, help="ordering JSON path")
     add_output_flags(p)
@@ -418,10 +390,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except OSError as exc:
+    except (InputError, FormatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except DomainFailure as exc:

@@ -9,9 +9,13 @@ docs/formats.md for the field-by-field layout.
 """
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
+import sys
+from dataclasses import fields, replace
 from fractions import Fraction
+from types import GenericAlias
 from typing import Any
 
 import numpy as np
@@ -48,33 +52,54 @@ def digest_bytes(*chunks: bytes) -> str:
     return h.hexdigest()
 
 
-def _expect(doc: Any, key: str, context: str) -> Any:
+_FLOAT_MAX = sys.float_info.max
+_NAMES = {dict: "an object", list: "a list", str: "a string", int: "an integer",
+          float: "a finite number", (str, int): "a decimal string or an integer"}
+
+
+def _is(value: Any, kind: Any) -> bool:
+    """JSON typing: a bool is never a number, an integer is a valid float
+    and a float is finite.  A string kind is a literal value must equal."""
+    if kind is float:
+        return (isinstance(value, float) or type(value) is int) and (
+            -_FLOAT_MAX <= value <= _FLOAT_MAX)
+    if isinstance(kind, str):
+        return value == kind
+    return type(value) is not bool and isinstance(value, kind)
+
+
+def _get(doc: Any, key: str, kind: Any, context: str) -> Any:
+    """``doc[key]`` if it is of JSON ``kind`` (see :func:`_is`), else FormatError;
+    ``list[k]`` and ``dict[str, k]`` also need every item of kind k."""
     if not isinstance(doc, dict) or key not in doc:
         raise FormatError(f"{context}: missing field {key!r}")
-    return doc[key]
+    value, generic = doc[key], type(kind) is GenericAlias
+    outer, item = (kind.__origin__, kind.__args__[-1]) if generic else (kind, None)
+    if _is(value, outer) and (item is None or all(
+        _is(x, item) for x in (value.values() if outer is dict else value)
+    )):
+        return value
+    want = _NAMES.get(outer, repr(outer)) + (f", each item {_NAMES[item]}" if item else "")
+    raise FormatError(f"{context}: field {key!r} must be {want}, got {value!r:.60}")
 
 
-def _expect_list(doc: Any, key: str, context: str) -> list:
-    """A field that must be a JSON list (a string or object is not read as one)."""
-    value = _expect(doc, key, context)
-    if not isinstance(value, list):
-        raise FormatError(
-            f"{context}: field {key!r} must be a list, got {type(value).__name__}"
-        )
-    return value
+def _reader(read):
+    """The one place a domain ValueError becomes a FormatError."""
+    @functools.wraps(read)
+    def wrapper(*args, **kwargs):
+        try:
+            return read(*args, **kwargs)
+        except FormatError:
+            raise
+        except ValueError as exc:
+            raise FormatError(f"{read.__name__.removesuffix('_from_json')}: {exc}") from exc
+    return wrapper
 
 
-def _number(value: Any, kind: type, context: str) -> Any:
-    """``kind(value)`` for kind float or int; FormatError where it fails."""
-    try:
-        return kind(value)
-    except (TypeError, ValueError, OverflowError):
-        raise FormatError(f"{context}: {value!r} is not a number")
-
-
-def _check_schema(doc: Any, context: str) -> None:
-    if _expect(doc, "schema", context) != SCHEMA:
-        raise FormatError(f"{context}: unsupported schema {doc.get('schema')!r}")
+def _check_dim(doc: dict, size: int, context: str) -> None:
+    """An optional ``dim`` must be a JSON integer equal to ``size``."""
+    if "dim" in doc and _get(doc, "dim", int, context) != size:
+        raise FormatError(f"{context}: dim {doc['dim']} does not match size {size}")
 
 
 # -- rationals ----------------------------------------------------------
@@ -83,13 +108,12 @@ def rational_to_json(value: Fraction) -> dict:
     return {"num": str(value.numerator), "den": str(value.denominator)}
 
 
+@_reader
 def rational_from_json(doc: Any, context: str = "rational") -> Fraction:
-    num = _expect(doc, "num", context)
-    den = _expect(doc, "den", context)
-    try:
-        return Fraction(int(str(num)), int(str(den)))
-    except (ValueError, ZeroDivisionError) as exc:
-        raise FormatError(f"{context}: bad rational {doc!r} ({exc})")
+    num, den = (int(_get(doc, key, (str, int), context)) for key in ("num", "den"))
+    if den == 0:
+        raise FormatError(f"{context}: den is 0")
+    return Fraction(num, den)
 
 
 # -- complex vectors and matrices ---------------------------------------
@@ -97,16 +121,19 @@ def rational_from_json(doc: Any, context: str = "rational") -> Fraction:
 def complex_to_json(z: complex) -> list[float]:
     return [float(z.real), float(z.imag)]
 
+
 def complex_from_json(doc: Any, context: str = "complex") -> complex:
-    if not isinstance(doc, (list, tuple)) or len(doc) != 2:
-        raise FormatError(f"{context}: complex values are [re, im] pairs")
-    return complex(_number(doc[0], float, context), _number(doc[1], float, context))
+    if not (isinstance(doc, list) and len(doc) == 2
+            and _is(doc[0], float) and _is(doc[1], float)):
+        raise FormatError(f"{context}: complex values are [re, im] pairs of finite numbers")
+    return complex(*doc)
 
 
 def matrix_to_json(m: np.ndarray) -> list:
     return [[complex_to_json(complex(z)) for z in row] for row in np.asarray(m)]
 
 
+@_reader
 def matrix_from_json(doc: Any, context: str = "matrix") -> np.ndarray:
     if not isinstance(doc, list) or not doc or not all(isinstance(r, list) for r in doc):
         raise FormatError(f"{context}: matrix must be a nonempty list of row lists")
@@ -123,19 +150,14 @@ def state_to_json(state: StateVector) -> dict:
     }
 
 
+@_reader
 def state_from_json(
     doc: Any, policy: NumericPolicy = DEFAULT_POLICY, context: str = "state"
 ) -> StateVector:
-    components = _expect(doc, "components", context)
-    vec = np.array(
-        [complex_from_json(z, context) for z in components], dtype=np.complex128
-    )
-    if "dim" in doc and _number(doc["dim"], int, f"{context}.dim") != vec.shape[0]:
-        raise FormatError(f"{context}: dim does not match component count")
-    try:
-        return StateVector(vec, policy=policy)
-    except ValueError as exc:
-        raise FormatError(f"{context}: {exc}")
+    components = _get(doc, "components", list, context)
+    vec = np.array([complex_from_json(z, context) for z in components], dtype=np.complex128)
+    _check_dim(doc, len(vec), context)
+    return StateVector(vec, policy=policy)
 
 
 def observable_to_json(obs: Observable) -> dict:
@@ -148,19 +170,18 @@ def observable_to_json(obs: Observable) -> dict:
     }
 
 
+@_reader
 def observable_from_json(
     doc: Any, policy: NumericPolicy = DEFAULT_POLICY, context: str = "observable"
 ) -> Observable:
     pairs = []
-    for i, pair in enumerate(_expect_list(doc, "spectral_pairs", context)):
+    for i, pair in enumerate(_get(doc, "spectral_pairs", list, context)):
         ctx = f"{context}.spectral_pairs[{i}]"
-        v = _number(_expect(pair, "eigenvalue", ctx), float, f"{ctx}.eigenvalue")
-        p = matrix_from_json(_expect(pair, "projector", ctx), f"{ctx}.projector")
-        pairs.append((v, p))
-    try:
-        return Observable.from_pairs(pairs, policy)
-    except ValueError as exc:
-        raise FormatError(f"{context}: {exc}")
+        p = matrix_from_json(_get(pair, "projector", list, ctx), f"{ctx}.projector")
+        pairs.append((_get(pair, "eigenvalue", float, ctx), p))
+    observable = Observable.from_pairs(pairs, policy)
+    _check_dim(doc, observable.dim, context)
+    return observable
 
 
 def model_to_json(model: MeasurementModel) -> dict:
@@ -174,25 +195,18 @@ def model_to_json(model: MeasurementModel) -> dict:
     }
 
 
+@_reader
 def model_from_json(
     doc: Any, policy: NumericPolicy = DEFAULT_POLICY
 ) -> MeasurementModel:
-    _check_schema(doc, "model")
-    try:
-        return MeasurementModel(
-            label=str(_expect(doc, "label", "model")),
-            state=state_from_json(_expect(doc, "state", "model"), policy),
-            observable=observable_from_json(
-                _expect(doc, "observable", "model"), policy
-            ),
-            outcome_labels=tuple(_expect_list(doc, "outcome_labels", "model")),
-            convention={
-                str(k): _number(v, float, f"model.convention.{k}")
-                for k, v in _expect(doc, "convention", "model").items()
-            },
-        )
-    except ValueError as exc:
-        raise FormatError(f"model: {exc}")
+    _get(doc, "schema", SCHEMA, "model")
+    return MeasurementModel(
+        label=_get(doc, "label", str, "model"),
+        state=state_from_json(_get(doc, "state", dict, "model"), policy),
+        observable=observable_from_json(_get(doc, "observable", dict, "model"), policy),
+        outcome_labels=tuple(_get(doc, "outcome_labels", list[str], "model")),
+        convention=_get(doc, "convention", dict[str, float], "model"),
+    )
 
 
 def quadruple_to_json(q: MeasurementQuadruple) -> dict:
@@ -205,21 +219,27 @@ def quadruple_to_json(q: MeasurementQuadruple) -> dict:
     }
 
 
+@_reader
 def quadruple_from_json(
     doc: Any, policy: NumericPolicy = DEFAULT_POLICY
 ) -> MeasurementQuadruple:
-    _check_schema(doc, "quadruple")
-    event_doc = _expect_list(doc, "event", "quadruple")
-    try:
-        return MeasurementQuadruple(
-            state=state_from_json(_expect(doc, "state", "quadruple"), policy),
-            observable=observable_from_json(
-                _expect(doc, "observable", "quadruple"), policy
-            ),
-            event=frozenset(_number(x, float, "quadruple.event") for x in event_doc),
-        )
-    except ValueError as exc:
-        raise FormatError(f"quadruple: {exc}")
+    _get(doc, "schema", SCHEMA, "quadruple")
+    quadruple = MeasurementQuadruple(
+        state=state_from_json(_get(doc, "state", dict, "quadruple"), policy),
+        observable=observable_from_json(_get(doc, "observable", dict, "quadruple"), policy),
+        event=frozenset(_get(doc, "event", list[float], "quadruple")),
+    )
+    _check_dim(doc, quadruple.dim, "quadruple")
+    return quadruple
+
+
+@_reader
+def policy_from_json(doc: Any) -> NumericPolicy:
+    """Overrides of some NumericPolicy fields; NumericPolicy checks the values."""
+    names = {f.name for f in fields(NumericPolicy)}
+    if not isinstance(doc, dict) or not doc.keys() <= names:
+        raise FormatError(f"policy: an object with fields among {sorted(names)}")
+    return replace(DEFAULT_POLICY, **doc)
 
 
 # -- decision kernel ----------------------------------------------------
@@ -238,26 +258,19 @@ def family_to_json(family: MeasurementFamily) -> dict:
     }
 
 
+@_reader
 def family_from_json(doc: Any) -> MeasurementFamily:
-    _check_schema(doc, "family")
+    _get(doc, "schema", SCHEMA, "family")
     measurements = []
-    for i, mdoc in enumerate(_expect_list(doc, "measurements", "family")):
+    for i, mdoc in enumerate(_get(doc, "measurements", list, "family")):
         ctx = f"family.measurements[{i}]"
-        outcomes = tuple(str(o) for o in _expect_list(mdoc, "outcomes", ctx))
         weights = tuple(
             rational_from_json(w, f"{ctx}.weights[{j}]")
-            for j, w in enumerate(_expect_list(mdoc, "weights", ctx))
+            for j, w in enumerate(_get(mdoc, "weights", list, ctx))
         )
-        try:
-            measurements.append(
-                WeightedMeasurement(str(_expect(mdoc, "id", ctx)), outcomes, weights)
-            )
-        except ValueError as exc:
-            raise FormatError(f"{ctx}: {exc}")
-    try:
-        return MeasurementFamily(tuple(measurements))
-    except ValueError as exc:
-        raise FormatError(f"family: {exc}")
+        mid, outcomes = _get(mdoc, "id", str, ctx), _get(mdoc, "outcomes", list[str], ctx)
+        measurements.append(WeightedMeasurement(mid, tuple(outcomes), weights))
+    return MeasurementFamily(tuple(measurements))
 
 
 def family_digest(family: MeasurementFamily) -> str:
@@ -268,18 +281,13 @@ def event_ref_to_json(ref: EventRef) -> dict:
     return {"measurement": ref.measurement_id, "event": sorted(ref.event)}
 
 
-def event_ref_from_json(
-    doc: Any, family: MeasurementFamily, context: str = "event ref"
-) -> EventRef:
-    mid = str(_expect(doc, "measurement", context))
-    event_doc = _expect_list(doc, "event", context)
+def _position(doc: Any, family: MeasurementFamily, context: str) -> int:
+    """Canonical position ``slices[mid].start + event mask`` of an event ref."""
+    mid = _get(doc, "measurement", str, context)
+    labels = _get(doc, "event", list[str], context)
     if mid not in family.by_id:
         raise FormatError(f"{context}: unknown measurement {mid!r}")
-    event = frozenset(str(o) for o in event_doc)
-    extra = event - set(family.by_id[mid].outcomes)
-    if extra:
-        raise FormatError(f"{context}: unknown outcomes {sorted(extra)} in {mid!r}")
-    return EventRef(mid, event)
+    return family.slices[mid].start + family.by_id[mid].event_mask(labels)
 
 
 def ordering_to_json(ordering: LikelihoodOrdering) -> dict:
@@ -302,27 +310,22 @@ def ordering_to_json(ordering: LikelihoodOrdering) -> dict:
     }
 
 
+@_reader
 def ordering_from_json(doc: Any, family: MeasurementFamily) -> LikelihoodOrdering:
-    _check_schema(doc, "ordering")
+    _get(doc, "schema", SCHEMA, "ordering")
     if "family_digest" in doc and doc["family_digest"] != family_digest(family):
-        raise FormatError(
-            "ordering: family_digest does not match the supplied family"
-        )
-    try:
-        _check_event_space_size(family)
-    except ValueError as exc:
-        raise FormatError(f"ordering: {exc}")
-    refs = enumerate_event_refs(family)
-    index = {r: i for i, r in enumerate(refs)}
-    n = len(refs)
-    matrix = np.zeros((n, n), dtype=bool)
-    for k, pair in enumerate(_expect_list(doc, "pairs", "ordering")):
+        raise FormatError("ordering: family_digest does not match the supplied family")
+    _check_event_space_size(family)
+    rows, cols = [], []
+    for k, pair in enumerate(_get(doc, "pairs", list, "ordering")):
         if not isinstance(pair, list) or len(pair) != 2:
             raise FormatError(f"ordering.pairs[{k}]: each pair is [left, right]")
-        a = event_ref_from_json(pair[0], family, f"ordering.pairs[{k}][0]")
-        b = event_ref_from_json(pair[1], family, f"ordering.pairs[{k}][1]")
-        matrix[index[a], index[b]] = True
-    return LikelihoodOrdering(family, refs, matrix)
+        rows.append(_position(pair[0], family, f"ordering.pairs[{k}][0]"))
+        cols.append(_position(pair[1], family, f"ordering.pairs[{k}][1]"))
+    n = family.event_count()
+    matrix = np.zeros((n, n), dtype=bool)
+    matrix[rows, cols] = True
+    return LikelihoodOrdering(family, enumerate_event_refs(family), matrix)
 
 
 def assignment_to_json(assignment: ProbabilityAssignment) -> dict:
@@ -342,15 +345,16 @@ def assignment_to_json(assignment: ProbabilityAssignment) -> dict:
     }
 
 
+@_reader
 def assignment_from_json(doc: Any, family: MeasurementFamily) -> ProbabilityAssignment:
-    _check_schema(doc, "assignment")
-    values: dict[EventRef, Fraction] = {}
-    for k, vdoc in enumerate(_expect_list(doc, "values", "assignment")):
+    _get(doc, "schema", SCHEMA, "assignment")
+    refs = enumerate_event_refs(family)
+    values: list[Fraction | None] = [None] * len(refs)
+    for k, vdoc in enumerate(_get(doc, "values", list, "assignment")):
         ctx = f"assignment.values[{k}]"
-        ref = event_ref_from_json(vdoc, family, ctx)
-        values[ref] = rational_from_json(_expect(vdoc, "probability", ctx), ctx)
-    expected = set(enumerate_event_refs(family))
-    missing = expected - set(values)
+        value = rational_from_json(_get(vdoc, "probability", dict, ctx), ctx)
+        values[_position(vdoc, family, ctx)] = value
+    missing = values.count(None)
     if missing:
-        raise FormatError(f"assignment: {len(missing)} events have no value")
-    return ProbabilityAssignment(family, values)
+        raise FormatError(f"assignment: {missing} events have no value")
+    return ProbabilityAssignment(family, dict(zip(refs, values)))

@@ -169,11 +169,14 @@ def canonical_form(
     event weight; degenerate weights 0 and 1 are admitted with c or d
     equal to zero.
     """
-    # The binary event is {0.0} or empty, so its weight is c^2.
-    c = float(np.sqrt(_indicator_relabeled(q).event_weight()))
-    w = c * c
-    d = float(np.sqrt(max(0.0, 1.0 - w)))
-    return CanonicalForm(weight_value=w, c=c, d=d)
+    # c^2 and d^2: weights of the binary event ({0.0} or empty) and of its
+    # complement, so d = 0 exactly for the whole spectrum (1 - c^2 would
+    # leave rounding noise); over their sum |psi|^2 for a loose norm_tol.
+    r = _indicator_relabeled(q)
+    rest = set(r.observable.eigenvalues) - r.event
+    weights = np.array([r.event_weight(), spectral_weight(r.state, r.observable, rest)])
+    c, d = np.sqrt(weights / weights.sum()).tolist()
+    return CanonicalForm(weight_value=c * c, c=c, d=d)
 
 
 def canonical_quadruple(

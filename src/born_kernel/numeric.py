@@ -7,7 +7,7 @@ arithmetic.
 """
 from __future__ import annotations
 
-import math
+import sys
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -23,8 +23,8 @@ class NumericPolicy:
     rational_tol    -- maximum gap tolerated when snapping a float weight to
                        a bounded-denominator rational
 
-    Every tolerance must be finite and positive: a NaN makes each
-    ``> tol`` comparison false and so switches validation off.
+    Every tolerance must be a finite number > 0, not a bool or string: a
+    NaN makes each ``> tol`` comparison false, switching validation off.
     """
 
     norm_tol: float = 1e-12
@@ -35,7 +35,9 @@ class NumericPolicy:
     def __post_init__(self) -> None:
         for f in fields(self):
             value = getattr(self, f.name)
-            if not (math.isfinite(value) and value > 0):
+            if isinstance(value, bool) or not (
+                isinstance(value, (int, float)) and 0 < value <= sys.float_info.max
+            ):
                 raise ValueError(f"{f.name} must be finite and positive, got {value!r}")
 
 

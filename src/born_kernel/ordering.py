@@ -2,7 +2,7 @@
 
 A :class:`WeightedMeasurement` abstracts a measurement down to outcome
 labels with exact rational weights.  A :class:`LikelihoodOrdering` is a
-total two-place relation over (event, measurement) pairs, stored
+two-place relation over (event, measurement) pairs, stored
 extensionally as a boolean matrix so that every axiom verdict is
 replayable.  The checkers make no assumption that the relation came from
 weights: they accept arbitrary relations and report witnesses.
@@ -17,6 +17,8 @@ Axioms checked:
                      not null.
 * Equivalence     -- events of exactly equal rational weight are judged
                      equally likely, whatever measurement they live in.
+* Totality        -- any two events are comparable: a >= b or b >= a,
+                     so a >= a for every a.
 """
 from __future__ import annotations
 
@@ -82,7 +84,7 @@ class WeightedMeasurement:
         picked = []
         for o in set(event):
             if o not in pos:
-                raise KeyError(f"unknown outcome {o!r} in measurement {self.id!r}")
+                raise ValueError(f"unknown outcome {o!r} in measurement {self.id!r}")
             picked.append(self.weights[pos[o]])
         return _exact_sum(picked)
 
@@ -91,7 +93,7 @@ class WeightedMeasurement:
         mask = 0
         for o in event:
             if o not in pos:
-                raise KeyError(f"unknown outcome {o!r} in measurement {self.id!r}")
+                raise ValueError(f"unknown outcome {o!r} in measurement {self.id!r}")
             mask |= 1 << pos[o]
         return mask
 
@@ -234,7 +236,7 @@ def order_matrix(scores: Sequence) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class LikelihoodOrdering:
-    """Total two-place relation over the family's event space.
+    """Two-place relation over the family's event space.
 
     ``matrix[i, j]`` is True exactly when ``refs[i]`` is judged at least
     as likely as ``refs[j]``.  ``refs`` must be
@@ -463,11 +465,27 @@ def check_equivalence(ordering: LikelihoodOrdering) -> AxiomReport:
     return _report(ordering, "Equivalence", witnesses)
 
 
+def check_totality(ordering: LikelihoodOrdering) -> AxiomReport:
+    """Check that every two events are related at least one way.
+
+    A witness is a pair (a, b), a at or before b in canonical order, with
+    neither a >= b nor b >= a; a = b is one when a >= a fails.
+    """
+    h = ordering.matrix
+    witnesses = []
+    for s in range(0, len(h), 256):  # square blocks keep h.T's rows in cache
+        i, j = np.nonzero(~(h[s:s + 256, s:] | h[s:, s:s + 256].T))
+        witnesses += [(s + a, s + b) for a, b in zip(i.tolist(), j.tolist()) if a <= b]
+    return _report(ordering, "Totality", witnesses)
+
+
+# Last, so derive still names the first of the earlier checks that fails.
 ALL_CHECKS = (
     check_transitivity,
     check_separation,
     check_dominance,
     check_equivalence,
+    check_totality,
 )
 
 
@@ -510,4 +528,7 @@ def replay_witness(
         a, b = witness
         weights = event_weights(ordering.family)
         return weights[a] == weights[b] and not ordering.simeq(a, b)
+    if axiom == "Totality":
+        a, b = witness
+        return not ordering.holds(a, b) and not ordering.holds(b, a)
     raise ValueError(f"unknown axiom {axiom!r}")

@@ -71,8 +71,8 @@ class StateVector:
 
     def __post_init__(self) -> None:
         c = np.asarray(self.components, dtype=np.complex128).reshape(-1)
-        if c.size == 0:
-            raise ValueError("state vector must have positive dimension")
+        if not c.any():
+            raise ValueError("state vector must be nonzero, of positive dimension")
         if not np.all(np.isfinite(c.view(np.float64))):
             raise ValueError("state vector components must be finite")
         norm_sq = float(np.sum(np.abs(c) ** 2))

@@ -195,7 +195,7 @@ def derive_representation(
 ) -> ProbabilityAssignment:
     """Constructively derive the representing measure on the 1/K grid.
 
-    Preconditions: the ordering passes all four axiom checks, its family
+    Preconditions: the ordering passes all five axiom checks, its family
     contains a uniform K-outcome measurement, and every weight's
     denominator divides K.  The construction assigns 1/K to each uniform
     outcome (forced: they are judged equally likely and must sum to 1),

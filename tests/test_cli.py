@@ -117,7 +117,7 @@ class TestCheck:
         assert proc.returncode == 0
         report = json.loads(proc.stdout)
         names = [v["check"] for v in report["verdicts"]]
-        assert names == ["Transitivity", "Separation", "Dominance", "Equivalence"]
+        assert names == ["Transitivity", "Separation", "Dominance", "Equivalence", "Totality"]
         assert all(v["result"] == "pass" for v in report["verdicts"])
 
     def test_count_ordering_fails_equivalence_with_witnesses(self, tmp_path):
@@ -257,6 +257,29 @@ class TestDemoErasure:
         assert proc.returncode == 0
         report = json.loads(proc.stdout)
         assert report["verdicts"][0]["result"] == "fail"
+
+    def test_index_range_past_the_cap_exit_1_with_report(self, capsys):
+        from born_kernel import cli
+
+        assert cli.MAX_ERASURE_CHOICES == 10_000
+        rc = cli.main(["demo-erasure", "--p-num", "1", "--p-den", "2", "--index-range", "101"])
+        out, err = capsys.readouterr()
+        assert rc == 1
+        assert json.loads(out)["verdicts"] == [
+            {"check": "size-cap", "result": "fail", "witness_count": 0, "witnesses": []}
+        ]
+        assert "101" in err and "10,201" in err and "10,000" in err
+
+    @pytest.mark.parametrize("index_range, rc", [(2, 0), (3, 0), (4, 1)])
+    def test_cap_boundary(self, monkeypatch, capsys, index_range, rc):
+        from born_kernel import cli
+
+        # R = 3 is the boundary of a cap of 9 = 3**2 choices.
+        monkeypatch.setattr(cli, "MAX_ERASURE_CHOICES", 9)
+        argv = ["demo-erasure", "--p-num", "1", "--p-den", "2", "--index-range"]
+        assert cli.main(argv + [str(index_range)]) == rc
+        verdict = json.loads(capsys.readouterr().out)["verdicts"][0]["check"]
+        assert verdict == ("size-cap" if rc else "reachable-sets-equal")
 
     def test_degenerate_p_exit_2(self):
         for num, den in [(1, 1), (0, 2), (3, 2)]:

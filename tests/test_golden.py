@@ -55,15 +55,17 @@ GOLDEN = {
     "gen-rich:fam.ordering.json":
         "6d1e2367f99ad89572f2f581ffa7ad89dee020c5ace216976b57156ae8aef4ad",
     "check:stdout":
-        "051bbb41d57ed43d211687efe1b3fe5ab882c75f239d9b9f86b52d1214ee2289",
+        "b70b3414f6a9ae681b09e89ea86f69a25ef5e6b525e78a06fac4655565c206d0",
     "check-cut:stdout":
-        "cfed987b1340a62fbdef36316ea7c4b83ee43185ba797fe766c10ffd0dce3c4e",
+        "7e5bd5a0759804a473dee05a6b8a6ef8abcc97225667b8fea3be7533947b3166",
     "derive:stdout":
         "32c46ee1c0bf40c8f68ef22436052da130221c0045d737cd42375fcb48301e0d",
     "derive:assignment.json":
         "e46f89468bce3cd35d0049cbfe7c56d24f0996a865b5da6b7919165e4cca7153",
     "canon:stdout":
         "05c8beabea70cfa43a09b5fd981c492b8df10f932ac2aeaf26ad65470abf557f",
+    "canon-whole:stdout":
+        "da3b50732ab94717b68fddd3433fcdd96438becf7d3f33f119c60b94e9061d61",
     "demo-erasure-1/2:stdout":
         "67a3338fb0ad7f298f3c6e79b7b01ab32ba87a145216e65c2b3d465f449197ca",
     "demo-erasure-1/3:stdout":
@@ -107,6 +109,11 @@ def golden_digests(tmp_path, monkeypatch, capsysbinary) -> dict:
 
     (tmp_path / "quad.json").write_text(json.dumps(QUADRUPLE))
     run("canon", 0, "canon", "--quad", "quad.json")
+    # A bet on the whole spectrum: d is 0, not the rounding noise of 1 - c^2.
+    whole = dict(QUADRUPLE, event=[0.0, 1.0, 2.0], state={
+        "dim": 3, "components": [[0.6, 0.0], [0.64, 0.0], [0.48, 0.0]]})
+    (tmp_path / "whole.json").write_text(json.dumps(whole))
+    run("canon-whole", 0, "canon", "--quad", "whole.json")
     run("demo-erasure-1/2", 0, "demo-erasure", "--p-num", "1", "--p-den", "2")
     run("demo-erasure-1/3", 0, "demo-erasure", "--p-num", "1", "--p-den", "3")
     return out

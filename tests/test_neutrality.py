@@ -10,6 +10,7 @@ from born_kernel import (
     MeasurementFamily,
     MeasurementQuadruple,
     NotUnitary,
+    NumericPolicy,
     StateVector,
     WeightedMeasurement,
     canonical_form,
@@ -212,6 +213,22 @@ class TestCanonicalForm:
         assert form.weight_value == pytest.approx(1.0, abs=1e-12)
         assert form.c == pytest.approx(1.0, abs=1e-12)
         assert form.d == pytest.approx(0.0, abs=1e-12)
+
+    def test_whole_spectrum_event_has_d_exactly_zero(self):
+        # d^2 is the complement's weight; 1 - c^2 left up to 1.5e-8 here.
+        rng = np.random.default_rng(17)
+        for _ in range(200):
+            q = random_quadruple(rng, int(rng.integers(2, 7)), bool(rng.integers(2)))
+            every = frozenset(q.observable.eigenvalues)
+            form = canonical_form(MeasurementQuadruple(q.state, q.observable, every))
+            assert (form.weight_value, form.c, form.d) == (1.0, 1.0, 0.0)
+
+    def test_loose_norm_tolerance_still_normalizes(self):
+        policy = NumericPolicy(norm_tol=1e-6)
+        state = StateVector(np.array([0.6, 0.8 + 4e-7], dtype=complex), policy=policy)
+        obs = spectral_decompose(np.diag([1.0, -1.0]).astype(complex))
+        form = canonical_form(MeasurementQuadruple(state, obs, frozenset({1.0})))
+        assert form.c ** 2 + form.d ** 2 == pytest.approx(1.0, abs=1e-15)
 
     def test_canonical_quadruple_roundtrip(self):
         rng = np.random.default_rng(8)

@@ -11,6 +11,7 @@ from born_kernel import (
     check_dominance,
     check_equivalence,
     check_separation,
+    check_totality,
     check_transitivity,
     enumerate_event_refs,
     event_weights,
@@ -232,6 +233,35 @@ class TestEquivalence:
         # only ever reflexive.
         ordering = outcome_count_ordering(family)
         assert check_equivalence(ordering).satisfied
+
+
+class TestTotality:
+    def test_induced_satisfied(self):
+        assert check_totality(induced_ordering(count_trap_family())).satisfied
+
+    def test_pair_cleared_both_ways_is_witnessed(self):
+        family = MeasurementFamily((
+            WeightedMeasurement("a", ("x", "y"), (Fraction(1, 3), Fraction(2, 3))),
+            WeightedMeasurement("b", ("p", "q"), (Fraction(1, 5), Fraction(4, 5))),
+        ))
+        induced = induced_ordering(family)
+        x, p = EventRef("a", frozenset({"x"})), EventRef("b", frozenset({"p"}))
+        matrix = np.array(induced.matrix)
+        matrix[induced.index[x], induced.index[p]] = False
+        matrix[induced.index[p], induced.index[x]] = False
+        cut = LikelihoodOrdering(family, induced.refs, matrix)
+        report = check_totality(cut)
+        assert not report.satisfied and report.witnesses == ((x, p),)
+        assert replay_witness(cut, "Totality", (x, p))
+        assert not replay_witness(induced, "Totality", (x, p))
+
+    def test_missing_reflexive_pair_is_a_diagonal_witness(self):
+        induced = induced_ordering(coin_family())
+        matrix = np.array(induced.matrix)
+        matrix[0, 0] = False
+        cut = LikelihoodOrdering(coin_family(), induced.refs, matrix)
+        empty = EventRef("coin", frozenset())
+        assert check_totality(cut).witnesses == ((empty, empty),)
 
 
 class TestNullEvents:
