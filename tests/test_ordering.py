@@ -255,6 +255,19 @@ class TestTotality:
         assert replay_witness(cut, "Totality", (x, p))
         assert not replay_witness(induced, "Totality", (x, p))
 
+    def test_block_scan_matches_the_whole_matrix_formula(self):
+        from born_kernel import generate_rich_family
+
+        family = generate_rich_family(6, 6)  # 486 events: more than one block
+        n = family.event_count()
+        matrix = np.random.default_rng(5).random((n, n)) < 0.9
+        ordering = LikelihoodOrdering(family, enumerate_event_refs(family), matrix)
+        rows, cols = np.nonzero(np.triu(~(matrix | matrix.T)))
+        refs = ordering.refs
+        expected = tuple((refs[i], refs[j]) for i, j in zip(rows, cols))
+        assert len(expected) > 1000
+        assert check_totality(ordering).witnesses == expected
+
     def test_missing_reflexive_pair_is_a_diagonal_witness(self):
         induced = induced_ordering(coin_family())
         matrix = np.array(induced.matrix)
