@@ -35,15 +35,15 @@ from .formats import (
 )
 from .neutrality import canonical_form, canonical_quadruple
 from .numeric import DEFAULT_POLICY
-from .ordering import induced_ordering, run_all_checks
+from .ordering import induced_ordering, require_event_count, run_all_checks
 from .representation import (
     MissingUniformMeasurement,
     NonconformingDenominator,
     PreconditionViolated,
     SizeLimitExceeded,
     derive_representation,
-    family_size_cap,
     generate_rich_family,
+    rich_family_events,
     verify_representation,
 )
 
@@ -248,8 +248,11 @@ def cmd_canon(args) -> int:
     if args.numeric_policy is not None:
         policy = policy_from_json(_read_json(args.numeric_policy)[1])
     quadruple = quadruple_from_json(quad_doc, policy)
-    form = canonical_form(quadruple, policy=policy)
-    canon = canonical_quadruple(quadruple, policy=policy)
+    try:
+        form = canonical_form(quadruple)
+    except ValueError as exc:  # an eigenvalue_tol too loose for the normal form
+        raise InputError(str(exc))
+    canon = canonical_quadruple(quadruple)
     report = _report(
         "canon",
         digest_bytes(quad_raw),
@@ -272,19 +275,16 @@ def cmd_canon(args) -> int:
 def cmd_gen_rich(args) -> int:
     if args.K < 1 or args.max_outcomes < 1:
         raise InputError("K and max outcomes must be positive")
-    try:
-        cap = family_size_cap()
-    except ValueError as exc:
-        raise InputError(str(exc))
     digest = digest_bytes(f"{args.K}:{args.max_outcomes}".encode())
     try:
-        # Both caps: measurements in the family, events in its ordering.
-        family = generate_rich_family(args.K, args.max_outcomes, cap)
-        ordering = induced_ordering(family)
+        # Counted, not generated: a family past the cap is never built.
+        require_event_count(rich_family_events(args.K, args.max_outcomes))
     except SizeLimitExceeded as exc:
         raise DomainFailure(
             str(exc), _report("gen-rich", digest, [_verdict("size-cap", False)])
         )
+    family = generate_rich_family(args.K, args.max_outcomes)
+    ordering = induced_ordering(family)
     out = Path(args.out)
     ordering_out = (
         Path(args.ordering_out)

@@ -14,7 +14,7 @@ from __future__ import annotations
 import cmath
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
@@ -335,8 +335,10 @@ def _with_uniform(family: MeasurementFamily, K: int) -> MeasurementFamily:
     if _find_uniform(family, K) is not None:
         return family
     gadget = uniform_measurement(K)
-    if gadget.id in family.by_id:
-        gadget = uniform_measurement(K, id_prefix="uniform-extra")
+    for i in itertools.count(1):
+        if gadget.id not in family.by_id:
+            break
+        gadget = replace(gadget, id=f"uniform-{K}-{i}")
     return MeasurementFamily(family.measurements + (gadget,))
 
 

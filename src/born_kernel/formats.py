@@ -27,9 +27,9 @@ from .ordering import (
     LikelihoodOrdering,
     MeasurementFamily,
     WeightedMeasurement,
-    _check_event_space_size,
     enumerate_event_refs,
     ref_sort_key,
+    require_event_count,
 )
 from .quantum import MeasurementModel, Observable, StateVector
 from .representation import ProbabilityAssignment
@@ -315,7 +315,7 @@ def ordering_from_json(doc: Any, family: MeasurementFamily) -> LikelihoodOrderin
     _get(doc, "schema", SCHEMA, "ordering")
     if "family_digest" in doc and doc["family_digest"] != family_digest(family):
         raise FormatError("ordering: family_digest does not match the supplied family")
-    _check_event_space_size(family)
+    require_event_count(family.event_count())
     rows, cols = [], []
     for k, pair in enumerate(_get(doc, "pairs", list, "ordering")):
         if not isinstance(pair, list) or len(pair) != 2:

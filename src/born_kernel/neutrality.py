@@ -17,7 +17,7 @@ from typing import Callable, Mapping
 
 import numpy as np
 
-from .numeric import DEFAULT_POLICY, NumericPolicy, max_abs
+from .numeric import max_abs
 from .quantum import Observable, StateVector, match_value, spectral_weight
 
 
@@ -82,17 +82,15 @@ class CanonicalForm:
 
 
 def unitary_transform(
-    q: MeasurementQuadruple,
-    U: np.ndarray,
-    new_observable: Observable,
-    policy: NumericPolicy = DEFAULT_POLICY,
+    q: MeasurementQuadruple, U: np.ndarray, new_observable: Observable
 ) -> MeasurementQuadruple:
     """Move a unitary from the preparation side to the measurement side.
 
     U maps the quadruple's space into the new observable's space and
-    must satisfy U X = X' U (operator composition order: X acts first).
-    The returned quadruple keeps the same event, carries the transported
-    state U|psi>, and has the same event weight within tolerance.
+    must satisfy U X = X' U (operator composition order: X acts first)
+    within ``q.observable``'s ``projector_tol``.  The returned quadruple
+    keeps the same event, carries the transported state U|psi>, and has
+    the same event weight within tolerance.
     """
     u = np.asarray(U, dtype=np.complex128)
     dim_out, dim_in = u.shape
@@ -100,7 +98,7 @@ def unitary_transform(
         raise ValueError(f"transform expects dimension {dim_in}, quadruple has {q.dim}")
     if dim_out != new_observable.dim:
         raise ValueError("transform output dimension does not match new observable")
-    tol = policy.projector_tol
+    tol = q.observable.policy.projector_tol
     residual = max_abs(u.conj().T @ u - np.eye(dim_in))
     if residual > tol:
         raise NotUnitary(
@@ -113,14 +111,12 @@ def unitary_transform(
         raise IntertwiningFails(
             f"max |U X - X' U| = {residual:.3e} exceeds {tol:.3e}"
         )
-    new_state = StateVector(u @ q.state.components, policy=policy)
+    new_state = StateVector(u @ q.state.components, policy=q.state.policy)
     return MeasurementQuadruple(new_state, new_observable, q.event)
 
 
 def relabel(
-    q: MeasurementQuadruple,
-    f: Mapping[float, float] | Callable[[float], float],
-    policy: NumericPolicy = DEFAULT_POLICY,
+    q: MeasurementQuadruple, f: Mapping[float, float] | Callable[[float], float]
 ) -> MeasurementQuadruple:
     """Rename results through f, merging eigenspaces that collide.
 
@@ -137,7 +133,7 @@ def relabel(
         mapping = {x: float(f[x]) for x in obs.eigenvalues}
     # Near-identical relabeled values snap onto the first of them; each
     # old cluster is then renumbered to its image's place in sorted order.
-    tol = policy.eigenvalue_tol
+    tol = obs.policy.eigenvalue_tol
     merged: list[float] = []
     for z in mapping.values():
         if all(abs(y - z) > tol for y in merged):
@@ -157,9 +153,7 @@ def _indicator_relabeled(q: MeasurementQuadruple) -> MeasurementQuadruple:
     return relabel(q, f)
 
 
-def canonical_form(
-    q: MeasurementQuadruple, policy: NumericPolicy = DEFAULT_POLICY
-) -> CanonicalForm:
+def canonical_form(q: MeasurementQuadruple) -> CanonicalForm:
     """Collapse a quadruple to its two-dimensional normal form.
 
     Applies the indicator relabeling, splits the state across the binary
@@ -167,8 +161,16 @@ def canonical_form(
     amplitudes (c, d) the intertwiner onto the plane spanned by |0>, |1>
     would produce.  The output depends on the input only through the
     event weight; degenerate weights 0 and 1 are admitted with c or d
-    equal to zero.
+    equal to zero.  Raises ValueError when the observable's
+    ``eigenvalue_tol`` is 1 or more: the indicator values 0 and 1 would
+    merge, and every event would weigh 1.
     """
+    tol = q.observable.policy.eigenvalue_tol
+    if tol >= 1:
+        raise ValueError(
+            f"the normal form needs eigenvalue_tol < 1 to tell the "
+            f"indicator values 0 and 1 apart, got {tol}"
+        )
     # c^2 and d^2: weights of the binary event ({0.0} or empty) and of its
     # complement, so d = 0 exactly for the whole spectrum (1 - c^2 would
     # leave rounding noise); over their sum |psi|^2 for a loose norm_tol.
@@ -179,32 +181,28 @@ def canonical_form(
     return CanonicalForm(weight_value=c * c, c=c, d=d)
 
 
-def canonical_quadruple(
-    q: MeasurementQuadruple, policy: NumericPolicy = DEFAULT_POLICY
-) -> MeasurementQuadruple:
+def canonical_quadruple(q: MeasurementQuadruple) -> MeasurementQuadruple:
     """The normal form as an actual two-dimensional quadruple.
 
     State c|0> + d|1>, observable with eigenvalue 0 on |0> and 1 on |1>,
-    betting on eigenvalue 0.
+    betting on eigenvalue 0, under the input quadruple's policies.
     """
-    form = canonical_form(q, policy=policy)
+    form = canonical_form(q)
     state = StateVector(
-        np.array([form.c, form.d], dtype=np.complex128), policy=policy
+        np.array([form.c, form.d], dtype=np.complex128), policy=q.state.policy
     )
-    observable = Observable((0.0, 1.0), np.eye(2), (0, 1), policy=policy)
+    observable = Observable(
+        (0.0, 1.0), np.eye(2), (0, 1), policy=q.observable.policy
+    )
     return MeasurementQuadruple(state, observable, frozenset({0.0}))
 
 
-def same_equivalence_class(
-    q1: MeasurementQuadruple,
-    q2: MeasurementQuadruple,
-    policy: NumericPolicy = DEFAULT_POLICY,
-) -> bool:
+def same_equivalence_class(q1: MeasurementQuadruple, q2: MeasurementQuadruple) -> bool:
     """Whether two quadruples share a normal form.
 
-    True exactly when their event weights agree within tolerance; the
-    two transform families can turn one into the other precisely then.
+    True exactly when their event weights agree within the larger of the
+    two observables' ``projector_tol`` (so the relation is symmetric);
+    the two transform families can turn one into the other precisely then.
     """
-    f1 = canonical_form(q1, policy=policy)
-    f2 = canonical_form(q2, policy=policy)
-    return abs(f1.weight_value - f2.weight_value) <= policy.projector_tol
+    tol = max(q1.observable.policy.projector_tol, q2.observable.policy.projector_tol)
+    return abs(canonical_form(q1).weight_value - canonical_form(q2).weight_value) <= tol

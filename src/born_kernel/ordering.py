@@ -303,7 +303,7 @@ class LikelihoodOrdering:
 
 
 class SizeLimitExceeded(ValueError):
-    """Requested family would exceed the configured size cap."""
+    """Requested family would exceed a size cap."""
 
 
 # Extensional relations are n x n boolean matrices over the total event
@@ -311,11 +311,15 @@ class SizeLimitExceeded(ValueError):
 MAX_EXTENSIONAL_EVENTS = 20_000
 
 
-def _check_event_space_size(family: MeasurementFamily) -> None:
-    n = family.event_count()
+def require_event_count(n: int) -> None:
+    """Raise :class:`SizeLimitExceeded` unless an extensional ordering
+    over n events is within the cap."""
     if n > MAX_EXTENSIONAL_EVENTS:
+        # Python prints no int of more than 4,300 digits (sys.int_info).
+        bits = n.bit_length()
+        count = f"{n:,}" if bits <= 10_000 else f"at least 2**{bits - 1:,}"
         raise SizeLimitExceeded(
-            f"family has {n:,} events; extensional orderings are capped at "
+            f"family has {count} events; extensional orderings are capped at "
             f"{MAX_EXTENSIONAL_EVENTS:,} (a measurement with k outcomes "
             f"contributes 2**k events)"
         )
@@ -336,7 +340,7 @@ def induced_ordering(family: MeasurementFamily) -> LikelihoodOrdering:
     By construction the result is total, transitive, and judges
     equal-weight events equally likely.
     """
-    _check_event_space_size(family)
+    require_event_count(family.event_count())
     return _ordering_from_scores(family, weight_vector(family))
 
 
@@ -346,7 +350,7 @@ def outcome_count_ordering(family: MeasurementFamily) -> LikelihoodOrdering:
     A deliberately weight-blind rule.  It is total and transitive but
     generically violates the equivalence of equal-weight events.
     """
-    _check_event_space_size(family)
+    require_event_count(family.event_count())
     counts: list[int] = []
     for mid in family.sorted_ids:
         counts += subset_sums([int(w > 0) for w in family.by_id[mid].weights])

@@ -69,6 +69,8 @@ class StateVector:
     components: np.ndarray
     policy: NumericPolicy = field(default=DEFAULT_POLICY, repr=False)
 
+    # A huge finite component overflows |c|^2 to inf, which the norm check rejects.
+    @np.errstate(over="ignore", invalid="ignore")
     def __post_init__(self) -> None:
         c = np.asarray(self.components, dtype=np.complex128).reshape(-1)
         if not c.any():
@@ -131,6 +133,8 @@ class Observable:
         object.__setattr__(self, "cluster", _frozen_array(cluster))
 
     @classmethod
+    # Huge finite entries overflow to inf or nan, which the checks reject.
+    @np.errstate(over="ignore", invalid="ignore")
     def from_pairs(
         cls,
         pairs: Sequence[tuple[float, np.ndarray]],
@@ -247,19 +251,19 @@ class MeasurementModel:
 
 
 def spectral_decompose(
-    matrix: np.ndarray,
-    tol: float = DEFAULT_POLICY.eigenvalue_tol,
-    policy: NumericPolicy = DEFAULT_POLICY,
+    matrix: np.ndarray, policy: NumericPolicy = DEFAULT_POLICY
 ) -> Observable:
     """Decompose a Hermitian matrix into clustered eigenvalues.
 
-    Eigenvalues within ``tol`` of each other are merged into a single
-    eigenspace: their eigenvectors share one cluster, valued at their
-    mean.  Raises :class:`NonHermitianInput` if the symmetry check fails and
-    :class:`DegenerateClustering` if a merged cluster is smeared over more
-    than ``tol`` (the spectrum is too ill-conditioned to call its
-    eigenvalues either equal or distinct).
+    Eigenvalues within ``tol`` = ``policy.eigenvalue_tol`` of each other
+    are merged into a single eigenspace: their eigenvectors share one
+    cluster, valued at their mean.  Raises :class:`NonHermitianInput` if
+    the symmetry check fails and :class:`DegenerateClustering` if a merged
+    cluster is smeared over more than ``tol`` (the spectrum is too
+    ill-conditioned to call its eigenvalues either equal or distinct).
+    The returned observable carries ``policy``.
     """
+    tol = policy.eigenvalue_tol
     m = np.asarray(matrix, dtype=np.complex128)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError("input must be a square matrix")
@@ -278,14 +282,8 @@ def spectral_decompose(
                 f"{spread:.3e} > {tol:.3e}"
             )
     cluster = np.repeat(np.arange(len(groups)), [len(g) for g in groups])
-    obs_policy = NumericPolicy(
-        norm_tol=policy.norm_tol,
-        projector_tol=policy.projector_tol,
-        eigenvalue_tol=min(tol, policy.eigenvalue_tol),
-        rational_tol=policy.rational_tol,
-    )
     return Observable(
-        tuple(float(np.mean(g)) for g in groups), eigvecs, cluster, policy=obs_policy
+        tuple(float(np.mean(g)) for g in groups), eigvecs, cluster, policy=policy
     )
 
 
@@ -353,24 +351,21 @@ def make_rich_measurement(
 
 
 def rational_weight(
-    model: MeasurementModel,
-    event: Iterable[str],
-    max_den: int,
-    policy: NumericPolicy = DEFAULT_POLICY,
+    model: MeasurementModel, event: Iterable[str], max_den: int
 ) -> Fraction:
     """Closest rational p/q with q <= max_den to the event's weight.
 
     Bridges the floating-point layer into the exact kernel.  Raises
     :class:`NoRationalWithinTolerance` if the best bounded-denominator
-    rational misses the computed weight by more than the policy's
-    rational gap, which signals a genuinely irrational or noisy weight.
+    rational misses the computed weight by more than the observable's
+    ``rational_tol``, which signals a genuinely irrational or noisy weight.
     """
     if max_den < 1:
         raise ValueError("max_den must be at least 1")
     w = weight(model, event)
     approx = Fraction(w).limit_denominator(max_den)
     gap = abs(float(approx) - w)
-    if gap > policy.rational_tol:
+    if gap > model.observable.policy.rational_tol:
         raise NoRationalWithinTolerance(
             f"weight {w!r} is {gap:.3e} away from the nearest rational with "
             f"denominator <= {max_den}"

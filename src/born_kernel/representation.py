@@ -15,7 +15,6 @@ Everything in this module is exact rational arithmetic.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -60,23 +59,13 @@ class SearchSpaceTooLarge(ValueError):
     """Instance exceeds the brute-force caps."""
 
 
-DEFAULT_FAMILY_CAP = 10**6
-FAMILY_CAP_ENV = "BORN_KERNEL_CAP"
+# Measurements in one rich family, which the library may build unordered.
+MAX_RICH_MEASUREMENTS = 10**6
 
 # Brute-force caps for the exhaustive search.
 MAX_SEARCH_OUTCOMES = 12
 MAX_SEARCH_MEASUREMENTS = 6
 MAX_SEARCH_PARTIALS = 200_000
-
-
-def family_size_cap() -> int:
-    raw = os.environ.get(FAMILY_CAP_ENV)
-    if raw is None:
-        return DEFAULT_FAMILY_CAP
-    try:
-        return int(raw)
-    except ValueError:
-        raise ValueError(f"{FAMILY_CAP_ENV} must be an integer, got {raw!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -143,25 +132,31 @@ def rich_family_size(K: int, max_outcomes: int) -> int:
     return sum(math.comb(K - 1, n - 1) for n in range(1, min(K, max_outcomes) + 1))
 
 
-def generate_rich_family(
-    K: int, max_outcomes: int, cap: int | None = None
-) -> MeasurementFamily:
+def rich_family_events(K: int, max_outcomes: int) -> int:
+    """Number of events in the rich family, the sum over n of
+    C(K - 1, n - 1) * 2**n: an n-outcome measurement has 2**n events."""
+    total, term = 0, 2  # term for n = 1; each next one is exact in integers
+    for n in range(1, min(K, max_outcomes) + 1):
+        total += term
+        term = term * 2 * (K - n) // n
+    return total
+
+
+def generate_rich_family(K: int, max_outcomes: int) -> MeasurementFamily:
     """Every measurement with weights (k1/K, ..., kn/K), n <= max_outcomes.
 
     One measurement per composition of K into n positive parts, for each
     n up to max_outcomes.  The uniform K-outcome measurement is included
     whenever max_outcomes >= K.  Raises :class:`SizeLimitExceeded` when
-    the family would exceed the cap (default 10**6 measurements,
-    overridable via the BORN_KERNEL_CAP environment variable).
+    the family would have more than ``MAX_RICH_MEASUREMENTS`` measurements.
     """
     if K < 1 or max_outcomes < 1:
         raise ValueError("K and max_outcomes must be positive")
-    limit = family_size_cap() if cap is None else cap
     size = rich_family_size(K, max_outcomes)
-    if size > limit:
+    if size > MAX_RICH_MEASUREMENTS:
         raise SizeLimitExceeded(
             f"rich family for K={K}, max_outcomes={max_outcomes} has {size} "
-            f"measurements, exceeding the cap of {limit}"
+            f"measurements, exceeding the cap of {MAX_RICH_MEASUREMENTS}"
         )
     measurements = []
     for n in range(1, min(K, max_outcomes) + 1):
@@ -173,13 +168,26 @@ def generate_rich_family(
     return MeasurementFamily(tuple(measurements))
 
 
-def uniform_measurement(K: int, id_prefix: str = "uniform") -> WeightedMeasurement:
+def uniform_measurement(K: int) -> WeightedMeasurement:
     """The K-outcome measurement with every weight equal to 1/K."""
     return WeightedMeasurement(
-        f"{id_prefix}-{K}",
+        f"uniform-{K}",
         tuple(f"u{i + 1}" for i in range(K)),
         tuple(Fraction(1, K) for _ in range(K)),
     )
+
+
+def _require_grid(family: MeasurementFamily, K: int) -> None:
+    """K >= 1 and every weight's denominator divides K."""
+    if K < 1:
+        raise ValueError("K must be positive")
+    for m in family.measurements:
+        for w in m.weights:
+            if K % w.denominator != 0:
+                raise NonconformingDenominator(
+                    f"weight {w} of measurement {m.id!r} does not live on the "
+                    f"1/{K} grid"
+                )
 
 
 def _find_uniform(family: MeasurementFamily, K: int) -> WeightedMeasurement | None:
@@ -195,17 +203,16 @@ def derive_representation(
 ) -> ProbabilityAssignment:
     """Constructively derive the representing measure on the 1/K grid.
 
-    Preconditions: the ordering passes all five axiom checks, its family
-    contains a uniform K-outcome measurement, and every weight's
-    denominator divides K.  The construction assigns 1/K to each uniform
-    outcome (forced: they are judged equally likely and must sum to 1),
-    forms blocks of uniform outcomes worth k/K, and transfers k/K to
-    each outcome of matching weight through the ordering's own
-    equal-likelihood judgments.
+    Preconditions, checked in this order: every weight's denominator
+    divides K, the ordering passes all five axiom checks, and its family
+    contains a uniform K-outcome measurement.  The construction assigns
+    1/K to each uniform outcome (forced: they are judged equally likely
+    and must sum to 1), forms blocks of uniform outcomes worth k/K, and
+    transfers k/K to each outcome of matching weight through the
+    ordering's own equal-likelihood judgments.
     """
-    if K < 1:
-        raise ValueError("K must be positive")
     family = ordering.family
+    _require_grid(family, K)
     for report in ordering.reports:
         if not report.satisfied:
             raise PreconditionViolated(report.axiom)
@@ -214,13 +221,6 @@ def derive_representation(
         raise MissingUniformMeasurement(
             f"family has no uniform {K}-outcome measurement"
         )
-    for m in family.measurements:
-        for w in m.weights:
-            if K % w.denominator != 0:
-                raise NonconformingDenominator(
-                    f"weight {w} of measurement {m.id!r} does not live on the "
-                    f"1/{K} grid"
-                )
 
     h = ordering.matrix
     uniform_start = family.slices[uniform.id].start
@@ -373,9 +373,8 @@ def uniqueness_search(
     conditions only, and survivors are re-verified in full, so the
     result set matches the brute-force definition exactly.
     """
-    if K < 1:
-        raise ValueError("K must be positive")
     family = ordering.family
+    _require_grid(family, K)
     if len(family.measurements) > max_measurements:
         raise SearchSpaceTooLarge(
             f"{len(family.measurements)} measurements exceed the cap of "
@@ -387,12 +386,6 @@ def uniqueness_search(
                 f"measurement {m.id!r} has {len(m.outcomes)} outcomes, "
                 f"exceeding the cap of {max_outcomes}"
             )
-        for w in m.weights:
-            if K % w.denominator != 0:
-                raise NonconformingDenominator(
-                    f"weight {w} of measurement {m.id!r} does not live on the "
-                    f"1/{K} grid"
-                )
 
     mids = list(family.sorted_ids)
     per_measurement = {

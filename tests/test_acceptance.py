@@ -19,6 +19,7 @@ from born_kernel import (
     MeasurementFamily,
     MeasurementModel,
     MeasurementQuadruple,
+    NumericPolicy,
     RefinementSpec,
     StateVector,
     WeightedMeasurement,
@@ -42,6 +43,8 @@ from born_kernel import (
 from born_kernel.erasure import THREE_OUTCOME_RESULTS
 from born_kernel import GameSpec, ProbabilityAssignment, reachable_set, sets_equal, three_outcome_game
 from conftest import grid_measurement, lcm_of_denominators, random_family
+
+LOOSE_EIGENVALUES = NumericPolicy(eigenvalue_tol=1e-6)
 
 
 def _verdict(name: str, ok: bool, elapsed: float | None = None) -> None:
@@ -187,7 +190,9 @@ def _random_quadruple(rng, dim):
     while dim > 1 and np.min(np.diff(eigs)) < 1e-3:
         eigs = np.sort(rng.normal(size=dim) * 10)
     u = _haar_unitary(rng, dim)
-    obs = spectral_decompose(u @ np.diag(eigs).astype(complex) @ u.conj().T, tol=1e-6)
+    obs = spectral_decompose(
+        u @ np.diag(eigs).astype(complex) @ u.conj().T, LOOSE_EIGENVALUES
+    )
     v = rng.normal(size=dim) + 1j * rng.normal(size=dim)
     state = StateVector(v / np.linalg.norm(v))
     n_event = int(rng.integers(0, dim + 1))
@@ -221,7 +226,8 @@ def test_neutrality_canonical_invariance():
 
         u = _haar_unitary(rng, dim)
         moved = unitary_transform(
-            q, u, spectral_decompose(u @ q.observable.dense() @ u.conj().T, tol=1e-6)
+            q, u,
+            spectral_decompose(u @ q.observable.dense() @ u.conj().T, LOOSE_EIGENVALUES),
         )
         after_u = canonical_form(moved)
         if abs(after_u.weight_value - base.weight_value) > 1e-10:
@@ -242,7 +248,7 @@ def test_neutrality_canonical_invariance():
         comp = big[:, dim:]
         extra = np.diag([3001.0, 3002.0]).astype(complex)
         obs_big = spectral_decompose(
-            dense + comp @ extra @ comp.conj().T, tol=1e-6
+            dense + comp @ extra @ comp.conj().T, LOOSE_EIGENVALUES
         )
         pairs.append((q, unitary_transform(q, iso, obs_big)))
 

@@ -61,40 +61,6 @@ class TestGenRich:
         report = json.loads(proc.stdout)
         assert report["verdicts"][0]["result"] == "fail"
 
-    def test_env_cap_override(self, tmp_path):
-        import os
-
-        env = dict(os.environ, BORN_KERNEL_CAP="2")
-        proc = subprocess.run(
-            [
-                sys.executable, "-m", "born_kernel", "gen-rich",
-                "-K", "4", "--max-outcomes", "3",
-                "--out", str(tmp_path / "fam.json"),
-            ],
-            text=True,
-            capture_output=True,
-            env=env,
-        )
-        assert proc.returncode == 1
-
-    def test_non_integer_env_cap_exit_2(self, tmp_path):
-        import os
-
-        env = dict(os.environ, BORN_KERNEL_CAP="abc")
-        proc = subprocess.run(
-            [
-                sys.executable, "-m", "born_kernel", "gen-rich",
-                "-K", "3", "--max-outcomes", "3",
-                "--out", str(tmp_path / "fam.json"),
-            ],
-            text=True,
-            capture_output=True,
-            env=env,
-        )
-        assert proc.returncode == 2
-        assert "BORN_KERNEL_CAP" in proc.stderr
-        assert "Traceback" not in proc.stderr
-
     def test_event_cap_exit_1_with_report(self, tmp_path):
         # 2,048 measurements pass the measurement cap; their 354,294
         # events exceed the 20,000-event cap of extensional orderings.
@@ -107,6 +73,36 @@ class TestGenRich:
             {"check": "size-cap", "result": "fail", "witness_count": 0, "witnesses": []}
         ]
         assert "354,294" in proc.stderr and "20,000" in proc.stderr
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "K, count",
+        [
+            ("20", "2,324,522,934"),
+            # 2 * 3**19999 events: too many digits for Python to print.
+            ("20000", f"at least 2**{(2 * 3**19999).bit_length() - 1:,}"),
+        ],
+        ids=["K=20", "K=20000"],
+    )
+    def test_event_cap_checked_before_generation(
+        self, monkeypatch, capsys, tmp_path, K, count
+    ):
+        # K = 20 has 524,288 measurements and 2 * 3**19 events; the event
+        # count alone must refuse it, before any measurement is built.
+        from born_kernel import cli
+
+        def generate(*args):
+            raise AssertionError("the rich family was generated")
+
+        monkeypatch.setattr(cli, "generate_rich_family", generate)
+        out = tmp_path / "big.json"
+        rc = cli.main(["gen-rich", "-K", K, "--max-outcomes", K, "--out", str(out)])
+        stdout, stderr = capsys.readouterr()
+        assert rc == 1
+        assert json.loads(stdout)["verdicts"] == [
+            {"check": "size-cap", "result": "fail", "witness_count": 0, "witnesses": []}
+        ]
+        assert f"family has {count} events" in stderr and "20,000" in stderr
         assert not out.exists()
 
 
@@ -230,7 +226,6 @@ class TestDerive:
         doc = json.loads(out.read_text())
         singleton = [v for v in doc["values"] if v["event"] == ["o1"]]
         assert singleton[0]["probability"] == {"num": "1", "den": "1"}
-
 
     def test_nonpositive_k_exit_2(self, rich_files, tmp_path):
         family, ordering = rich_files
@@ -393,6 +388,45 @@ class TestCanon:
         assert proc.returncode == 2
         assert proc.stdout == ""
         assert "finite and positive" in proc.stderr
+
+    @pytest.mark.parametrize("tol", [1, 2])
+    def test_eigenvalue_tol_of_one_or_more_exit_2(self, tmp_path, tol):
+        # Eigenvalues 0, 5, 10 are separated under either tolerance, but the
+        # normal form's indicator values 0 and 1 would merge into one.
+        state = StateVector(np.array([0.6, 0.0, 0.8], dtype=complex))
+        obs = spectral_decompose(np.diag([0.0, 5.0, 10.0]).astype(complex))
+        quad = tmp_path / "quad.json"
+        quad.write_text(canonical_dumps(
+            quadruple_to_json(MeasurementQuadruple(state, obs, frozenset({0.0})))
+        ))
+        assert run_cli("canon", "--quad", str(quad)).returncode == 0
+        policy = tmp_path / "policy.json"
+        policy.write_text(json.dumps({"eigenvalue_tol": tol}))
+        proc = run_cli("canon", "--quad", str(quad), "--numeric-policy", str(policy))
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        (line,) = proc.stderr.splitlines()
+        assert line.startswith("error:") and "eigenvalue_tol" in line
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda d: d["state"]["components"].__setitem__(0, [1e308, 0.0]),
+            lambda d: d["observable"]["spectral_pairs"][0]["projector"][0]
+            .__setitem__(0, [1e308, 0.0]),
+        ],
+        ids=["state-component", "projector-entry"],
+    )
+    def test_huge_entry_exit_2_with_one_error_line(self, tmp_path, edit):
+        path = self.make_quad_file(tmp_path, [0.6, 0.8], frozenset({1.0}))
+        doc = json.loads(path.read_text())
+        edit(doc)
+        path.write_text(json.dumps(doc))
+        proc = run_cli("canon", "--quad", str(path))
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        (line,) = proc.stderr.splitlines()
+        assert line.startswith("error:")
 
 
 class TestDeterministicReports:

@@ -32,7 +32,7 @@ from born_kernel import (
     three_outcome_game,
     uniform_measurement,
 )
-from born_kernel.erasure import THREE_OUTCOME_RESULTS
+from born_kernel.erasure import THREE_OUTCOME_RESULTS, _with_uniform
 from born_kernel.ordering import EventRef
 
 GAME1 = GameSpec(frozenset({"up"}))
@@ -315,6 +315,22 @@ class TestCoarseInvariance:
         pr = derive_representation(induced_ordering(padded), 8)
         image = suboutcome_image(family, spec, EventRef("m", frozenset({"a"})))
         assert pr.value(image) == Fraction(1, 4)
+
+    def test_padding_takes_a_fresh_id(self):
+        # uniform-4 and uniform-extra-4 name non-uniform measurements, so
+        # the uniform 4-outcome gadget needs a third id.
+        taken = ("uniform-4", "uniform-extra-4")
+        family = MeasurementFamily(tuple(
+            WeightedMeasurement(mid, ("a", "b"), (Fraction(1, 4), Fraction(3, 4)))
+            for mid in taken
+        ))
+        padded = _with_uniform(family, 4)
+        assert padded.measurements[:2] == family.measurements
+        (gadget,) = padded.measurements[2:]
+        assert gadget.id not in taken
+        assert gadget.weights == (Fraction(1, 4),) * 4
+        spec = RefinementSpec("uniform-4", "a", 2)
+        assert coarse_event_probability_invariance(family, spec, 4)
 
 
 class TestCanonicalEquality:

@@ -23,6 +23,8 @@ from born_kernel import (
 )
 from born_kernel.ordering import EventRef
 
+LOOSE_EIGENVALUES = NumericPolicy(eigenvalue_tol=1e-6)
+
 
 def haar_unitary(rng, dim):
     a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
@@ -40,7 +42,7 @@ def random_quadruple(rng, dim, distinct_eigs=True):
     else:
         matrix = rng.normal(size=(dim, dim))
         matrix = ((matrix + matrix.T) / 2).astype(complex)
-    obs = spectral_decompose(matrix, tol=1e-6)
+    obs = spectral_decompose(matrix, LOOSE_EIGENVALUES)
     v = rng.normal(size=dim) + 1j * rng.normal(size=dim)
     state = StateVector(v / np.linalg.norm(v))
     n_event = int(rng.integers(0, len(obs.eigenvalues) + 1))
@@ -119,7 +121,7 @@ class TestUnitaryTransform:
         # Fill the orthocomplement with fresh eigenvalues.
         comp = big[:, 2:]
         dense = dense + comp @ np.diag([97.0, 98.0]).astype(complex) @ comp.conj().T
-        obs_big = spectral_decompose(dense, tol=1e-6)
+        obs_big = spectral_decompose(dense, LOOSE_EIGENVALUES)
         q2 = unitary_transform(q, iso, obs_big)
         assert q2.dim == 4
         assert direct_weight(q2) == pytest.approx(direct_weight(q), abs=1e-10)
@@ -258,7 +260,8 @@ class TestSameEquivalenceClass:
         q = random_quadruple(rng, 3)
         u = haar_unitary(rng, 3)
         q2 = unitary_transform(
-            q, u, spectral_decompose(u @ q.observable.dense() @ u.conj().T, tol=1e-6)
+            q, u,
+            spectral_decompose(u @ q.observable.dense() @ u.conj().T, LOOSE_EIGENVALUES),
         )
         assert same_equivalence_class(q, q2)
 

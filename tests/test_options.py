@@ -1,0 +1,102 @@
+"""The option surface: every setting a caller can pass, counted.
+
+A tolerance record is passed only where an object is validated, the
+package reads no environment variable, and the CLI and `NumericPolicy`
+offer exactly the options listed here.  A new setting has to change
+this file.
+"""
+import argparse
+import importlib
+import inspect
+import pkgutil
+from dataclasses import fields
+from pathlib import Path
+
+import born_kernel
+from born_kernel import NumericPolicy
+from born_kernel.cli import build_parser
+
+PACKAGE_DIR = Path(born_kernel.__file__).parent
+
+
+def public_callables():
+    """(qualified name, callable) for every public function, class and
+    public method defined in the package's modules."""
+    for info in pkgutil.iter_modules([str(PACKAGE_DIR)]):
+        if info.name == "__main__":
+            continue
+        module = importlib.import_module(f"born_kernel.{info.name}")
+        for name, obj in vars(module).items():
+            if name.startswith("_") or getattr(obj, "__module__", None) != module.__name__:
+                continue
+            if inspect.isfunction(obj):
+                yield f"{info.name}.{name}", obj
+            elif inspect.isclass(obj):
+                yield f"{info.name}.{name}", obj
+                for attr, member in vars(obj).items():
+                    if attr.startswith("_"):
+                        continue
+                    if isinstance(member, (classmethod, staticmethod)):
+                        member = member.__func__
+                    if inspect.isfunction(member):
+                        yield f"{info.name}.{name}.{attr}", member
+
+
+def parameters(obj):
+    try:
+        return inspect.signature(obj).parameters
+    except ValueError:  # a class whose __init__ is built in, such as an exception
+        return {}
+
+
+def test_policy_is_taken_only_where_an_object_is_validated():
+    takes_policy = {
+        name for name, obj in public_callables() if "policy" in parameters(obj)
+    }
+    assert takes_policy == {
+        "quantum.StateVector",
+        "quantum.Observable",
+        "quantum.Observable.from_pairs",
+        "quantum.spectral_decompose",
+        "quantum.make_rich_measurement",
+        "formats.state_from_json",
+        "formats.observable_from_json",
+        "formats.model_from_json",
+        "formats.quadruple_from_json",
+    }
+
+
+def test_no_environment_variable_is_read():
+    for path in sorted(PACKAGE_DIR.glob("*.py")):
+        source = path.read_text(encoding="utf-8")
+        assert "environ" not in source and "getenv" not in source, path.name
+
+
+def test_cli_options_per_subcommand():
+    (subcommands,) = [
+        a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    ]
+    options = {
+        name: sorted(
+            s
+            for a in sub._actions
+            if not isinstance(a, argparse._HelpAction)
+            for s in a.option_strings
+        )
+        for name, sub in subcommands.choices.items()
+    }
+    output = ["--json", "--text"]
+    assert options == {
+        "check": sorted(["--family", "--ordering", *output]),
+        "derive": sorted(["--family", "--ordering", "-K", "--out", *output]),
+        "demo-erasure": sorted(["--p-num", "--p-den", "--index-range", *output]),
+        "canon": sorted(["--quad", "--numeric-policy", *output]),
+        "gen-rich": sorted(["-K", "--max-outcomes", "--out", "--ordering-out", *output]),
+    }
+    assert sum(len(v) for v in options.values()) == 25
+
+
+def test_numeric_policy_fields():
+    assert [f.name for f in fields(NumericPolicy)] == [
+        "norm_tol", "projector_tol", "eigenvalue_tol", "rational_tol",
+    ]

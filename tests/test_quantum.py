@@ -81,7 +81,7 @@ class TestSpectralDecompose:
         tol = 1e-9
         m = np.diag([0.0, 0.6 * tol, 1.2 * tol]).astype(complex)
         with pytest.raises(DegenerateClustering):
-            spectral_decompose(m, tol=tol)
+            spectral_decompose(m, NumericPolicy(eigenvalue_tol=tol))
 
     def test_reconstruction_random(self):
         rng = np.random.default_rng(7)
@@ -89,7 +89,7 @@ class TestSpectralDecompose:
         for _ in range(25):
             dim = int(rng.integers(2, 7))
             m = random_hermitian(rng, dim)
-            obs = spectral_decompose(m, tol=tol)
+            obs = spectral_decompose(m, NumericPolicy(eigenvalue_tol=tol))
             np.testing.assert_allclose(obs.dense(), m, atol=10 * tol)
 
     def test_degenerate_spectrum_merges(self):

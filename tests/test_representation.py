@@ -1,6 +1,5 @@
 """Representing measures: rich families, derivation, verification, search."""
 import itertools
-import os
 import sys
 from fractions import Fraction
 
@@ -28,7 +27,7 @@ from born_kernel import (
     verify_representation,
 )
 from born_kernel.ordering import ALL_CHECKS
-from born_kernel.representation import rich_family_size
+from born_kernel.representation import rich_family_events, rich_family_size
 from conftest import grid_measurement, random_family
 
 
@@ -68,21 +67,13 @@ class TestGenerateRichFamily:
         for K, mx in [(2, 2), (4, 3), (5, 5), (6, 4)]:
             family = generate_rich_family(K, mx)
             assert len(family.measurements) == rich_family_size(K, mx)
+            assert family.event_count() == rich_family_events(K, mx)
             brute = sum(len(brute_compositions(K, n)) for n in range(1, mx + 1))
             assert len(family.measurements) == brute
 
     def test_cap_enforced(self):
         with pytest.raises(SizeLimitExceeded):
             generate_rich_family(64, 12)
-
-    def test_env_cap_override(self):
-        os.environ["BORN_KERNEL_CAP"] = "3"
-        try:
-            with pytest.raises(SizeLimitExceeded):
-                generate_rich_family(4, 3)
-        finally:
-            del os.environ["BORN_KERNEL_CAP"]
-        generate_rich_family(4, 3)
 
     def test_uniform_present_when_max_allows(self):
         family = generate_rich_family(4, 4)
