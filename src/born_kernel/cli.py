@@ -33,7 +33,7 @@ from .formats import (
     quadruple_from_json,
     quadruple_to_json,
 )
-from .neutrality import canonical_form, canonical_quadruple
+from .neutrality import canonical_quadruple
 from .numeric import DEFAULT_POLICY
 from .ordering import induced_ordering, require_event_count, run_all_checks
 from .representation import (
@@ -249,23 +249,24 @@ def cmd_canon(args) -> int:
         policy = policy_from_json(_read_json(args.numeric_policy)[1])
     quadruple = quadruple_from_json(quad_doc, policy)
     try:
-        form = canonical_form(quadruple)
+        canon = canonical_quadruple(quadruple)
     except ValueError as exc:  # an eigenvalue_tol too loose for the normal form
         raise InputError(str(exc))
-    canon = canonical_quadruple(quadruple)
+    # The normal-form state is c|0> + d|1>, and the weight is c^2.
+    c, d = canon.state.components.real.tolist()
     report = _report(
         "canon",
         digest_bytes(quad_raw),
         [_verdict("canonicalize", True)],
-        weight=f"{form.weight_value:.12g}",
-        c=f"{form.c:.12g}",
-        d=f"{form.d:.12g}",
+        weight=f"{c * c:.12g}",
+        c=f"{c:.12g}",
+        d=f"{d:.12g}",
         canonical_quadruple=_round12(quadruple_to_json(canon)),
     )
     lines = [
-        f"weight = {form.weight_value:.12g}",
-        f"c = {form.c:.12g}",
-        f"d = {form.d:.12g}",
+        f"weight = {c * c:.12g}",
+        f"c = {c:.12g}",
+        f"d = {d:.12g}",
         canonical_dumps(_round12(quadruple_to_json(canon))).rstrip("\n"),
     ]
     _emit(report, lines, not args.text)

@@ -28,7 +28,6 @@ from .ordering import (
     MeasurementFamily,
     WeightedMeasurement,
     enumerate_event_refs,
-    ref_sort_key,
     require_event_count,
 )
 from .quantum import MeasurementModel, Observable, StateVector
@@ -287,7 +286,7 @@ def _position(doc: Any, family: MeasurementFamily, context: str) -> int:
     labels = _get(doc, "event", list[str], context)
     if mid not in family.by_id:
         raise FormatError(f"{context}: unknown measurement {mid!r}")
-    return family.slices[mid].start + family.by_id[mid].event_mask(labels)
+    return family.position(mid, labels)
 
 
 def ordering_to_json(ordering: LikelihoodOrdering) -> dict:
@@ -330,7 +329,6 @@ def ordering_from_json(doc: Any, family: MeasurementFamily) -> LikelihoodOrderin
 
 def assignment_to_json(assignment: ProbabilityAssignment) -> dict:
     family = assignment.family
-    refs = sorted(assignment.values, key=lambda r: ref_sort_key(family, r))
     return {
         "schema": SCHEMA,
         "family_digest": family_digest(family),
@@ -338,15 +336,17 @@ def assignment_to_json(assignment: ProbabilityAssignment) -> dict:
             {
                 "measurement": r.measurement_id,
                 "event": sorted(r.event),
-                "probability": rational_to_json(assignment.values[r]),
+                "probability": rational_to_json(value),
             }
-            for r in refs
+            for r, value in zip(enumerate_event_refs(family), assignment.vector)
         ],
     }
 
 
 @_reader
 def assignment_from_json(doc: Any, family: MeasurementFamily) -> ProbabilityAssignment:
+    """A v1 document's value for every event; they must form a probability
+    measure, each event's value the sum of its outcomes' values."""
     _get(doc, "schema", SCHEMA, "assignment")
     refs = enumerate_event_refs(family)
     values: list[Fraction | None] = [None] * len(refs)
@@ -357,4 +357,11 @@ def assignment_from_json(doc: Any, family: MeasurementFamily) -> ProbabilityAssi
     missing = values.count(None)
     if missing:
         raise FormatError(f"assignment: {missing} events have no value")
-    return ProbabilityAssignment(family, dict(zip(refs, values)))
+    assignment = ProbabilityAssignment(family, {
+        (m.id, o): values[family.position(m.id, (o,))]
+        for m in family.measurements for o in m.outcomes
+    })
+    for ref, read, summed in zip(refs, values, assignment.vector):
+        if read != summed:
+            raise FormatError(f"assignment: {ref.label()} is {read}, its outcomes sum to {summed}")
+    return assignment

@@ -65,8 +65,9 @@ class WeightedMeasurement:
             raise ValueError("outcomes and weights must be parallel lists")
         if len(set(outcomes)) != len(outcomes):
             raise ValueError(f"duplicate outcome labels in measurement {self.id!r}")
-        if any(w < 0 for w in weights):
-            raise ValueError("weights must be nonnegative")
+        for o, w in zip(outcomes, weights):
+            if w < 0:
+                raise ValueError(f"outcome {o!r} of {self.id!r} has negative weight {w}")
         total = _exact_sum(weights)
         if total != 1:
             raise ValueError(
@@ -160,6 +161,10 @@ class MeasurementFamily:
             start = stop
         return out
 
+    def position(self, measurement_id: str, event: Iterable[str]) -> int:
+        """Canonical position of an event of one measurement."""
+        return self.slices[measurement_id].start + self.by_id[measurement_id].event_mask(event)
+
     def __contains__(self, measurement_id: str) -> bool:
         return measurement_id in self.by_id
 
@@ -179,11 +184,6 @@ class EventRef:
 
     def label(self) -> str:
         return "{" + ",".join(sorted(self.event)) + "}|" + self.measurement_id
-
-
-def ref_sort_key(family: MeasurementFamily, ref: EventRef) -> tuple[str, int]:
-    """Canonical (measurement id, event bitmask) key for stable reports."""
-    return (ref.measurement_id, family.by_id[ref.measurement_id].event_mask(ref.event))
 
 
 def enumerate_event_refs(family: MeasurementFamily) -> tuple[EventRef, ...]:
@@ -530,8 +530,8 @@ def replay_witness(
         return ordering.simeq(f, e) != ordering.is_null(diff)
     if axiom == "Equivalence":
         a, b = witness
-        weights = event_weights(ordering.family)
-        return weights[a] == weights[b] and not ordering.simeq(a, b)
+        w = [ordering.family.by_id[r.measurement_id].event_weight(r.event) for r in witness]
+        return w[0] == w[1] and not ordering.simeq(a, b)
     if axiom == "Totality":
         a, b = witness
         return not ordering.holds(a, b) and not ordering.holds(b, a)

@@ -115,6 +115,8 @@ class Observable:
         cluster = np.asarray(self.cluster, dtype=np.int64)
         if not values:
             raise ValueError("observable needs at least one eigenvalue")
+        if not (np.isfinite(values).all() and np.isfinite(v).all()):
+            raise ValueError("eigenvalues and eigenbasis entries must be finite")
         if v.ndim != 2 or v.shape[0] != v.shape[1]:
             raise ValueError("eigenbasis must be a square matrix")
         if cluster.shape != v.shape[1:] or np.any((cluster < 0) | (cluster >= len(values))):
@@ -124,7 +126,7 @@ class Observable:
             if b - a <= self.policy.eigenvalue_tol:
                 raise ValueError(f"eigenvalues {a} and {b} are not separated")
         residual = max_abs(v.conj().T @ v - np.eye(v.shape[0]))
-        if residual > self.policy.projector_tol:
+        if not residual <= self.policy.projector_tol:
             raise ValueError(
                 f"eigenbasis is not orthonormal: max |V^dag V - I| = {residual:.3e}"
             )
@@ -267,8 +269,10 @@ def spectral_decompose(
     m = np.asarray(matrix, dtype=np.complex128)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError("input must be a square matrix")
+    if not np.isfinite(m).all():
+        raise ValueError("matrix entries must be finite")
     residual = max_abs(m - m.conj().T)
-    if residual > tol:
+    if not residual <= tol:
         raise NonHermitianInput(
             f"matrix is not Hermitian: max |M - M^dag| = {residual:.3e} > {tol:.3e}"
         )
@@ -276,7 +280,7 @@ def spectral_decompose(
     groups = np.split(eigvals, np.flatnonzero(np.diff(eigvals) >= tol) + 1)
     for g in groups:
         spread = float(g[-1] - g[0])
-        if spread > tol:
+        if not spread <= tol:
             raise DegenerateClustering(
                 f"cluster around {float(np.mean(g)):.6g} spans "
                 f"{spread:.3e} > {tol:.3e}"

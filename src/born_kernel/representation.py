@@ -1,14 +1,14 @@
 """Representing probability measures for likelihood orderings.
 
-A probability assignment represents an ordering when it has the standard
-boundary values, is finitely additive on disjoint events, and agrees
-with the ordering on every pair of events.  The constructive derivation
+A probability assignment is a probability measure on each measurement's
+outcomes: nonnegative exact rationals summing to 1, extended additively
+to every event.  It represents an ordering when its values agree with
+the ordering on every pair of events.  The constructive derivation
 reproduces the uniqueness argument: the uniform K-outcome measurement
 pins 1/K on each of its outcomes, blocks of uniform outcomes pin k/K,
 and equal-likelihood judgments transfer those values to every event of
 matching weight.  The exhaustive search then confirms on small instances
-that no other additive assignment on the 1/K grid represents the
-ordering.
+that no other assignment on the 1/K grid represents the ordering.
 
 Everything in this module is exact rational arithmetic.
 """
@@ -28,7 +28,6 @@ from .ordering import (
     MeasurementFamily,
     SizeLimitExceeded,
     WeightedMeasurement,
-    enumerate_event_refs,
     order_matrix,
     rational_subset_sums,
     subset_sums,
@@ -70,50 +69,56 @@ MAX_SEARCH_PARTIALS = 200_000
 
 @dataclass(frozen=True, eq=False)
 class ProbabilityAssignment:
-    """Candidate representing measure: exact rational value per event.
+    """Probability measure on a family's events, held as outcome values.
 
-    Built from per-outcome values, so additivity and the boundary
-    conditions hold by construction; :func:`verify_representation` still
-    re-checks them against the stored values.
+    ``singletons[(measurement id, outcome)]`` is an exact rational; the
+    values of each measurement are nonnegative and sum to exactly 1.  An
+    event's value is the sum of its outcomes' values, so the empty event
+    is 0, every full outcome set is 1, and additivity holds by
+    construction.
     """
 
     family: MeasurementFamily
-    values: dict[EventRef, Fraction]
+    singletons: dict[tuple[str, str], Fraction]
+
+    def __post_init__(self) -> None:
+        given, own = dict(self.singletons), {}
+        for m in self.family.measurements:
+            keys = [(m.id, o) for o in m.outcomes]
+            missing = [o for o in m.outcomes if (m.id, o) not in given]
+            if missing:
+                raise ValueError(f"missing value for outcome {missing[0]!r} of {m.id!r}")
+            # The measurement checks the values are >= 0 and sum to 1.
+            values = tuple(given.pop(k) for k in keys)
+            own.update(zip(keys, WeightedMeasurement(m.id, m.outcomes, values).weights))
+        if given:
+            raise ValueError(f"value for {next(iter(given))!r}, not an outcome of the family")
+        object.__setattr__(self, "singletons", own)
 
     @classmethod
     def from_singletons(
-        cls,
-        family: MeasurementFamily,
-        singleton_values: dict[tuple[str, str], Fraction],
+        cls, family: MeasurementFamily, singleton_values: dict[tuple[str, str], Fraction]
     ) -> "ProbabilityAssignment":
-        """Extend per-outcome values additively over every event."""
-        vector: list[Fraction] = []
-        for mid in family.sorted_ids:
-            per_outcome = []
-            for o in family.by_id[mid].outcomes:
-                if (mid, o) not in singleton_values:
-                    raise ValueError(f"missing value for outcome {o!r} of {mid!r}")
-                per_outcome.append(Fraction(singleton_values[(mid, o)]))
-            vector += rational_subset_sums(per_outcome)
-        return cls(family, dict(zip(enumerate_event_refs(family), vector)))
-
-    def value(self, ref: EventRef) -> Fraction:
-        return self.values[ref]
+        """The assignment with the given per-outcome values."""
+        return cls(family, singleton_values)
 
     @cached_property
-    def singletons(self) -> dict[tuple[str, str], Fraction]:
-        out = {}
+    def vector(self) -> list[Fraction]:
+        """Value of every event, in canonical position order."""
+        out: list[Fraction] = []
         for mid in self.family.sorted_ids:
-            m = self.family.by_id[mid]
-            for o in m.outcomes:
-                out[(mid, o)] = self.values[EventRef(mid, frozenset({o}))]
+            outcomes = self.family.by_id[mid].outcomes
+            out += rational_subset_sums([self.singletons[(mid, o)] for o in outcomes])
         return out
+
+    def value(self, ref: EventRef) -> Fraction:
+        return self.vector[self.family.position(ref.measurement_id, ref.event)]
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ProbabilityAssignment):
             return NotImplemented
         same_family = self.family is other.family or self.family == other.family
-        return same_family and self.values == other.values
+        return same_family and self.singletons == other.singletons
 
 
 def compositions(total: int, parts: int) -> Iterable[tuple[int, ...]]:
@@ -249,45 +254,21 @@ def derive_representation(
 def verify_representation(
     assignment: ProbabilityAssignment, ordering: LikelihoodOrdering
 ) -> tuple[bool, list[tuple]]:
-    """Check the three representation conditions exactly.
+    """Check that the assignment's values agree with the ordering.
 
-    1. Boundary: value 0 on every empty event, 1 on every full outcome set.
-    2. Additivity on disjoint events within each measurement.
-    3. Order agreement: value(E) >= value(F) exactly when the ordering
-       judges E at least as likely as F, over every ordered pair.
-
-    Returns (ok, witnesses); every violating instance is reported, as
-    (condition tag, refs...) tuples in canonical order.
+    value(E) >= value(F) must hold exactly when the ordering judges E at
+    least as likely as F, over every ordered pair.  The assignment is a
+    probability measure by construction, so this is the only condition
+    left to check.  Returns (ok, witnesses); every violating pair is
+    reported as an ("order", E, F) tuple, in canonical order.
     """
     if assignment.family is not ordering.family and not (
         assignment.family == ordering.family
     ):
         raise FamilyMismatch("assignment and ordering have different families")
-    family = ordering.family
     refs = ordering.refs
-    vals = [assignment.value(r) for r in refs]
-    # Witnesses as (tag, positions...); position order is canonical order.
-    found: list[tuple] = []
-    for sl in family.slices.values():
-        start, local = sl.start, vals[sl]
-        if local[0] != 0:
-            found.append(("boundary", start))
-        if local[-1] != 1:
-            found.append(("boundary", sl.stop - 1))
-        for union in range(len(local)):
-            sub = union
-            while True:
-                other = union & ~sub
-                if sub <= other and local[union] != local[sub] + local[other]:
-                    found.append(("additivity", start + sub, start + other))
-                if sub == 0:
-                    break
-                sub = (sub - 1) & union
-
-    mismatch = order_matrix(vals) != ordering.matrix
-    found += [("order", int(i), int(j)) for i, j in zip(*np.nonzero(mismatch))]
-
-    witnesses = [(w[0], *(refs[i] for i in w[1:])) for w in sorted(found)]
+    mismatch = order_matrix(assignment.vector) != ordering.matrix
+    witnesses = [("order", refs[i], refs[j]) for i, j in zip(*np.nonzero(mismatch))]
     return (not witnesses, witnesses)
 
 

@@ -11,7 +11,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from born_kernel import MeasurementFamily, WeightedMeasurement
+from born_kernel import MeasurementFamily, ProbabilityAssignment, WeightedMeasurement
 
 
 def random_measurement(
@@ -67,3 +67,10 @@ def lcm_of_denominators(family: MeasurementFamily) -> int:
         for w in m.weights:
             out = out * w.denominator // math.gcd(out, w.denominator)
     return out
+
+
+def own_weights(family: MeasurementFamily) -> ProbabilityAssignment:
+    """The family's own weights, as a probability assignment."""
+    return ProbabilityAssignment(family, {
+        (m.id, o): w for m in family.measurements for o, w in zip(m.outcomes, m.weights)
+    })

@@ -41,8 +41,8 @@ from born_kernel import (
     weight,
 )
 from born_kernel.erasure import THREE_OUTCOME_RESULTS
-from born_kernel import GameSpec, ProbabilityAssignment, reachable_set, sets_equal, three_outcome_game
-from conftest import grid_measurement, lcm_of_denominators, random_family
+from born_kernel import GameSpec, reachable_set, sets_equal, three_outcome_game
+from conftest import grid_measurement, lcm_of_denominators, own_weights, random_family
 
 LOOSE_EIGENVALUES = NumericPolicy(eigenvalue_tol=1e-6)
 
@@ -86,8 +86,7 @@ def test_forward_representation_theorem():
         for report in run_all_checks(ordering):
             if not (report.satisfied and len(report.witnesses) == 0):
                 ok = False
-        weights = event_weights(family)
-        pr = ProbabilityAssignment(family, dict(weights))
+        pr = own_weights(family)
         verified, witnesses = verify_representation(pr, ordering)
         if not (verified and len(witnesses) == 0):
             ok = False

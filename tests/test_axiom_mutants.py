@@ -17,10 +17,8 @@ import pytest
 from born_kernel import (
     LikelihoodOrdering,
     MeasurementFamily,
-    ProbabilityAssignment,
     WeightedMeasurement,
     enumerate_event_refs,
-    event_weights,
     induced_ordering,
     outcome_count_ordering,
     replay_witness,
@@ -31,6 +29,7 @@ from born_kernel import (
 from born_kernel.cli import main
 from born_kernel.formats import canonical_dumps, family_to_json, ordering_to_json
 from born_kernel.ordering import order_matrix, weight_vector
+from conftest import own_weights
 
 # a: x = 1/3, y = 2/3.  b: p = 1/5, q = 4/5.  Positions: a's events at
 # 0..3 (bitmask: {} {x} {y} {x,y}), then b's at 4..7 ({} {p} {q} {p,q}).
@@ -128,7 +127,7 @@ def test_no_check_rejects_a_total_preorder_the_weights_disagree_with():
     scores[P] = Fraction(1, 2)
     ordering = _from_scores(scores)
     assert all(r.satisfied for r in run_all_checks(ordering))
-    weights = ProbabilityAssignment(FAMILY, dict(event_weights(FAMILY)))
+    weights = own_weights(FAMILY)
     ok, witnesses = verify_representation(weights, ordering)
     assert not ok
     assert {w[0] for w in witnesses} == {"order"}

@@ -428,6 +428,23 @@ class TestCanon:
         (line,) = proc.stderr.splitlines()
         assert line.startswith("error:")
 
+    def test_normal_form_computed_once(self, monkeypatch, capsys, tmp_path):
+        from born_kernel import cli, neutrality
+
+        calls = []
+        real = neutrality.canonical_form
+
+        def counted(q):
+            calls.append(q)
+            return real(q)
+
+        monkeypatch.setattr(neutrality, "canonical_form", counted)
+        monkeypatch.setattr(cli, "canonical_form", counted, raising=False)
+        path = self.make_quad_file(tmp_path, [0.6, 0.8], frozenset({1.0}))
+        assert cli.main(["canon", "--quad", str(path)]) == 0
+        assert json.loads(capsys.readouterr().out)["artifacts"]["c"] == "0.6"
+        assert len(calls) == 1
+
 
 class TestDeterministicReports:
     def test_byte_identical_across_runs(self, rich_files, tmp_path):

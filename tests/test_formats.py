@@ -7,10 +7,8 @@ import pytest
 from born_kernel import (
     MeasurementFamily,
     MeasurementQuadruple,
-    ProbabilityAssignment,
     StateVector,
     WeightedMeasurement,
-    event_weights,
     generate_rich_family,
     induced_ordering,
     make_rich_measurement,
@@ -36,6 +34,7 @@ from born_kernel.formats import (
     rational_from_json,
     rational_to_json,
 )
+from conftest import own_weights
 
 
 class TestRationals:
@@ -149,17 +148,41 @@ class TestOrderingFormat:
 class TestAssignmentFormat:
     def test_roundtrip(self):
         family = generate_rich_family(3, 3)
-        pr = ProbabilityAssignment(family, dict(event_weights(family)))
+        pr = own_weights(family)
         doc = assignment_to_json(pr)
         back = assignment_from_json(doc, family)
-        assert back.values == pr.values
+        assert back == pr
 
     def test_missing_events_rejected(self):
         family = generate_rich_family(2, 2)
-        pr = ProbabilityAssignment(family, dict(event_weights(family)))
+        pr = own_weights(family)
         doc = assignment_to_json(pr)
         doc["values"] = doc["values"][:-1]
         with pytest.raises(FormatError):
+            assignment_from_json(doc, family)
+
+    def test_non_additive_value_rejected_naming_event(self):
+        K = 3
+        family = generate_rich_family(K, 2)
+        doc = assignment_to_json(own_weights(family))
+        entry = next(v for v in doc["values"]
+                     if v["measurement"] == "k1-2" and v["event"] == ["o1", "o2"])
+        entry["probability"] = {"num": str(K + 1), "den": str(K)}  # 1 -> 1 + 1/K
+        with pytest.raises(FormatError, match=r"\{o1,o2\}\|k1-2"):
+            assignment_from_json(doc, family)
+
+    def test_negative_outcome_value_rejected_naming_event(self):
+        # a = -1/2, b = 3/2: every event is the sum of its outcomes, and
+        # each measurement sums to 1, but a is negative.
+        family = MeasurementFamily(
+            (WeightedMeasurement("m", ("a", "b"), (Fraction(1, 2), Fraction(1, 2))),)
+        )
+        doc = assignment_to_json(own_weights(family))
+        signed = {(): "0", ("a",): "-1/2", ("b",): "3/2", ("a", "b"): "1"}
+        for v in doc["values"]:
+            num, _, den = signed[tuple(v["event"])].partition("/")
+            v["probability"] = {"num": num, "den": den or "1"}
+        with pytest.raises(FormatError, match="outcome 'a' of 'm' has negative"):
             assignment_from_json(doc, family)
 
 
@@ -246,7 +269,7 @@ def _read_ordering(edit):
 
 def _read_assignment(edit):
     family = generate_rich_family(2, 2)
-    doc = assignment_to_json(ProbabilityAssignment(family, dict(event_weights(family))))
+    doc = assignment_to_json(own_weights(family))
     edit(doc)
     assignment_from_json(doc, family)
 

@@ -17,7 +17,6 @@ from born_kernel.cli import main
 from born_kernel.ordering import (
     enumerate_event_refs,
     rational_subset_sums,
-    ref_sort_key,
     subset_sums,
 )
 
@@ -167,7 +166,8 @@ def test_rational_subset_sums_match_per_mask_sums(values):
 def test_position_order_is_ref_sort_key_order(specs):
     family = _family(specs)
     refs = enumerate_event_refs(family)
-    keys = [ref_sort_key(family, r) for r in refs]
+    keys = [(r.measurement_id, family.by_id[r.measurement_id].event_mask(r.event))
+            for r in refs]
     assert keys == sorted(keys) and len(set(keys)) == len(keys)
     for mid, sl in family.slices.items():
         m = family.by_id[mid]

@@ -1,4 +1,5 @@
 """Quantum layer: spectral decomposition, weights, rich measurements."""
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -250,6 +251,29 @@ class TestValidation:
     def test_state_rejects_nonfinite(self):
         with pytest.raises(ValueError):
             StateVector(np.array([np.nan, 0.0]))
+
+    @pytest.mark.parametrize(
+        "values, basis",
+        [
+            ((float("nan"), 1.0), np.eye(2)),
+            ((1.0, float("inf")), np.eye(2)),
+            ((1.0, 2.0), [[float("nan"), 0.0], [0.0, 1.0]]),
+            ((1.0, 2.0), [[1.0, 0.0], [0.0, float("inf")]]),
+        ],
+        ids=["nan-eigenvalue", "inf-eigenvalue", "nan-basis", "inf-basis"],
+    )
+    def test_observable_rejects_nonfinite(self, values, basis):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="finite"):
+                Observable(values, basis, (0, 1))
+
+    @pytest.mark.parametrize("bad", [float("inf"), float("nan")])
+    def test_spectral_decompose_rejects_nonfinite(self, bad):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="finite"):
+                spectral_decompose([[bad, 0.0], [0.0, 1.0]])
 
     def test_observable_requires_completeness(self):
         p0 = np.array([[1, 0], [0, 0]], dtype=complex)

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from born_kernel import (
     EventRef,
@@ -28,7 +29,7 @@ from born_kernel import (
 )
 from born_kernel.ordering import ALL_CHECKS
 from born_kernel.representation import rich_family_events, rich_family_size
-from conftest import grid_measurement, random_family
+from conftest import grid_measurement, own_weights, random_family
 
 
 def brute_compositions(total, parts):
@@ -190,11 +191,75 @@ class TestDeriveRepresentation:
             assert ok and not witnesses
 
 
+COIN = MeasurementFamily(
+    (WeightedMeasurement("m", ("a", "b"), (Fraction(1, 2), Fraction(1, 2))),)
+)
+
+# Families with 1-3 measurements of 1-4 outcomes; each outcome gets a
+# nonnegative numerator over its measurement's total, which is positive.
+outcome_numerators = st.lists(
+    st.lists(st.integers(0, 9), min_size=1, max_size=4).filter(any),
+    min_size=1,
+    max_size=3,
+)
+
+
+class TestProbabilityAssignment:
+    def test_signed_measure_rejected(self):
+        # -1/2 and 3/2 sum to 1 and induce a consistent value order; only
+        # nonnegativity tells this signed measure from a probability.
+        with pytest.raises(ValueError, match="negative"):
+            ProbabilityAssignment.from_singletons(
+                COIN, {("m", "a"): Fraction(-1, 2), ("m", "b"): Fraction(3, 2)}
+            )
+
+    def test_values_not_summing_to_one_rejected(self):
+        with pytest.raises(ValueError, match="9/10"):
+            ProbabilityAssignment.from_singletons(
+                COIN, {("m", "a"): Fraction(1, 2), ("m", "b"): Fraction(2, 5)}
+            )
+
+    def test_every_outcome_needs_exactly_one_value(self):
+        with pytest.raises(ValueError, match="missing value"):
+            ProbabilityAssignment.from_singletons(COIN, {("m", "a"): Fraction(1)})
+        with pytest.raises(ValueError, match="not an outcome"):
+            ProbabilityAssignment.from_singletons(
+                COIN,
+                {("m", "a"): Fraction(1), ("m", "b"): Fraction(0), ("m", "c"): 0},
+            )
+
+    @given(outcome_numerators)
+    def test_vector_is_per_bit_sums_and_json_round_trips(self, numerators):
+        from born_kernel.formats import assignment_from_json, assignment_to_json
+
+        # The family's weights are uniform; the assignment is another measure.
+        family = MeasurementFamily(tuple(
+            WeightedMeasurement(f"m{k}", tuple(f"o{i}" for i in range(len(nums))),
+                                (Fraction(1, len(nums)),) * len(nums))
+            for k, nums in enumerate(numerators)
+        ))
+        singletons = {
+            (f"m{k}", f"o{i}"): Fraction(n, sum(nums))
+            for k, nums in enumerate(numerators)
+            for i, n in enumerate(nums)
+        }
+        pr = ProbabilityAssignment(family, singletons)
+        for mid, sl in family.slices.items():
+            outcomes = family.by_id[mid].outcomes
+            for mask in range(sl.stop - sl.start):
+                raw = sum(
+                    (singletons[(mid, o)] for i, o in enumerate(outcomes) if mask >> i & 1),
+                    Fraction(0),
+                )
+                assert pr.vector[sl.start + mask] == raw
+        assert assignment_from_json(assignment_to_json(pr), family) == pr
+
+
 class TestVerifyRepresentation:
     def test_weights_are_a_representation(self):
         family = generate_rich_family(3, 3)
         ordering = induced_ordering(family)
-        pr = ProbabilityAssignment(family, dict(event_weights(family)))
+        pr = own_weights(family)
         ok, witnesses = verify_representation(pr, ordering)
         assert ok and not witnesses
 
@@ -202,9 +267,9 @@ class TestVerifyRepresentation:
         K = 4
         family = generate_rich_family(K, 2)
         ordering = induced_ordering(family)
-        values = dict(event_weights(family))
-        bumped = EventRef("k1-3", frozenset({"o1"}))
-        values[bumped] = values[bumped] + Fraction(1, K)  # 1/4 -> 1/2
+        values = dict(own_weights(family).singletons)
+        # 1/4, 3/4 -> 1/2, 1/2: still a probability measure, a wrong one.
+        values[("k1-3", "o1")] = values[("k1-3", "o2")] = Fraction(1, 2)
         pr = ProbabilityAssignment(family, values)
         ok, witnesses = verify_representation(pr, ordering)
         assert not ok
@@ -214,7 +279,7 @@ class TestVerifyRepresentation:
     def test_family_mismatch(self):
         fam_a = generate_rich_family(2, 2)
         fam_b = generate_rich_family(3, 2)
-        pr = ProbabilityAssignment(fam_a, dict(event_weights(fam_a)))
+        pr = own_weights(fam_a)
         from born_kernel import FamilyMismatch
 
         with pytest.raises(FamilyMismatch):
@@ -239,7 +304,7 @@ class TestVerifyRepresentation:
         partial = LikelihoodOrdering(
             family, refs, np.eye(len(refs), dtype=bool)
         )
-        pr = ProbabilityAssignment(family, dict(event_weights(family)))
+        pr = own_weights(family)
         ok, witnesses = verify_representation(pr, partial)
         assert not ok
         assert any(w[0] == "order" for w in witnesses)
@@ -365,14 +430,16 @@ class TestUniquenessSearch:
         assert len(oracle) == 1
         found = uniqueness_search(ordering, 4, max_measurements=16)
         assert len(found) == 1
-        assert found[0].values == oracle[0]
+        assert [found[0].value(r) for r in ordering.refs] == [
+            oracle[0][r] for r in ordering.refs
+        ]
         assert found[0].value(EventRef("m", frozenset({"x"}))) == Fraction(1, 4)
         assert found[0].value(EventRef("m", frozenset({"y"}))) == Fraction(1, 4)
         assert found[0].value(EventRef("m", frozenset({"z"}))) == Fraction(1, 2)
 
         # The derivation lands on the same assignment.
         derived = derive_representation(ordering, 4)
-        assert derived.values == found[0].values
+        assert derived == found[0]
 
     def test_non_rich_family_can_have_many_representations(self):
         """Without the uniform grid witness, uniqueness genuinely fails."""

@@ -18,9 +18,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from born_kernel import (
     MeasurementFamily,
-    ProbabilityAssignment,
     WeightedMeasurement,
-    event_weights,
     generate_rich_family,
     induced_ordering,
     make_rich_measurement,
@@ -40,6 +38,7 @@ from born_kernel.formats import (
     policy_from_json,
     quadruple_from_json,
 )
+from conftest import own_weights
 from test_golden import QUADRUPLE
 
 
@@ -153,7 +152,7 @@ REPLACEMENTS = [None, [], {}, "x", "0.5", True, 1e308, -1, 2**70, 2.7, float("na
 FAMILY = generate_rich_family(2, 2)
 FAMILY_DOC = family_to_json(FAMILY)
 ORDERING_DOC = ordering_to_json(induced_ordering(FAMILY))
-ASSIGNMENT_DOC = assignment_to_json(ProbabilityAssignment(FAMILY, dict(event_weights(FAMILY))))
+ASSIGNMENT_DOC = assignment_to_json(own_weights(FAMILY))
 MODEL_DOC = model_to_json(make_rich_measurement([Fraction(1, 4), Fraction(3, 4)]))
 POLICY_DOC = {"norm_tol": 1e-12, "projector_tol": 1e-10, "eigenvalue_tol": 1e-9,
               "rational_tol": 1e-9}
