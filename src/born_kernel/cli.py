@@ -28,10 +28,10 @@ from .formats import (
     family_from_json,
     family_to_json,
     ordering_from_json,
-    ordering_to_json,
     policy_from_json,
     quadruple_from_json,
     quadruple_to_json,
+    tiers_to_json,
 )
 from .neutrality import canonical_quadruple
 from .numeric import DEFAULT_POLICY
@@ -293,9 +293,7 @@ def cmd_gen_rich(args) -> int:
         else out.with_suffix(".ordering.json")
     )
     out.write_text(canonical_dumps(family_to_json(family)), encoding="utf-8")
-    ordering_out.write_text(
-        canonical_dumps(ordering_to_json(ordering)), encoding="utf-8"
-    )
+    ordering_out.write_text(canonical_dumps(tiers_to_json(ordering)), encoding="utf-8")
     report = _report(
         "gen-rich",
         digest,

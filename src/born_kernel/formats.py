@@ -3,9 +3,13 @@
 Complex numbers serialize as [re, im] pairs, matrices row-major, and
 rationals as {"num": ..., "den": ...} with decimal strings so arbitrary
 precision survives the round trip.  Every top-level document carries a
-"schema": "v1" marker.  Serialization is canonical (sorted keys, sorted
-collections) so identical inputs always produce identical bytes; see
-docs/formats.md for the field-by-field layout.
+"schema" marker.  It is "v1" for all of them except the tiers form of an
+ordering, "v2": a total preorder as its equal-likelihood classes, O(n)
+where the v1 pair list is Θ(n²).  ``tiers_to_json`` writes v2 (gen-rich
+uses it), ``ordering_to_json`` writes v1 for any relation, and
+``ordering_from_json`` reads both.  Serialization is canonical (sorted
+keys, sorted collections) so identical inputs always produce identical
+bytes; see docs/formats.md for the field-by-field layout.
 """
 from __future__ import annotations
 
@@ -28,12 +32,14 @@ from .ordering import (
     MeasurementFamily,
     WeightedMeasurement,
     enumerate_event_refs,
+    order_matrix,
     require_event_count,
 )
 from .quantum import MeasurementModel, Observable, StateVector
 from .representation import ProbabilityAssignment
 
 SCHEMA = "v1"
+TIERS_SCHEMA = "v2"
 
 
 class FormatError(ValueError):
@@ -289,6 +295,22 @@ def _position(doc: Any, family: MeasurementFamily, context: str) -> int:
     return family.position(mid, labels)
 
 
+def _each_event_once(family: MeasurementFamily, context: str, items) -> list:
+    """Values by canonical position from ``(context, ref doc, value)``
+    items that list every event of the family exactly once."""
+    refs = enumerate_event_refs(family)
+    out = [None] * len(refs)
+    for ctx, ref, value in items:
+        i = _position(ref, family, ctx)
+        if out[i] is not None:
+            raise FormatError(f"{ctx}: event {refs[i].label()} is listed twice")
+        out[i] = value
+    if None in out:
+        raise FormatError(f"{context}: {out.count(None)} of {len(out)} events are not "
+                          f"listed, the first {refs[out.index(None)].label()}")
+    return out
+
+
 def ordering_to_json(ordering: LikelihoodOrdering) -> dict:
     """Relation as the list of ordered pairs asserted true.
 
@@ -309,22 +331,57 @@ def ordering_to_json(ordering: LikelihoodOrdering) -> dict:
     }
 
 
+def tiers_to_json(ordering: LikelihoodOrdering) -> dict:
+    """Total preorder as its equal-likelihood classes, least likely first.
+
+    An event's row sum counts the events it is at least as likely as.
+    The relation is a total preorder exactly when comparing row sums
+    gives it back, and then equal row sums are one class; any other
+    relation has no tiers form and raises ValueError.  Refs within a
+    tier are in canonical position order.
+    """
+    rowsums = ordering.matrix.sum(axis=1).tolist()
+    if not np.array_equal(order_matrix(rowsums), ordering.matrix):
+        raise ValueError("ordering is not a total preorder, so it has no tiers form")
+    tiers: dict[int, list] = {}
+    for i in sorted(range(len(rowsums)), key=rowsums.__getitem__):
+        tiers.setdefault(rowsums[i], []).append(event_ref_to_json(ordering.refs[i]))
+    return {
+        "schema": TIERS_SCHEMA,
+        "family_digest": family_digest(ordering.family),
+        "tiers": list(tiers.values()),
+    }
+
+
 @_reader
 def ordering_from_json(doc: Any, family: MeasurementFamily) -> LikelihoodOrdering:
-    _get(doc, "schema", SCHEMA, "ordering")
+    """A v1 pair list or a v2 tiers document, as the relation it states."""
+    schema = _get(doc, "schema", str, "ordering")
+    if schema not in (SCHEMA, TIERS_SCHEMA):
+        raise FormatError(f"ordering: schema must be {SCHEMA!r} or {TIERS_SCHEMA!r}, "
+                          f"got {schema!r:.60}")
     if "family_digest" in doc and doc["family_digest"] != family_digest(family):
         raise FormatError("ordering: family_digest does not match the supplied family")
     require_event_count(family.event_count())
+    refs = enumerate_event_refs(family)
+    if schema == TIERS_SCHEMA:
+        tiers = _get(doc, "tiers", list[list], "ordering")
+        if [] in tiers:
+            raise FormatError(f"ordering.tiers[{tiers.index([])}]: a tier is never empty")
+        tier_of = _each_event_once(family, "ordering", (
+            (f"ordering.tiers[{t}][{k}]", ref, t)
+            for t, tier in enumerate(tiers) for k, ref in enumerate(tier)
+        ))
+        return LikelihoodOrdering(family, refs, order_matrix(tier_of))
     rows, cols = [], []
     for k, pair in enumerate(_get(doc, "pairs", list, "ordering")):
         if not isinstance(pair, list) or len(pair) != 2:
             raise FormatError(f"ordering.pairs[{k}]: each pair is [left, right]")
         rows.append(_position(pair[0], family, f"ordering.pairs[{k}][0]"))
         cols.append(_position(pair[1], family, f"ordering.pairs[{k}][1]"))
-    n = family.event_count()
-    matrix = np.zeros((n, n), dtype=bool)
+    matrix = np.zeros((len(refs), len(refs)), dtype=bool)
     matrix[rows, cols] = True
-    return LikelihoodOrdering(family, enumerate_event_refs(family), matrix)
+    return LikelihoodOrdering(family, refs, matrix)
 
 
 def assignment_to_json(assignment: ProbabilityAssignment) -> dict:
@@ -348,15 +405,12 @@ def assignment_from_json(doc: Any, family: MeasurementFamily) -> ProbabilityAssi
     """A v1 document's value for every event; they must form a probability
     measure, each event's value the sum of its outcomes' values."""
     _get(doc, "schema", SCHEMA, "assignment")
+    values = _each_event_once(family, "assignment", (
+        (ctx, vdoc, rational_from_json(_get(vdoc, "probability", dict, ctx), ctx))
+        for k, vdoc in enumerate(_get(doc, "values", list, "assignment"))
+        for ctx in [f"assignment.values[{k}]"]
+    ))
     refs = enumerate_event_refs(family)
-    values: list[Fraction | None] = [None] * len(refs)
-    for k, vdoc in enumerate(_get(doc, "values", list, "assignment")):
-        ctx = f"assignment.values[{k}]"
-        value = rational_from_json(_get(vdoc, "probability", dict, ctx), ctx)
-        values[_position(vdoc, family, ctx)] = value
-    missing = values.count(None)
-    if missing:
-        raise FormatError(f"assignment: {missing} events have no value")
     assignment = ProbabilityAssignment(family, {
         (m.id, o): values[family.position(m.id, (o,))]
         for m in family.measurements for o in m.outcomes

@@ -121,7 +121,7 @@ class Observable:
             raise ValueError("eigenbasis must be a square matrix")
         if cluster.shape != v.shape[1:] or np.any((cluster < 0) | (cluster >= len(values))):
             raise ValueError("every eigenbasis column must name one eigenvalue")
-        ordered = np.sort(values)
+        ordered = sorted(values)  # Python floats: a gap past the range is inf, no warning
         for a, b in zip(ordered, ordered[1:]):
             if b - a <= self.policy.eigenvalue_tol:
                 raise ValueError(f"eigenvalues {a} and {b} are not separated")
@@ -271,24 +271,33 @@ def spectral_decompose(
         raise ValueError("input must be a square matrix")
     if not np.isfinite(m).all():
         raise ValueError("matrix entries must be finite")
-    residual = max_abs(m - m.conj().T)
-    if not residual <= tol:
-        raise NonHermitianInput(
-            f"matrix is not Hermitian: max |M - M^dag| = {residual:.3e} > {tol:.3e}"
-        )
-    eigvals, eigvecs = np.linalg.eigh((m + m.conj().T) / 2.0)
-    groups = np.split(eigvals, np.flatnonzero(np.diff(eigvals) >= tol) + 1)
-    for g in groups:
+    # Entries near the float limit: a residual or eigenvalue gap past it
+    # is inf, which still fails its test.  Halving before adding keeps the
+    # symmetrized matrix finite and, being exact, bit for bit
+    # (m + m^dag) / 2 wherever that did not overflow.
+    with np.errstate(over="ignore"):
+        residual = max_abs(m - m.conj().T)
+        if not residual <= tol:
+            raise NonHermitianInput(
+                f"matrix is not Hermitian: max |M - M^dag| = {residual:.3e} > {tol:.3e}"
+            )
+        eigvals, eigvecs = np.linalg.eigh(m / 2.0 + m.conj().T / 2.0)
+        groups = np.split(eigvals, np.flatnonzero(np.diff(eigvals) >= tol) + 1)
+        means = [float(np.mean(g)) for g in groups]
+    # A mean is past the float range only when its values are near it;
+    # every value of a cluster is within tol of the first.
+    means = tuple(
+        mean if np.isfinite(mean) else float(g[0] + np.mean(g - g[0]))
+        for g, mean in zip(groups, means)
+    )
+    for g, mean in zip(groups, means):
         spread = float(g[-1] - g[0])
         if not spread <= tol:
             raise DegenerateClustering(
-                f"cluster around {float(np.mean(g)):.6g} spans "
-                f"{spread:.3e} > {tol:.3e}"
+                f"cluster around {mean:.6g} spans {spread:.3e} > {tol:.3e}"
             )
     cluster = np.repeat(np.arange(len(groups)), [len(g) for g in groups])
-    return Observable(
-        tuple(float(np.mean(g)) for g in groups), eigvecs, cluster, policy=policy
-    )
+    return Observable(means, eigvecs, cluster, policy=policy)
 
 
 def weight(model: MeasurementModel, event: Iterable[str]) -> float:

@@ -27,7 +27,13 @@ from born_kernel import (
     verify_representation,
 )
 from born_kernel.cli import main
-from born_kernel.formats import canonical_dumps, family_to_json, ordering_to_json
+from born_kernel.formats import (
+    canonical_dumps,
+    family_to_json,
+    ordering_from_json,
+    ordering_to_json,
+    tiers_to_json,
+)
 from born_kernel.ordering import order_matrix, weight_vector
 from conftest import own_weights
 
@@ -116,6 +122,22 @@ def test_only_its_check_rejects_the_mutant(axiom, tmp_path):
     assert rc == 1
     assert [v["check"] for v in json.loads(out)["verdicts"]] == [f"precondition:{axiom}"]
     assert not (tmp_path / "a.json").exists()
+
+
+@pytest.mark.parametrize("axiom", sorted(MUTANTS))
+def test_tiers_form_exists_exactly_for_total_preorders(axiom):
+    """The Transitivity and Totality mutants are not total preorders, so
+    they have no v2 tiers form; every other mutant round-trips through it."""
+    ordering = MUTANTS[axiom]()
+    reports = {r.axiom: r.satisfied for r in run_all_checks(ordering)}
+    total_preorder = reports["Transitivity"] and reports["Totality"]
+    assert total_preorder == (axiom not in ("Transitivity", "Totality"))
+    if not total_preorder:
+        with pytest.raises(ValueError, match="not a total preorder"):
+            tiers_to_json(ordering)
+    else:
+        back = ordering_from_json(tiers_to_json(ordering), ordering.family)
+        assert np.array_equal(back.matrix, ordering.matrix)
 
 
 def test_no_check_rejects_a_total_preorder_the_weights_disagree_with():

@@ -50,7 +50,7 @@ class TestGenRich:
         assert fam_doc["schema"] == "v1"
         assert len(fam_doc["measurements"]) == 8
         ord_doc = json.loads(ordering.read_text())
-        assert ord_doc["schema"] == "v1"
+        assert ord_doc["schema"] == "v2"
 
     def test_cap_exit_1(self, tmp_path):
         proc = run_cli(

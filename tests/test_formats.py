@@ -3,12 +3,15 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from born_kernel import (
+    LikelihoodOrdering,
     MeasurementFamily,
     MeasurementQuadruple,
     StateVector,
     WeightedMeasurement,
+    enumerate_event_refs,
     generate_rich_family,
     induced_ordering,
     make_rich_measurement,
@@ -33,7 +36,9 @@ from born_kernel.formats import (
     quadruple_to_json,
     rational_from_json,
     rational_to_json,
+    tiers_to_json,
 )
+from born_kernel.ordering import order_matrix
 from conftest import own_weights
 
 
@@ -145,6 +150,43 @@ class TestOrderingFormat:
         assert not ordering.matrix.any()
 
 
+small_families = st.lists(st.integers(1, 3), min_size=1, max_size=3).map(
+    lambda sizes: MeasurementFamily(tuple(
+        WeightedMeasurement(f"m{i}", tuple(f"o{j}" for j in range(n)), (Fraction(1, n),) * n)
+        for i, n in enumerate(sizes)
+    ))
+)
+
+
+@st.composite
+def scored_orderings(draw):
+    """A total preorder from random integer scores on a small family."""
+    family = draw(small_families)
+    scores = draw(st.lists(st.integers(0, 4), min_size=family.event_count(),
+                           max_size=family.event_count()))
+    return LikelihoodOrdering(family, enumerate_event_refs(family), order_matrix(scores))
+
+
+class TestTiersFormat:
+    @given(scored_orderings())
+    def test_roundtrip_matches_v1(self, ordering):
+        family = ordering.family
+        via_tiers = ordering_from_json(tiers_to_json(ordering), family)
+        via_pairs = ordering_from_json(ordering_to_json(ordering), family)
+        assert np.array_equal(via_tiers.matrix, ordering.matrix)
+        assert np.array_equal(via_tiers.matrix, via_pairs.matrix)
+
+    def test_equal_events_share_a_tier_in_position_order(self):
+        family = generate_rich_family(2, 2)
+        doc = tiers_to_json(induced_ordering(family))
+        assert (doc["schema"], doc["family_digest"]) == ("v2", family_digest(family))
+        assert [[(r["measurement"], r["event"]) for r in t] for t in doc["tiers"]] == [
+            [("k1-1", []), ("k2", [])],
+            [("k1-1", ["o1"]), ("k1-1", ["o2"])],
+            [("k1-1", ["o1", "o2"]), ("k2", ["o1"])],
+        ]
+
+
 class TestAssignmentFormat:
     def test_roundtrip(self):
         family = generate_rich_family(3, 3)
@@ -159,6 +201,19 @@ class TestAssignmentFormat:
         doc = assignment_to_json(pr)
         doc["values"] = doc["values"][:-1]
         with pytest.raises(FormatError):
+            assignment_from_json(doc, family)
+
+    def test_repeated_event_rejected_naming_it(self):
+        # A bogus entry for {o1}|k1-1 ahead of the true one: the later
+        # entry used to overwrite it, so the document read back as the
+        # family's own weights.
+        family = generate_rich_family(2, 2)
+        doc = assignment_to_json(own_weights(family))
+        true_entry = next(v for v in doc["values"]
+                          if v["measurement"] == "k1-1" and v["event"] == ["o1"])
+        bogus = dict(true_entry, probability={"num": "7", "den": "1"})
+        doc["values"].insert(doc["values"].index(true_entry), bogus)
+        with pytest.raises(FormatError, match=r"event \{o1\}\|k1-1 is listed twice"):
             assignment_from_json(doc, family)
 
     def test_non_additive_value_rejected_naming_event(self):

@@ -1,10 +1,13 @@
 """Golden bytes: the CLI's reports and written files on fixed small inputs.
 
 Every report and artifact below is pinned by its sha256, so a refactor
-of the kernel's internals must leave each of them byte-identical.  The
-properties at the end pin the two facts the byte identity rests on: the
-subset-sum helper equals the per-mask sum, and canonical position order
-is (measurement id, event bitmask) order.
+of the kernel's internals must leave each of them byte-identical.
+`gen-rich` writes the v2 tiers ordering; `check` and `derive` are pinned
+on the v1 pair list of the same relation (the bytes `ordering_to_json`
+writes) and again on the v2 file, where only `inputs_digest` may differ.
+The properties at the end pin the two facts the byte identity rests on:
+the subset-sum helper equals the per-mask sum, and canonical position
+order is (measurement id, event bitmask) order.
 """
 import hashlib
 import json
@@ -12,8 +15,9 @@ from fractions import Fraction
 
 from hypothesis import given, strategies as st
 
-from born_kernel import EventRef, MeasurementFamily, WeightedMeasurement
+from born_kernel import EventRef, MeasurementFamily, WeightedMeasurement, induced_ordering
 from born_kernel.cli import main
+from born_kernel.formats import canonical_dumps, family_from_json, ordering_to_json
 from born_kernel.ordering import (
     enumerate_event_refs,
     rational_subset_sums,
@@ -52,6 +56,8 @@ GOLDEN = {
     "gen-rich:fam.json":
         "e21e4bf3ebbde8dc553a8814d5b2df72570908f0ae10f1ef8bb4e8e151d0d984",
     "gen-rich:fam.ordering.json":
+        "eb5f93c4bb40b9750ada6ca263ca85eb9809c33479367c0dae1008935005b4aa",
+    "v1:pairs.ordering.json":
         "6d1e2367f99ad89572f2f581ffa7ad89dee020c5ace216976b57156ae8aef4ad",
     "check:stdout":
         "b70b3414f6a9ae681b09e89ea86f69a25ef5e6b525e78a06fac4655565c206d0",
@@ -61,6 +67,10 @@ GOLDEN = {
         "32c46ee1c0bf40c8f68ef22436052da130221c0045d737cd42375fcb48301e0d",
     "derive:assignment.json":
         "e46f89468bce3cd35d0049cbfe7c56d24f0996a865b5da6b7919165e4cca7153",
+    "check-v2:stdout":
+        "32171e7f1e6baebd6ffc5b6564cbc7f75c0253851b2d32457140b5ffc7855b13",
+    "derive-v2:stdout":
+        "72207a5e45137cc95cb3e6b7a4bf126c35807eb0b673f77d9084875a3e16e81b",
     "canon:stdout":
         "05c8beabea70cfa43a09b5fd981c492b8df10f932ac2aeaf26ad65470abf557f",
     "canon-whole:stdout":
@@ -79,12 +89,13 @@ def _sha(data: bytes) -> str:
 def golden_digests(tmp_path, monkeypatch, capsysbinary) -> dict:
     """Run the pinned commands in tmp_path; sha256 of every output by name."""
     monkeypatch.chdir(tmp_path)
-    out = {}
+    out, reports = {}, {}
 
     def run(name, expected_rc, *argv):
         rc = main(list(argv))
         assert rc == expected_rc, name
-        out[f"{name}:stdout"] = _sha(capsysbinary.readouterr().out)
+        reports[name] = capsysbinary.readouterr().out
+        out[f"{name}:stdout"] = _sha(reports[name])
 
     def file(name, path):
         out[f"{name}:{path}"] = _sha((tmp_path / path).read_bytes())
@@ -92,11 +103,15 @@ def golden_digests(tmp_path, monkeypatch, capsysbinary) -> dict:
     run("gen-rich", 0, "gen-rich", "-K", "3", "--max-outcomes", "3", "--out", "fam.json")
     file("gen-rich", "fam.json")
     file("gen-rich", "fam.ordering.json")
-    pair_args = ("--family", "fam.json", "--ordering", "fam.ordering.json")
+    family = family_from_json(json.loads((tmp_path / "fam.json").read_text()))
+    v1 = canonical_dumps(ordering_to_json(induced_ordering(family)))
+    (tmp_path / "pairs.ordering.json").write_text(v1, encoding="utf-8")
+    file("v1", "pairs.ordering.json")
+    pair_args = ("--family", "fam.json", "--ordering", "pairs.ordering.json")
     run("check", 0, "check", *pair_args)
 
     # Clear one pair: the empty event of k1-1-1 against itself.
-    doc = json.loads((tmp_path / "fam.ordering.json").read_text())
+    doc = json.loads(v1)
     empty = {"measurement": "k1-1-1", "event": []}
     assert doc["pairs"][0] == [empty, empty]
     del doc["pairs"][0]
@@ -105,6 +120,16 @@ def golden_digests(tmp_path, monkeypatch, capsysbinary) -> dict:
 
     run("derive", 0, "derive", *pair_args, "-K", "3", "--out", "assignment.json")
     file("derive", "assignment.json")
+
+    tiers_args = ("--family", "fam.json", "--ordering", "fam.ordering.json")
+    run("check-v2", 0, "check", *tiers_args)
+    run("derive-v2", 0, "derive", *tiers_args, "-K", "3", "--out", "assignment.json")
+    file("derive-v2", "assignment.json")
+    assert out.pop("derive-v2:assignment.json") == out["derive:assignment.json"]
+    for name in ("check", "derive"):
+        v1_report, v2_report = (json.loads(reports[n]) for n in (name, f"{name}-v2"))
+        assert v1_report.pop("inputs_digest") != v2_report.pop("inputs_digest")
+        assert v1_report == v2_report
 
     (tmp_path / "quad.json").write_text(json.dumps(QUADRUPLE))
     run("canon", 0, "canon", "--quad", "quad.json")

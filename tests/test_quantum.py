@@ -275,6 +275,18 @@ class TestValidation:
             with pytest.raises(ValueError, match="finite"):
                 spectral_decompose([[bad, 0.0], [0.0, 1.0]])
 
+    def test_spectral_decompose_huge_finite_entries(self):
+        # (m + m^dag) / 2 overflowed here: the Hermitian matrix was
+        # refused as a cluster around nan, after two RuntimeWarnings.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            obs = spectral_decompose([[1e308, 0.0], [0.0, 1e308]])
+            assert obs.eigenvalues == (1e308,)
+            obs = spectral_decompose([[1e308, 0.0], [0.0, -1e308]])
+            assert obs.eigenvalues == (-1e308, 1e308)
+            with pytest.raises(NonHermitianInput):
+                spectral_decompose([[0.0, 1e308], [-1e308, 0.0]])
+
     def test_observable_requires_completeness(self):
         p0 = np.array([[1, 0], [0, 0]], dtype=complex)
         with pytest.raises(ValueError):

@@ -37,6 +37,7 @@ from born_kernel.formats import (
     ordering_to_json,
     policy_from_json,
     quadruple_from_json,
+    tiers_to_json,
 )
 from conftest import own_weights
 from test_golden import QUADRUPLE
@@ -145,6 +146,45 @@ def test_family_ids_and_labels_must_be_strings(edit):
         family_from_json(doc)
 
 
+# -- the v2 tiers reader -------------------------------------------------
+
+TIERS_FAMILY = generate_rich_family(2, 2)  # tiers: 2 empty events, 2 halves, 2 certain
+
+
+def _flatten(d):
+    d["tiers"] = [ref for tier in d["tiers"] for ref in tier]
+
+
+TIERS_EDITS = {
+    "event-in-two-tiers": (lambda d: d["tiers"][1].append(dict(d["tiers"][0][0])),
+                           r"event \{\}\|k1-1 is listed twice"),
+    "missing-event": (lambda d: d["tiers"][0].pop(),
+                      r"1 of 6 events are not listed, the first \{\}\|k2"),
+    "empty-tier": (lambda d: d["tiers"].insert(1, []), r"tiers\[1\]: a tier is never empty"),
+    "unknown-measurement": (lambda d: d["tiers"][0][0].update(measurement="nope"),
+                            "unknown measurement 'nope'"),
+    "unknown-outcome": (lambda d: d["tiers"][2][0].update(event=["nope"]),
+                        "unknown outcome 'nope'"),
+    "tiers-not-list-of-lists": (_flatten, "each item a list"),
+    "wrong-family-digest": (lambda d: d.update(family_digest="0" * 64),
+                            "family_digest does not match"),
+}
+
+
+@pytest.mark.parametrize("edit", sorted(TIERS_EDITS))
+def test_bad_tiers_document_is_a_format_error_and_exit_2(tmp_path, edit):
+    doc = tiers_to_json(induced_ordering(TIERS_FAMILY))
+    change, message = TIERS_EDITS[edit]
+    change(doc)
+    with pytest.raises(FormatError, match=message):
+        ordering_from_json(doc, TIERS_FAMILY)
+    family = write(tmp_path / "f.json", family_to_json(TIERS_FAMILY))
+    rc, out, err = run_main("check", "--family", family,
+                            "--ordering", write(tmp_path / "o.json", doc))
+    assert (rc, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 # -- fuzz ---------------------------------------------------------------
 
 REPLACEMENTS = [None, [], {}, "x", "0.5", True, 1e308, -1, 2**70, 2.7, float("nan")]
@@ -152,6 +192,7 @@ REPLACEMENTS = [None, [], {}, "x", "0.5", True, 1e308, -1, 2**70, 2.7, float("na
 FAMILY = generate_rich_family(2, 2)
 FAMILY_DOC = family_to_json(FAMILY)
 ORDERING_DOC = ordering_to_json(induced_ordering(FAMILY))
+TIERS_DOC = tiers_to_json(induced_ordering(FAMILY))
 ASSIGNMENT_DOC = assignment_to_json(own_weights(FAMILY))
 MODEL_DOC = model_to_json(make_rich_measurement([Fraction(1, 4), Fraction(3, 4)]))
 POLICY_DOC = {"norm_tol": 1e-12, "projector_tol": 1e-10, "eigenvalue_tol": 1e-9,
@@ -160,6 +201,7 @@ POLICY_DOC = {"norm_tol": 1e-12, "projector_tol": 1e-10, "eigenvalue_tol": 1e-9,
 READERS = {
     "family": (FAMILY_DOC, family_from_json),
     "ordering": (ORDERING_DOC, lambda d: ordering_from_json(d, FAMILY)),
+    "tiers": (TIERS_DOC, lambda d: ordering_from_json(d, FAMILY)),
     "assignment": (ASSIGNMENT_DOC, lambda d: assignment_from_json(d, FAMILY)),
     "model": (MODEL_DOC, model_from_json),
     "quadruple": (QUADRUPLE, quadruple_from_json),
@@ -216,14 +258,15 @@ def fuzz_dir(tmp_path_factory):
 
 
 @FUZZ
-@given(mutant=mutants(("family", "ordering", "quadruple", "policy")))
+@given(mutant=mutants(("family", "ordering", "tiers", "quadruple", "policy")))
 def test_cli_exit_code_contract_under_mutation(fuzz_dir, mutant):
     name, doc = mutant
-    docs = {"family": FAMILY_DOC, "ordering": ORDERING_DOC, "quadruple": QUADRUPLE,
-            "policy": POLICY_DOC, name: doc}
+    docs = {"family": FAMILY_DOC, "ordering": ORDERING_DOC, "tiers": TIERS_DOC,
+            "quadruple": QUADRUPLE, "policy": POLICY_DOC, name: doc}
     paths = {k: write(fuzz_dir / f"{k}.json", v) for k, v in docs.items()}
-    if name in ("family", "ordering"):
-        argv = ["check", "--family", paths["family"], "--ordering", paths["ordering"]]
+    if name in ("family", "ordering", "tiers"):
+        which = "tiers" if name == "tiers" else "ordering"
+        argv = ["check", "--family", paths["family"], "--ordering", paths[which]]
     else:
         argv = ["canon", "--quad", paths["quadruple"], "--numeric-policy", paths["policy"]]
     rc, out, _ = run_main(*argv)
