@@ -334,15 +334,14 @@ def ordering_to_json(ordering: LikelihoodOrdering) -> dict:
 def tiers_to_json(ordering: LikelihoodOrdering) -> dict:
     """Total preorder as its equal-likelihood classes, least likely first.
 
-    An event's row sum counts the events it is at least as likely as.
-    The relation is a total preorder exactly when comparing row sums
-    gives it back, and then equal row sums are one class; any other
+    The classes are the groups of equal row sums that
+    ``ordering.preorder_row_sums`` gives for a total preorder; any other
     relation has no tiers form and raises ValueError.  Refs within a
     tier are in canonical position order.
     """
-    rowsums = ordering.matrix.sum(axis=1).tolist()
-    if not np.array_equal(order_matrix(rowsums), ordering.matrix):
+    if ordering.preorder_row_sums is None:
         raise ValueError("ordering is not a total preorder, so it has no tiers form")
+    rowsums = ordering.preorder_row_sums.tolist()
     tiers: dict[int, list] = {}
     for i in sorted(range(len(rowsums)), key=rowsums.__getitem__):
         tiers.setdefault(rowsums[i], []).append(event_ref_to_json(ordering.refs[i]))

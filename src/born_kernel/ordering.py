@@ -19,6 +19,16 @@ Axioms checked:
                      equally likely, whatever measurement they live in.
 * Totality        -- any two events are comparable: a >= b or b >= a,
                      so a >= a for every a.
+
+Transitivity and Totality together say the relation is a total
+preorder, and that is decided once per ordering by one rank test
+(``LikelihoodOrdering.preorder_row_sums``): an event's row sum counts
+the events it is at least as likely as, and the relation is a total
+preorder exactly when comparing row sums gives it back.  That test is
+O(n^2) in time and builds no second n x n array.  Only a relation that
+fails it pays for witnesses: the n^3 composition for Transitivity and a blocked
+n^2 scan for Totality.  ``verify_representation`` and
+``formats.tiers_to_json`` read the same row sums.
 """
 from __future__ import annotations
 
@@ -223,15 +233,29 @@ def event_weights(family: MeasurementFamily) -> dict[EventRef, Fraction]:
     return dict(zip(enumerate_event_refs(family), weight_vector(family)))
 
 
+def dense_ranks(scores: Sequence) -> np.ndarray:
+    """Rank of each score among the distinct scores, 0 for the least.
+
+    Two score lists order their positions alike exactly when their dense
+    ranks are equal.
+    """
+    rank_of = {s: r for r, s in enumerate(sorted(set(scores)))}
+    return np.array([rank_of[s] for s in scores], dtype=np.int64)
+
+
 def order_matrix(scores: Sequence) -> np.ndarray:
     """``out[i, j]`` is True exactly when ``scores[i] >= scores[j]``.
 
     Scores may be any totally ordered values (exact rationals included);
     they are compared once, through their dense ranks.
     """
-    rank_of = {s: r for r, s in enumerate(sorted(set(scores)))}
-    ranks = np.array([rank_of[s] for s in scores], dtype=np.int64)
+    ranks = dense_ranks(scores)
     return ranks[:, None] >= ranks[None, :]
+
+
+# Rows per block of the n x n scans: small enough that a block's
+# temporaries (and, for Totality, the matching rows of h.T) stay in cache.
+_BLOCK = 256
 
 
 @dataclass(frozen=True, eq=False)
@@ -274,6 +298,24 @@ class LikelihoodOrdering:
         """The reports of ``ALL_CHECKS``, run once per ordering."""
         return tuple(check(self) for check in ALL_CHECKS)
 
+    @cached_property
+    def preorder_row_sums(self) -> np.ndarray | None:
+        """The row sums when the relation is a total preorder, else None.
+
+        Row i's sum counts the events that event i is judged at least as
+        likely as.  In a total preorder those sets are nested, so
+        a >= b iff rowsum(a) >= rowsum(b); conversely a relation that
+        ``order_matrix(row sums)`` gives back is a total preorder.  The
+        comparison runs block by block, so no second n x n array exists.
+        """
+        h = self.matrix
+        rowsums = np.count_nonzero(h, axis=1)
+        for s in range(0, len(h), _BLOCK):
+            if not np.array_equal(rowsums[s:s + _BLOCK, None] >= rowsums, h[s:s + _BLOCK]):
+                return None
+        rowsums.setflags(write=False)
+        return rowsums
+
     def _i(self, ref: EventRef) -> int:
         try:
             return self.index[ref]
@@ -311,13 +353,16 @@ class SizeLimitExceeded(ValueError):
 MAX_EXTENSIONAL_EVENTS = 20_000
 
 
-def require_event_count(n: int) -> None:
+def require_event_count(n: int, at_least: bool = False) -> None:
     """Raise :class:`SizeLimitExceeded` unless an extensional ordering
-    over n events is within the cap."""
+    over n events is within the cap.  ``at_least`` says n only bounds
+    the count from below, and the message says so."""
     if n > MAX_EXTENSIONAL_EVENTS:
         # Python prints no int of more than 4,300 digits (sys.int_info).
         bits = n.bit_length()
-        count = f"{n:,}" if bits <= 10_000 else f"at least 2**{bits - 1:,}"
+        count = f"{n:,}" if bits <= 10_000 else f"2**{bits - 1:,}"
+        if at_least or bits > 10_000:
+            count = "at least " + count
         raise SizeLimitExceeded(
             f"family has {count} events; extensional orderings are capped at "
             f"{MAX_EXTENSIONAL_EVENTS:,} (a measurement with k outcomes "
@@ -398,10 +443,14 @@ def _null_mask(ordering: LikelihoodOrdering) -> np.ndarray:
 def check_transitivity(ordering: LikelihoodOrdering) -> AxiomReport:
     """Check a >= b and b >= c imply a >= c over all triples.
 
-    The composition test runs as an exact boolean matrix product; for
-    each (a, c) pair reached through some middle event but not related
-    directly, one witnessing triple (a, b, c) is reported.
+    A total preorder is transitive, so a relation that passes the rank
+    test (``preorder_row_sums`` is not None) is satisfied at once.  Any
+    other relation runs the composition test as an exact boolean matrix
+    product; for each (a, c) pair reached through some middle event but
+    not related directly, one witnessing triple (a, b, c) is reported.
     """
+    if ordering.preorder_row_sums is not None:
+        return _report(ordering, "Transitivity", ())
     h = ordering.matrix
     reach = (h.astype(np.float32) @ h.astype(np.float32)) > 0
     bad = reach & ~h
@@ -472,13 +521,18 @@ def check_equivalence(ordering: LikelihoodOrdering) -> AxiomReport:
 def check_totality(ordering: LikelihoodOrdering) -> AxiomReport:
     """Check that every two events are related at least one way.
 
-    A witness is a pair (a, b), a at or before b in canonical order, with
+    A total preorder is total, so a relation that passes the rank test
+    (``preorder_row_sums`` is not None) is satisfied at once.  Any other
+    relation is scanned in square blocks of the upper triangle.  A
+    witness is a pair (a, b), a at or before b in canonical order, with
     neither a >= b nor b >= a; a = b is one when a >= a fails.
     """
+    if ordering.preorder_row_sums is not None:
+        return _report(ordering, "Totality", ())
     h = ordering.matrix
     witnesses = []
-    for s in range(0, len(h), 256):  # square blocks keep h.T's rows in cache
-        i, j = np.nonzero(~(h[s:s + 256, s:] | h[s:, s:s + 256].T))
+    for s in range(0, len(h), _BLOCK):
+        i, j = np.nonzero(~(h[s:s + _BLOCK, s:] | h[s:, s:s + _BLOCK].T))
         witnesses += [(s + a, s + b) for a, b in zip(i.tolist(), j.tolist()) if a <= b]
     return _report(ordering, "Totality", witnesses)
 

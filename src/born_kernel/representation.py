@@ -28,6 +28,7 @@ from .ordering import (
     MeasurementFamily,
     SizeLimitExceeded,
     WeightedMeasurement,
+    dense_ranks,
     order_matrix,
     rational_subset_sums,
     subset_sums,
@@ -137,12 +138,24 @@ def rich_family_size(K: int, max_outcomes: int) -> int:
     return sum(math.comb(K - 1, n - 1) for n in range(1, min(K, max_outcomes) + 1))
 
 
-def rich_family_events(K: int, max_outcomes: int) -> int:
+def rich_family_events(
+    K: int, max_outcomes: int, stop_above: int | None = None
+) -> int:
     """Number of events in the rich family, the sum over n of
-    C(K - 1, n - 1) * 2**n: an n-outcome measurement has 2**n events."""
+    C(K - 1, n - 1) * 2**n: an n-outcome measurement has 2**n events.
+
+    Over every n up to K the sum is 2 * 3**(K - 1).  A partial sum takes
+    one big-integer step per n, so given ``stop_above`` it ends once the
+    total passes that bound: a count above ``stop_above`` from a partial
+    sum is then only a lower bound.
+    """
+    if max_outcomes >= K >= 1:
+        return 2 * 3 ** (K - 1)
     total, term = 0, 2  # term for n = 1; each next one is exact in integers
     for n in range(1, min(K, max_outcomes) + 1):
         total += term
+        if stop_above is not None and total > stop_above:
+            break
         term = term * 2 * (K - n) // n
     return total
 
@@ -261,11 +274,22 @@ def verify_representation(
     probability measure by construction, so this is the only condition
     left to check.  Returns (ok, witnesses); every violating pair is
     reported as an ("order", E, F) tuple, in canonical order.
+
+    The values induce a total preorder, so they agree with a total
+    preorder exactly when their dense ranks equal those of its row sums
+    (``preorder_row_sums``): one sort, O(n log n).  Only when the ranks
+    differ, or the ordering is no total preorder, is the n x n
+    comparison built to list the witnesses.
     """
     if assignment.family is not ordering.family and not (
         assignment.family == ordering.family
     ):
         raise FamilyMismatch("assignment and ordering have different families")
+    rowsums = ordering.preorder_row_sums
+    if rowsums is not None and np.array_equal(
+        dense_ranks(assignment.vector), dense_ranks(rowsums.tolist())
+    ):
+        return (True, [])
     refs = ordering.refs
     mismatch = order_matrix(assignment.vector) != ordering.matrix
     witnesses = [("order", refs[i], refs[j]) for i, j in zip(*np.nonzero(mismatch))]

@@ -105,6 +105,35 @@ class TestGenRich:
         assert f"family has {count} events" in stderr and "20,000" in stderr
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "max_outcomes, count",
+        [("100000", "at least 2**158,495"), ("50000", "at least 399,998")],
+        ids=["closed-form", "partial-sum"],
+    )
+    def test_event_cap_refusal_time_does_not_grow_with_K(
+        self, capsys, tmp_path, max_outcomes, count
+    ):
+        # Every outcome count up to K sums to 2 * 3**(K - 1) events; a
+        # partial sum stops once it is past the cap.  Summing term by term
+        # to the end took seconds at this K.
+        import time
+
+        from born_kernel import cli
+
+        out = tmp_path / "big.json"
+        start = time.perf_counter()
+        rc = cli.main(["gen-rich", "-K", "100000", "--max-outcomes", max_outcomes,
+                       "--out", str(out)])
+        elapsed = time.perf_counter() - start
+        stdout, stderr = capsys.readouterr()
+        assert rc == 1
+        assert json.loads(stdout)["verdicts"] == [
+            {"check": "size-cap", "result": "fail", "witness_count": 0, "witnesses": []}
+        ]
+        assert f"family has {count} events" in stderr
+        assert elapsed < 0.5
+        assert not out.exists()
+
 
 class TestCheck:
     def test_induced_ordering_passes(self, rich_files):

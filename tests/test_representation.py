@@ -69,6 +69,9 @@ class TestGenerateRichFamily:
             family = generate_rich_family(K, mx)
             assert len(family.measurements) == rich_family_size(K, mx)
             assert family.event_count() == rich_family_events(K, mx)
+            # Stopped past a bound, a partial sum is a lower bound above it.
+            partial = rich_family_events(K, mx, stop_above=K)
+            assert K < partial <= family.event_count()
             brute = sum(len(brute_compositions(K, n)) for n in range(1, mx + 1))
             assert len(family.measurements) == brute
 

@@ -1,0 +1,163 @@
+"""The rank test for total preorders, against the whole-relation code it
+short-circuits.
+
+`LikelihoodOrdering.preorder_row_sums` decides "is a total preorder"
+once.  Transitivity, Totality and `verify_representation` return at once
+on a relation that passes it, and otherwise run their witness-listing
+code.  The oracles below are that code as it ran on every relation: the
+float32 composition cube, the blocked Totality scan and the whole-matrix
+comparison of `verify_representation`.
+"""
+from fractions import Fraction
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from born_kernel import (
+    AxiomReport,
+    LikelihoodOrdering,
+    MeasurementFamily,
+    ProbabilityAssignment,
+    WeightedMeasurement,
+    check_totality,
+    check_transitivity,
+    enumerate_event_refs,
+    generate_rich_family,
+    induced_ordering,
+    verify_representation,
+)
+from born_kernel.formats import tiers_to_json
+from born_kernel.ordering import order_matrix
+
+
+def cube_transitivity(ordering) -> AxiomReport:
+    h = ordering.matrix
+    reach = (h.astype(np.float32) @ h.astype(np.float32)) > 0
+    witnesses = []
+    for i, k in zip(*np.nonzero(reach & ~h)):
+        j = np.nonzero(h[i, :] & h[:, k])[0][0]
+        witnesses.append((int(i), int(j), int(k)))
+    return _report(ordering, "Transitivity", witnesses)
+
+
+def blocked_totality(ordering) -> AxiomReport:
+    h = ordering.matrix
+    witnesses = []
+    for s in range(0, len(h), 256):
+        i, j = np.nonzero(~(h[s:s + 256, s:] | h[s:, s:s + 256].T))
+        witnesses += [(s + a, s + b) for a, b in zip(i.tolist(), j.tolist()) if a <= b]
+    return _report(ordering, "Totality", witnesses)
+
+
+def whole_matrix_verify(assignment, ordering):
+    values = np.array(assignment.vector, dtype=object)
+    mismatch = (values[:, None] >= values[None, :]).astype(bool) != ordering.matrix
+    refs = ordering.refs
+    witnesses = [("order", refs[i], refs[j]) for i, j in zip(*np.nonzero(mismatch))]
+    return (not witnesses, witnesses)
+
+
+def _report(ordering, axiom, witnesses) -> AxiomReport:
+    found = tuple(tuple(ordering.refs[i] for i in w) for w in sorted(witnesses))
+    return AxiomReport(axiom, satisfied=not found, witnesses=found)
+
+
+def _ordering(family, matrix) -> LikelihoodOrdering:
+    return LikelihoodOrdering(family, enumerate_event_refs(family), matrix)
+
+
+small_families = st.lists(st.integers(1, 3), min_size=1, max_size=3).map(
+    lambda sizes: MeasurementFamily(tuple(
+        WeightedMeasurement(f"m{i}", tuple(f"o{j}" for j in range(n)), (Fraction(1, n),) * n)
+        for i, n in enumerate(sizes)
+    ))
+)
+
+
+@st.composite
+def relations(draw, family=None):
+    """A total preorder from integer scores, one with an entry flipped, or
+    a random boolean matrix, on a small family."""
+    family = family or draw(small_families)
+    n = family.event_count()
+    kind = draw(st.sampled_from(["preorder", "flipped", "random"]))
+    if kind == "random":
+        seed = draw(st.integers(0, 2**32 - 1))
+        density = draw(st.sampled_from([0.3, 0.7, 0.95]))
+        return _ordering(family, np.random.default_rng(seed).random((n, n)) < density)
+    scores = draw(st.lists(st.integers(0, 4), min_size=n, max_size=n))
+    matrix = order_matrix(scores)
+    if kind == "flipped":
+        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        matrix[i, j] = not matrix[i, j]
+    return _ordering(family, matrix)
+
+
+@settings(max_examples=200, deadline=None)
+@given(relations())
+def test_checks_match_the_cube_and_the_blocked_scan(ordering):
+    is_preorder = ordering.preorder_row_sums is not None
+    transitivity, totality = check_transitivity(ordering), check_totality(ordering)
+    assert transitivity == cube_transitivity(ordering)
+    assert totality == blocked_totality(ordering)
+    assert is_preorder == (transitivity.satisfied and totality.satisfied)
+
+
+@st.composite
+def assignments_and_orderings(draw):
+    """A random assignment against its own order, that order with one
+    entry flipped, or any relation `relations` draws."""
+    family = draw(small_families)
+    values = {}
+    for m in family.measurements:
+        parts = draw(st.lists(st.integers(0, 3), min_size=len(m.outcomes),
+                              max_size=len(m.outcomes)))
+        parts = parts if sum(parts) else [1] * len(parts)
+        values.update({(m.id, o): Fraction(p, sum(parts)) for o, p in zip(m.outcomes, parts)})
+    assignment = ProbabilityAssignment(family, values)
+    kind = draw(st.sampled_from(["own", "own-flipped", "other"]))
+    if kind == "other":
+        return assignment, draw(relations(family))
+    matrix = order_matrix(assignment.vector)
+    if kind == "own-flipped":
+        n = len(matrix)
+        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        matrix[i, j] = not matrix[i, j]
+    return assignment, _ordering(family, matrix)
+
+
+@settings(max_examples=200, deadline=None)
+@given(assignments_and_orderings())
+def test_verify_matches_the_whole_matrix_formula(case):
+    assignment, ordering = case
+    assert verify_representation(assignment, ordering) == whole_matrix_verify(
+        assignment, ordering
+    )
+
+
+@pytest.mark.parametrize("flip", [None, (480, 3), (3, 480), (300, 300)])
+def test_rank_test_across_blocks_matches_the_oracles(flip):
+    """486 events: the rank test and the Totality scan run in two blocks,
+    and a flipped entry in either block changes the verdict."""
+    family = generate_rich_family(6, 6)
+    matrix = induced_ordering(family).matrix.copy()
+    if flip:
+        matrix[flip] = not matrix[flip]
+    ordering = _ordering(family, matrix)
+    assert (ordering.preorder_row_sums is None) == (flip is not None)
+    assert check_transitivity(ordering) == cube_transitivity(ordering)
+    assert check_totality(ordering) == blocked_totality(ordering)
+
+
+def test_tiers_form_and_checks_read_the_one_rank_test():
+    """`tiers_to_json` and both checks take their verdict from the cached
+    rank test and derive none of their own: told that a total preorder
+    failed it, `tiers_to_json` refuses it, while the checks fall back to
+    the whole-relation code and still find nothing wrong."""
+    ordering = induced_ordering(generate_rich_family(3, 3))
+    tiers_to_json(ordering)
+    ordering.__dict__["preorder_row_sums"] = None  # where cached_property keeps it
+    with pytest.raises(ValueError, match="not a total preorder"):
+        tiers_to_json(ordering)
+    assert check_transitivity(ordering).satisfied and check_totality(ordering).satisfied
