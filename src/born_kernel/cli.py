@@ -35,12 +35,7 @@ from .formats import (
 )
 from .neutrality import canonical_quadruple
 from .numeric import DEFAULT_POLICY
-from .ordering import (
-    MAX_EXTENSIONAL_EVENTS,
-    induced_ordering,
-    require_event_count,
-    run_all_checks,
-)
+from .ordering import induced_ordering, run_all_checks
 from .representation import (
     MissingUniformMeasurement,
     NonconformingDenominator,
@@ -48,7 +43,7 @@ from .representation import (
     SizeLimitExceeded,
     derive_representation,
     generate_rich_family,
-    rich_family_events,
+    require_rich_family_within_cap,
     verify_representation,
 )
 
@@ -283,10 +278,8 @@ def cmd_gen_rich(args) -> int:
         raise InputError("K and max outcomes must be positive")
     digest = digest_bytes(f"{args.K}:{args.max_outcomes}".encode())
     try:
-        # Counted, not generated: a family past the cap is never built,
-        # and a partial sum stops counting once it is past the cap.
-        events = rich_family_events(args.K, args.max_outcomes, MAX_EXTENSIONAL_EVENTS)
-        require_event_count(events, at_least=args.max_outcomes < args.K)
+        # Counted, not generated: a family past the cap is never built.
+        require_rich_family_within_cap(args.K, args.max_outcomes)
     except SizeLimitExceeded as exc:
         raise DomainFailure(
             str(exc), _report("gen-rich", digest, [_verdict("size-cap", False)])

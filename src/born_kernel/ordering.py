@@ -353,21 +353,24 @@ class SizeLimitExceeded(ValueError):
 MAX_EXTENSIONAL_EVENTS = 20_000
 
 
-def require_event_count(n: int, at_least: bool = False) -> None:
+def require_event_count(n: int) -> None:
     """Raise :class:`SizeLimitExceeded` unless an extensional ordering
-    over n events is within the cap.  ``at_least`` says n only bounds
-    the count from below, and the message says so."""
+    over n events is within the cap."""
     if n > MAX_EXTENSIONAL_EVENTS:
         # Python prints no int of more than 4,300 digits (sys.int_info).
         bits = n.bit_length()
-        count = f"{n:,}" if bits <= 10_000 else f"2**{bits - 1:,}"
-        if at_least or bits > 10_000:
-            count = "at least " + count
-        raise SizeLimitExceeded(
-            f"family has {count} events; extensional orderings are capped at "
-            f"{MAX_EXTENSIONAL_EVENTS:,} (a measurement with k outcomes "
-            f"contributes 2**k events)"
-        )
+        count = f"{n:,}" if bits <= 10_000 else f"at least 2**{bits - 1:,}"
+        raise event_cap_error(count)
+
+
+def event_cap_error(count: str) -> SizeLimitExceeded:
+    """The refusal of a family of ``count`` events, where ``count`` is a
+    number or a lower bound on it ("at least ...")."""
+    return SizeLimitExceeded(
+        f"family has {count} events; extensional orderings are capped at "
+        f"{MAX_EXTENSIONAL_EVENTS:,} (a measurement with k outcomes "
+        f"contributes 2**k events)"
+    )
 
 
 def _ordering_from_scores(

@@ -18,19 +18,22 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable
+from typing import Iterable, Iterator
 
 import numpy as np
 
 from .ordering import (
+    MAX_EXTENSIONAL_EVENTS,
     EventRef,
     LikelihoodOrdering,
     MeasurementFamily,
     SizeLimitExceeded,
     WeightedMeasurement,
     dense_ranks,
+    event_cap_error,
     order_matrix,
     rational_subset_sums,
+    require_event_count,
     subset_sums,
 )
 
@@ -138,26 +141,43 @@ def rich_family_size(K: int, max_outcomes: int) -> int:
     return sum(math.comb(K - 1, n - 1) for n in range(1, min(K, max_outcomes) + 1))
 
 
-def rich_family_events(
-    K: int, max_outcomes: int, stop_above: int | None = None
-) -> int:
+def _rich_event_terms(K: int, max_outcomes: int) -> Iterator[int]:
+    """C(K - 1, n - 1) * 2**n for n = 1, 2, ... up to min(K, max_outcomes):
+    an n-outcome measurement has 2**n events."""
+    term = 2  # term for n = 1; each next one is exact in integers
+    for n in range(1, min(K, max_outcomes) + 1):
+        yield term
+        term = term * 2 * (K - n) // n
+
+
+def rich_family_events(K: int, max_outcomes: int) -> int:
     """Number of events in the rich family, the sum over n of
     C(K - 1, n - 1) * 2**n: an n-outcome measurement has 2**n events.
-
-    Over every n up to K the sum is 2 * 3**(K - 1).  A partial sum takes
-    one big-integer step per n, so given ``stop_above`` it ends once the
-    total passes that bound: a count above ``stop_above`` from a partial
-    sum is then only a lower bound.
-    """
+    Over every n up to K the sum is 2 * 3**(K - 1)."""
     if max_outcomes >= K >= 1:
         return 2 * 3 ** (K - 1)
-    total, term = 0, 2  # term for n = 1; each next one is exact in integers
-    for n in range(1, min(K, max_outcomes) + 1):
+    return sum(_rich_event_terms(K, max_outcomes))
+
+
+def require_rich_family_within_cap(K: int, max_outcomes: int) -> None:
+    """Raise :class:`SizeLimitExceeded` unless the rich family's
+    extensional ordering is within ``MAX_EXTENSIONAL_EVENTS`` events,
+    without building the family, in time that does not grow with K.
+
+    With every outcome count up to K the closed form gives the count.
+    A partial sum takes one big-integer step per n, so it stops once its
+    running total passes the cap; only then is the reported count a lower
+    bound, and the message says "at least".
+    """
+    if max_outcomes >= K:
+        require_event_count(rich_family_events(K, max_outcomes))
+        return
+    total = 0
+    for n, term in enumerate(_rich_event_terms(K, max_outcomes), 1):
         total += term
-        if stop_above is not None and total > stop_above:
-            break
-        term = term * 2 * (K - n) // n
-    return total
+        if total > MAX_EXTENSIONAL_EVENTS and n < max_outcomes:
+            raise event_cap_error(f"at least {total:,}")
+    require_event_count(total)
 
 
 def generate_rich_family(K: int, max_outcomes: int) -> MeasurementFamily:

@@ -1,5 +1,7 @@
 """Representing measures: rich families, derivation, verification, search."""
 import itertools
+import math
+import re
 import sys
 from fractions import Fraction
 
@@ -27,8 +29,12 @@ from born_kernel import (
     uniqueness_search,
     verify_representation,
 )
-from born_kernel.ordering import ALL_CHECKS
-from born_kernel.representation import rich_family_events, rich_family_size
+from born_kernel.ordering import ALL_CHECKS, MAX_EXTENSIONAL_EVENTS
+from born_kernel.representation import (
+    require_rich_family_within_cap,
+    rich_family_events,
+    rich_family_size,
+)
 from conftest import grid_measurement, own_weights, random_family
 
 
@@ -69,11 +75,34 @@ class TestGenerateRichFamily:
             family = generate_rich_family(K, mx)
             assert len(family.measurements) == rich_family_size(K, mx)
             assert family.event_count() == rich_family_events(K, mx)
-            # Stopped past a bound, a partial sum is a lower bound above it.
-            partial = rich_family_events(K, mx, stop_above=K)
-            assert K < partial <= family.event_count()
             brute = sum(len(brute_compositions(K, n)) for n in range(1, mx + 1))
             assert len(family.measurements) == brute
+
+    @pytest.mark.parametrize(
+        "K, mx, at_least",
+        [
+            (4, 3, None),  # within the cap
+            (10, 10, False),  # closed form
+            (6000, 2, False),  # passes the cap only at its last term
+            (100, 5, True),
+            (100, 99, True),
+        ],
+    )
+    def test_cap_refusal_says_at_least_only_for_a_stopped_sum(self, K, mx, at_least):
+        exact = sum(math.comb(K - 1, n - 1) * 2**n for n in range(1, min(K, mx) + 1))
+        if at_least is None:
+            assert exact <= MAX_EXTENSIONAL_EVENTS
+            require_rich_family_within_cap(K, mx)
+            return
+        with pytest.raises(SizeLimitExceeded) as info:
+            require_rich_family_within_cap(K, mx)
+        found = re.search(r"family has (at least )?([\d,]+) events", str(info.value))
+        count = int(found[2].replace(",", ""))
+        assert bool(found[1]) is at_least
+        if at_least:
+            assert MAX_EXTENSIONAL_EVENTS < count < exact
+        else:
+            assert count == exact
 
     def test_cap_enforced(self):
         with pytest.raises(SizeLimitExceeded):
