@@ -14,7 +14,6 @@ from born_kernel import (
     MeasurementFamily,
     WeightedMeasurement,
     derive_representation,
-    event_weights,
     generate_rich_family,
     induced_ordering,
     null_events,
@@ -23,6 +22,7 @@ from born_kernel import (
     uniqueness_search,
     verify_representation,
 )
+from born_kernel.ordering import weight_vector
 
 # A rich family at grid 4: every composition of 4 into at most 4 parts.
 family = generate_rich_family(4, 4)
@@ -31,6 +31,7 @@ for m in sorted(family.measurements, key=lambda m: m.id):
     print(f"  {m.id}: weights {[str(w) for w in m.weights]}")
 
 ordering = induced_ordering(family)
+weights = weight_vector(family)  # by canonical position
 print()
 print("axiom checks on the weight-induced ordering:")
 for report in run_all_checks(ordering):
@@ -38,17 +39,16 @@ for report in run_all_checks(ordering):
 
 print()
 print("null events are exactly the zero-weight ones:",
-      all(event_weights(family)[r] == 0 for r in null_events(ordering)))
+      all(weights[family.position(r.measurement_id, r.event)] == 0
+          for r in null_events(ordering)))
 
 pr = derive_representation(ordering, 4)
 ok, _ = verify_representation(pr, ordering)
 print(f"derived measure verifies: {ok}")
 
 found = uniqueness_search(ordering, 4, max_measurements=16)
-weights = event_weights(family)
 print(f"exhaustive search found {len(found)} representing assignment(s)")
-print("and it equals the weight function:",
-      all(found[0].value(r) == weights[r] for r in ordering.refs))
+print("and it equals the weight function:", found[0].vector == weights)
 
 # Negative control: rank events by how many possible outcomes they
 # contain.  Equal-weight events with different outcome counts break the

@@ -33,8 +33,6 @@ from .ordering import (
     check_separation,
     check_totality,
     check_transitivity,
-    enumerate_event_refs,
-    event_weights,
     induced_ordering,
     null_events,
     outcome_count_ordering,

@@ -22,7 +22,6 @@ from .ordering import (
     EventRef,
     MeasurementFamily,
     WeightedMeasurement,
-    enumerate_event_refs,
     induced_ordering,
 )
 from .quantum import WeightsDontSumToOne
@@ -363,5 +362,5 @@ def coarse_event_probability_invariance(
 
     return all(
         pr_before.value(ref) == pr_after.value(suboutcome_image(family, spec, ref))
-        for ref in enumerate_event_refs(family)
+        for ref in family.refs
     )

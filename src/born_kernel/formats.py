@@ -31,7 +31,6 @@ from .ordering import (
     LikelihoodOrdering,
     MeasurementFamily,
     WeightedMeasurement,
-    enumerate_event_refs,
     order_matrix,
     require_event_count,
 )
@@ -298,7 +297,7 @@ def _position(doc: Any, family: MeasurementFamily, context: str) -> int:
 def _each_event_once(family: MeasurementFamily, context: str, items) -> list:
     """Values by canonical position from ``(context, ref doc, value)``
     items that list every event of the family exactly once."""
-    refs = enumerate_event_refs(family)
+    refs = family.refs
     out = [None] * len(refs)
     for ctx, ref, value in items:
         i = _position(ref, family, ctx)
@@ -362,7 +361,6 @@ def ordering_from_json(doc: Any, family: MeasurementFamily) -> LikelihoodOrderin
     if "family_digest" in doc and doc["family_digest"] != family_digest(family):
         raise FormatError("ordering: family_digest does not match the supplied family")
     require_event_count(family.event_count())
-    refs = enumerate_event_refs(family)
     if schema == TIERS_SCHEMA:
         tiers = _get(doc, "tiers", list[list], "ordering")
         if [] in tiers:
@@ -371,16 +369,18 @@ def ordering_from_json(doc: Any, family: MeasurementFamily) -> LikelihoodOrderin
             (f"ordering.tiers[{t}][{k}]", ref, t)
             for t, tier in enumerate(tiers) for k, ref in enumerate(tier)
         ))
-        return LikelihoodOrdering(family, refs, order_matrix(tier_of))
-    rows, cols = [], []
-    for k, pair in enumerate(_get(doc, "pairs", list, "ordering")):
-        if not isinstance(pair, list) or len(pair) != 2:
-            raise FormatError(f"ordering.pairs[{k}]: each pair is [left, right]")
-        rows.append(_position(pair[0], family, f"ordering.pairs[{k}][0]"))
-        cols.append(_position(pair[1], family, f"ordering.pairs[{k}][1]"))
-    matrix = np.zeros((len(refs), len(refs)), dtype=bool)
-    matrix[rows, cols] = True
-    return LikelihoodOrdering(family, refs, matrix)
+        matrix = order_matrix(tier_of)
+    else:
+        rows, cols = [], []
+        for k, pair in enumerate(_get(doc, "pairs", list, "ordering")):
+            if not isinstance(pair, list) or len(pair) != 2:
+                raise FormatError(f"ordering.pairs[{k}]: each pair is [left, right]")
+            rows.append(_position(pair[0], family, f"ordering.pairs[{k}][0]"))
+            cols.append(_position(pair[1], family, f"ordering.pairs[{k}][1]"))
+        matrix = np.zeros((len(family.refs),) * 2, dtype=bool)
+        matrix[rows, cols] = True
+    matrix.setflags(write=False)  # handed over, so the ordering need not copy it
+    return LikelihoodOrdering(family, family.refs, matrix)
 
 
 def assignment_to_json(assignment: ProbabilityAssignment) -> dict:
@@ -394,7 +394,7 @@ def assignment_to_json(assignment: ProbabilityAssignment) -> dict:
                 "event": sorted(r.event),
                 "probability": rational_to_json(value),
             }
-            for r, value in zip(enumerate_event_refs(family), assignment.vector)
+            for r, value in zip(family.refs, assignment.vector)
         ],
     }
 
@@ -409,12 +409,11 @@ def assignment_from_json(doc: Any, family: MeasurementFamily) -> ProbabilityAssi
         for k, vdoc in enumerate(_get(doc, "values", list, "assignment"))
         for ctx in [f"assignment.values[{k}]"]
     ))
-    refs = enumerate_event_refs(family)
     assignment = ProbabilityAssignment(family, {
         (m.id, o): values[family.position(m.id, (o,))]
         for m in family.measurements for o in m.outcomes
     })
-    for ref, read, summed in zip(refs, values, assignment.vector):
+    for ref, read, summed in zip(family.refs, values, assignment.vector):
         if read != summed:
             raise FormatError(f"assignment: {ref.label()} is {read}, its outcomes sum to {summed}")
     return assignment

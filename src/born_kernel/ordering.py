@@ -4,8 +4,11 @@ A :class:`WeightedMeasurement` abstracts a measurement down to outcome
 labels with exact rational weights.  A :class:`LikelihoodOrdering` is a
 two-place relation over (event, measurement) pairs, stored
 extensionally as a boolean matrix so that every axiom verdict is
-replayable.  The checkers make no assumption that the relation came from
-weights: they accept arbitrary relations and report witnesses.
+replayable.  An event's one address is its canonical position
+(``MeasurementFamily.slices``); an :class:`EventRef` names it only in
+reports and documents, and ``MeasurementFamily.refs`` lists those names
+by position.  The checkers make no assumption that the relation came
+from weights: they accept arbitrary relations and report witnesses.
 
 Axioms checked:
 
@@ -26,7 +29,7 @@ preorder, and that is decided once per ordering by one rank test
 the events it is at least as likely as, and the relation is a total
 preorder exactly when comparing row sums gives it back.  That test is
 O(n^2) in time and builds no second n x n array.  Only a relation that
-fails it pays for witnesses: the n^3 composition for Transitivity and a blocked
+fails it pays for witnesses: the n^3 composition for Transitivity and an
 n^2 scan for Totality.  ``verify_representation`` and
 ``formats.tiers_to_json`` read the same row sums.
 """
@@ -146,8 +149,8 @@ class MeasurementFamily:
         return tuple(sorted(self.by_id))
 
     @cached_property
-    def _event_refs(self) -> tuple[EventRef, ...]:
-        """Every (event, measurement) pair, in canonical order."""
+    def refs(self) -> tuple[EventRef, ...]:
+        """Every (event, measurement) pair, in canonical position order."""
         refs: list[EventRef] = []
         for mid in self.sorted_ids:
             m = self.by_id[mid]
@@ -196,11 +199,6 @@ class EventRef:
         return "{" + ",".join(sorted(self.event)) + "}|" + self.measurement_id
 
 
-def enumerate_event_refs(family: MeasurementFamily) -> tuple[EventRef, ...]:
-    """Every (event, measurement) pair, in canonical order."""
-    return family._event_refs
-
-
 def subset_sums(values: Sequence[int]) -> list[int]:
     """``out[mask]`` is the sum of ``values[i]`` over the set bits i of mask.
 
@@ -228,11 +226,6 @@ def weight_vector(family: MeasurementFamily) -> list[Fraction]:
     return out
 
 
-def event_weights(family: MeasurementFamily) -> dict[EventRef, Fraction]:
-    """Exact weight of every event in the family's total event space."""
-    return dict(zip(enumerate_event_refs(family), weight_vector(family)))
-
-
 def dense_ranks(scores: Sequence) -> np.ndarray:
     """Rank of each score among the distinct scores, 0 for the least.
 
@@ -253,8 +246,8 @@ def order_matrix(scores: Sequence) -> np.ndarray:
     return ranks[:, None] >= ranks[None, :]
 
 
-# Rows per block of the n x n scans: small enough that a block's
-# temporaries (and, for Totality, the matching rows of h.T) stay in cache.
+# Rows per block of the rank test: small enough that a block's
+# temporaries stay in cache.
 _BLOCK = 256
 
 
@@ -263,12 +256,12 @@ class LikelihoodOrdering:
     """Two-place relation over the family's event space.
 
     ``matrix[i, j]`` is True exactly when ``refs[i]`` is judged at least
-    as likely as ``refs[j]``.  ``refs`` must be
-    :func:`enumerate_event_refs` of the family, so row and column i are
-    the event at canonical position i (see ``MeasurementFamily.slices``).
-    The derived relations: equal likelihood means both directions hold,
-    strict means forward holds and equal fails.  No axiom is assumed;
-    conformance is what the checkers test.
+    as likely as ``refs[j]``.  ``refs`` must be the family's ``refs``, so
+    row and column i are the event at canonical position i (see
+    ``MeasurementFamily.slices``).  Equal likelihood means both
+    directions hold.  No axiom is assumed; conformance is what the
+    checkers test.  The matrix is kept read-only, and copied only when
+    its owner could still write it: a writable array, or a view.
     """
 
     family: MeasurementFamily
@@ -280,12 +273,10 @@ class LikelihoodOrdering:
         n = len(self.refs)
         if m.shape != (n, n):
             raise ValueError(f"matrix shape {m.shape} does not match {n} event refs")
-        if tuple(self.refs) != enumerate_event_refs(self.family):
-            raise ValueError(
-                "refs must be the family's event refs in canonical order "
-                "(enumerate_event_refs)"
-            )
-        m = np.array(m)
+        if tuple(self.refs) != self.family.refs:
+            raise ValueError("refs must be the family's refs, in canonical order")
+        if m is self.matrix and (m.flags.writeable or m.base is not None):
+            m = m.copy()
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
 
@@ -315,33 +306,6 @@ class LikelihoodOrdering:
                 return None
         rowsums.setflags(write=False)
         return rowsums
-
-    def _i(self, ref: EventRef) -> int:
-        try:
-            return self.index[ref]
-        except KeyError:
-            raise KeyError(f"{ref.label()} is not in this ordering's event space")
-
-    def holds(self, a: EventRef, b: EventRef) -> bool:
-        """a at-least-as-likely-as b."""
-        return bool(self.matrix[self._i(a), self._i(b)])
-
-    def simeq(self, a: EventRef, b: EventRef) -> bool:
-        """Equal likelihood: the relation holds both ways."""
-        i, j = self._i(a), self._i(b)
-        return bool(self.matrix[i, j] and self.matrix[j, i])
-
-    def strictly(self, a: EventRef, b: EventRef) -> bool:
-        """Strictly more likely: forward holds, equality fails."""
-        i, j = self._i(a), self._i(b)
-        return bool(self.matrix[i, j] and not self.matrix[j, i])
-
-    def empty_ref(self, measurement_id: str) -> EventRef:
-        return EventRef(measurement_id, frozenset())
-
-    def is_null(self, ref: EventRef) -> bool:
-        """Null: judged equal to the empty event of its own measurement."""
-        return self.simeq(ref, self.empty_ref(ref.measurement_id))
 
 
 class SizeLimitExceeded(ValueError):
@@ -377,9 +341,9 @@ def _ordering_from_scores(
     family: MeasurementFamily, scores: Sequence
 ) -> LikelihoodOrdering:
     """Total preorder: event a >= event b iff score(a) >= score(b)."""
-    return LikelihoodOrdering(
-        family, enumerate_event_refs(family), order_matrix(scores)
-    )
+    matrix = order_matrix(scores)
+    matrix.setflags(write=False)  # handed over, so the ordering need not copy it
+    return LikelihoodOrdering(family, family.refs, matrix)
 
 
 def induced_ordering(family: MeasurementFamily) -> LikelihoodOrdering:
@@ -526,18 +490,14 @@ def check_totality(ordering: LikelihoodOrdering) -> AxiomReport:
 
     A total preorder is total, so a relation that passes the rank test
     (``preorder_row_sums`` is not None) is satisfied at once.  Any other
-    relation is scanned in square blocks of the upper triangle.  A
-    witness is a pair (a, b), a at or before b in canonical order, with
-    neither a >= b nor b >= a; a = b is one when a >= a fails.
+    relation is read off the upper triangle.  A witness is a pair (a, b),
+    a at or before b in canonical order, with neither a >= b nor b >= a;
+    a = b is one when a >= a fails.
     """
     if ordering.preorder_row_sums is not None:
         return _report(ordering, "Totality", ())
     h = ordering.matrix
-    witnesses = []
-    for s in range(0, len(h), _BLOCK):
-        i, j = np.nonzero(~(h[s:s + _BLOCK, s:] | h[s:, s:s + _BLOCK].T))
-        witnesses += [(s + a, s + b) for a, b in zip(i.tolist(), j.tolist()) if a <= b]
-    return _report(ordering, "Totality", witnesses)
+    return _report(ordering, "Totality", np.argwhere(np.triu(~(h | h.T))).tolist())
 
 
 # Last, so derive still names the first of the earlier checks that fails.
@@ -565,31 +525,35 @@ def replay_witness(
     """Re-verify that a reported witness is still a violation.
 
     Returns True when the witness replays as a genuine violation of the
-    named axiom (for Separation: when the event replays as null).
+    named axiom (for Separation: when the event replays as null).  Each
+    ref is resolved once to its canonical position; a ref outside the
+    family raises ValueError.
     """
+    family, h = ordering.family, ordering.matrix
+    pos, start = [], []
+    for ref in witness:
+        try:
+            pos.append(family.position(ref.measurement_id, ref.event))
+        except (KeyError, ValueError):
+            raise ValueError(f"{ref.label()} is not in this ordering's event space") from None
+        start.append(family.slices[ref.measurement_id].start)
     if axiom == "Transitivity":
-        a, b, c = witness
-        return (
-            ordering.holds(a, b)
-            and ordering.holds(b, c)
-            and not ordering.holds(a, c)
-        )
+        a, b, c = pos
+        return bool(h[a, b] and h[b, c] and not h[a, c])
     if axiom == "Separation":
-        (ref,) = witness
-        return ordering.is_null(ref)
+        (a,), (s,) = pos, start
+        return bool(h[a, s] and h[s, a])
     if axiom == "Dominance":
-        e, f = witness
-        if not e.event <= f.event:
+        (e, f), (s, t) = pos, start
+        if s != t or (e - s) & ~(f - s):
             return False
-        if not ordering.holds(f, e):
-            return True
-        diff = EventRef(e.measurement_id, f.event - e.event)
-        return ordering.simeq(f, e) != ordering.is_null(diff)
+        d = s + f - e  # F minus E, as E's mask is a submask of F's
+        return bool(not h[f, e] or h[e, f] != (h[d, s] and h[s, d]))
     if axiom == "Equivalence":
-        a, b = witness
-        w = [ordering.family.by_id[r.measurement_id].event_weight(r.event) for r in witness]
-        return w[0] == w[1] and not ordering.simeq(a, b)
+        a, b = pos
+        w = [family.by_id[r.measurement_id].event_weight(r.event) for r in witness]
+        return w[0] == w[1] and not (h[a, b] and h[b, a])
     if axiom == "Totality":
-        a, b = witness
-        return not ordering.holds(a, b) and not ordering.holds(b, a)
+        a, b = pos
+        return bool(not h[a, b] and not h[b, a])
     raise ValueError(f"unknown axiom {axiom!r}")

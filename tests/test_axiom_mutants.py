@@ -18,7 +18,6 @@ from born_kernel import (
     LikelihoodOrdering,
     MeasurementFamily,
     WeightedMeasurement,
-    enumerate_event_refs,
     induced_ordering,
     outcome_count_ordering,
     replay_witness,
@@ -51,11 +50,11 @@ def _with(entries):
     matrix = induced_ordering(FAMILY).matrix.copy()
     for (i, j), value in entries.items():
         matrix[i, j] = value
-    return LikelihoodOrdering(FAMILY, enumerate_event_refs(FAMILY), matrix)
+    return LikelihoodOrdering(FAMILY, FAMILY.refs, matrix)
 
 
 def _from_scores(scores, family=FAMILY):
-    return LikelihoodOrdering(family, enumerate_event_refs(family), order_matrix(scores))
+    return LikelihoodOrdering(family, family.refs, order_matrix(scores))
 
 
 def transitivity_mutant():
@@ -65,7 +64,7 @@ def transitivity_mutant():
 
 def separation_mutant():
     n = FAMILY.event_count()
-    return LikelihoodOrdering(FAMILY, enumerate_event_refs(FAMILY), np.ones((n, n), bool))
+    return LikelihoodOrdering(FAMILY, FAMILY.refs, np.ones((n, n), bool))
 
 
 def dominance_mutant():

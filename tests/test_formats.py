@@ -11,7 +11,6 @@ from born_kernel import (
     MeasurementQuadruple,
     StateVector,
     WeightedMeasurement,
-    enumerate_event_refs,
     generate_rich_family,
     induced_ordering,
     make_rich_measurement,
@@ -164,7 +163,7 @@ def scored_orderings(draw):
     family = draw(small_families)
     scores = draw(st.lists(st.integers(0, 4), min_size=family.event_count(),
                            max_size=family.event_count()))
-    return LikelihoodOrdering(family, enumerate_event_refs(family), order_matrix(scores))
+    return LikelihoodOrdering(family, family.refs, order_matrix(scores))
 
 
 class TestTiersFormat:

@@ -18,11 +18,7 @@ from hypothesis import given, strategies as st
 from born_kernel import EventRef, MeasurementFamily, WeightedMeasurement, induced_ordering
 from born_kernel.cli import main
 from born_kernel.formats import canonical_dumps, family_from_json, ordering_to_json
-from born_kernel.ordering import (
-    enumerate_event_refs,
-    rational_subset_sums,
-    subset_sums,
-)
+from born_kernel.ordering import rational_subset_sums, subset_sums
 
 # A d=3 bet: eigenvalues 0, 1, 2 on (|0>+|1>)/sqrt2, (|0>-|1>)/sqrt2, |2>;
 # state 0.6|0> + 0.8|2>, event {0, 2}, weight 0.18 + 0.64 = 0.82.
@@ -190,7 +186,7 @@ def test_rational_subset_sums_match_per_mask_sums(values):
 @given(measurement_specs)
 def test_position_order_is_ref_sort_key_order(specs):
     family = _family(specs)
-    refs = enumerate_event_refs(family)
+    refs = family.refs
     keys = [(r.measurement_id, family.by_id[r.measurement_id].event_mask(r.event))
             for r in refs]
     assert keys == sorted(keys) and len(set(keys)) == len(keys)

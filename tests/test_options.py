@@ -3,7 +3,8 @@
 A tolerance record is passed only where an object is validated, the
 package reads no environment variable, and the CLI and `NumericPolicy`
 offer exactly the options listed here.  A new setting has to change
-this file.
+this file, and so does a new name that `born_kernel` exports or a new
+public attribute of `LikelihoodOrdering`.
 """
 import argparse
 import importlib
@@ -13,7 +14,7 @@ from dataclasses import fields
 from pathlib import Path
 
 import born_kernel
-from born_kernel import NumericPolicy
+from born_kernel import LikelihoodOrdering, NumericPolicy
 from born_kernel.cli import build_parser
 
 PACKAGE_DIR = Path(born_kernel.__file__).parent
@@ -100,3 +101,49 @@ def test_numeric_policy_fields():
     assert [f.name for f in fields(NumericPolicy)] == [
         "norm_tol", "projector_tol", "eigenvalue_tol", "rational_tol",
     ]
+
+
+def test_package_exports():
+    exported = {
+        name for name, obj in vars(born_kernel).items()
+        if not name.startswith("_") and not inspect.ismodule(obj)
+    }
+    assert exported == {
+        # numeric
+        "DEFAULT_POLICY", "NumericPolicy",
+        # quantum
+        "DegenerateClustering", "MeasurementModel", "NoRationalWithinTolerance",
+        "NonHermitianInput", "NonpositiveWeight", "Observable", "StateVector",
+        "UnknownOutcomeLabel", "WeightsDontSumToOne", "make_rich_measurement",
+        "rational_weight", "spectral_decompose", "weight",
+        # ordering
+        "AxiomReport", "EventRef", "LikelihoodOrdering", "MeasurementFamily",
+        "WeightedMeasurement", "check_dominance", "check_equivalence",
+        "check_separation", "check_totality", "check_transitivity",
+        "induced_ordering", "null_events", "outcome_count_ordering",
+        "replay_witness", "run_all_checks",
+        # representation
+        "FamilyMismatch", "MissingUniformMeasurement", "NonconformingDenominator",
+        "PreconditionViolated", "ProbabilityAssignment", "SearchSpaceTooLarge",
+        "SizeLimitExceeded", "derive_representation", "generate_rich_family",
+        "uniform_measurement", "uniqueness_search", "verify_representation",
+        # neutrality
+        "CanonicalForm", "IntertwiningFails", "MeasurementQuadruple", "NotUnitary",
+        "canonical_form", "canonical_quadruple", "relabel", "same_equivalence_class",
+        "unitary_transform",
+        # erasure
+        "BranchCollision", "BranchLabel", "BranchState", "GameSpec",
+        "IndexOutOfRange", "ReachableSet", "RefinementSpec", "UnknownOutcome",
+        "WeightOutOfRange", "ZeroWeightRefinement", "apply_branch_phase",
+        "coarse_event_probability_invariance", "erase", "play_game",
+        "reachable_set", "refine", "refine_family", "sets_equal",
+        "suboutcome_image", "three_outcome_game",
+    }
+
+
+def test_likelihood_ordering_surface():
+    """Three fields, and positions are read from ``matrix`` directly: no
+    accessor keyed by event ref."""
+    assert [f.name for f in fields(LikelihoodOrdering)] == ["family", "refs", "matrix"]
+    public = sorted(a for a in vars(LikelihoodOrdering) if not a.startswith("_"))
+    assert public == ["index", "preorder_row_sums", "reports"]

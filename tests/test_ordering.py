@@ -1,4 +1,5 @@
 """Likelihood orderings: induced relation, axiom checkers, witnesses."""
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -13,15 +14,15 @@ from born_kernel import (
     check_separation,
     check_totality,
     check_transitivity,
-    enumerate_event_refs,
-    event_weights,
+    generate_rich_family,
     induced_ordering,
     null_events,
     outcome_count_ordering,
     replay_witness,
     run_all_checks,
 )
-from conftest import random_family
+from born_kernel.ordering import weight_vector
+from conftest import own_weights, random_family
 
 
 def coin_family():
@@ -51,31 +52,55 @@ def count_trap_family():
 class TestInducedOrdering:
     def test_coin_heads_tails_equal(self):
         ordering = induced_ordering(coin_family())
-        h = EventRef("coin", frozenset({"h"}))
-        t = EventRef("coin", frozenset({"t"}))
-        assert ordering.holds(h, t) and ordering.holds(t, h)
-        assert ordering.simeq(h, t)
+        h = ordering.index[EventRef("coin", frozenset({"h"}))]
+        t = ordering.index[EventRef("coin", frozenset({"t"}))]
+        assert ordering.matrix[h, t] and ordering.matrix[t, h]
 
     def test_everything_beats_empty(self):
         family = skewed_family()
         ordering = induced_ordering(family)
-        empty = EventRef("m", frozenset())
+        empty = ordering.index[EventRef("m", frozenset())]
         for ref in ordering.refs:
-            assert ordering.holds(ref, empty)
+            assert ordering.matrix[ordering.index[ref], empty]
 
     def test_strict_by_rational_oracle(self):
         family = skewed_family()
         ordering = induced_ordering(family)
-        o1 = EventRef("m", frozenset({"o1"}))
-        o2 = EventRef("m", frozenset({"o2"}))
+        o1 = ordering.index[EventRef("m", frozenset({"o1"}))]
+        o2 = ordering.index[EventRef("m", frozenset({"o2"}))]
         assert Fraction(3, 4) > Fraction(1, 4)
-        assert ordering.strictly(o2, o1)
-        assert not ordering.strictly(o1, o2)
+        assert ordering.matrix[o2, o1] and not ordering.matrix[o1, o2]
 
     def test_total_relation(self):
         ordering = induced_ordering(count_trap_family())
         m = ordering.matrix
         assert np.all(m | m.T)
+
+    def test_induced_ordering_builds_one_matrix(self):
+        """The ordering keeps the read-only matrix it is handed: one n x n
+        array at peak, not a second copy of it."""
+        family = generate_rich_family(7, 7)
+        family.refs, weight_vector(family)  # warm the caches
+        n = family.event_count()
+        tracemalloc.start()
+        try:
+            induced_ordering(family)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * n * n, (peak, n * n)
+
+    def test_matrix_its_owner_can_still_write_is_copied(self):
+        family = coin_family()
+        n = family.event_count()
+        writable = np.ones((n, n), dtype=bool)
+        view = writable.view()
+        view.setflags(write=False)
+        for given in (writable, view):
+            ordering = LikelihoodOrdering(family, family.refs, given)
+            writable[0, 1] = False
+            assert ordering.matrix[0, 1] and not ordering.matrix.flags.writeable
+            writable[0, 1] = True
 
 
 class TestTransitivity:
@@ -87,7 +112,7 @@ class TestTransitivity:
         family = MeasurementFamily(
             (WeightedMeasurement("m", ("a", "b"), (Fraction(1, 2), Fraction(1, 2))),)
         )
-        refs = enumerate_event_refs(family)
+        refs = family.refs
         index = {r: i for i, r in enumerate(refs)}
         a = EventRef("m", frozenset({"a"}))
         b = EventRef("m", frozenset({"b"}))
@@ -126,11 +151,11 @@ class TestSeparation:
         report = check_separation(induced_ordering(coin_family()))
         assert report.satisfied and not report.witnesses
         assert report.evidence is not None
-        assert event_weights(coin_family())[report.evidence] > 0
+        assert own_weights(coin_family()).value(report.evidence) > 0
 
     def test_everywhere_equal_relation_violated(self):
         family = coin_family()
-        refs = enumerate_event_refs(family)
+        refs = family.refs
         matrix = np.ones((len(refs), len(refs)), dtype=bool)
         ordering = LikelihoodOrdering(family, refs, matrix)
         report = check_separation(ordering)
@@ -144,7 +169,7 @@ class TestSeparation:
         family = MeasurementFamily(
             (WeightedMeasurement("m", ("o1",), (Fraction(1),)),)
         )
-        assert event_weights(family)[EventRef("m", frozenset({"o1"}))] == 1 > 0
+        assert own_weights(family).value(EventRef("m", frozenset({"o1"}))) == 1 > 0
         report = check_separation(induced_ordering(family))
         assert report.satisfied
         assert report.evidence == EventRef("m", frozenset({"o1"}))
@@ -188,17 +213,29 @@ class TestDominance:
         o1 = EventRef("m", frozenset({"o1"}))
         o13 = EventRef("m", frozenset({"o1", "o3"}))
         # Rational additivity oracle: w({o1, o3}) = 1/2 + 0 = w({o1}).
-        weights = event_weights(family)
-        assert weights[o13] == weights[o1] == Fraction(1, 2)
-        assert ordering.simeq(o13, o1)
+        weights = own_weights(family)
+        assert weights.value(o13) == weights.value(o1) == Fraction(1, 2)
+        i, j = ordering.index[o13], ordering.index[o1]
+        assert ordering.matrix[i, j] and ordering.matrix[j, i]
         assert check_dominance(ordering).satisfied
 
         # Breaking that tie must trip the dominance check.
         matrix = np.array(ordering.matrix)
-        i, j = ordering.index[o13], ordering.index[o1]
         matrix[j, i] = False
         broken = LikelihoodOrdering(family, ordering.refs, matrix)
         assert not check_dominance(broken).satisfied
+
+    def test_pair_across_two_measurements_does_not_replay(self):
+        """E subset-of F relates events of one measurement: a pair from two
+        measurements is no Dominance witness, whatever its outcome labels."""
+        family = MeasurementFamily((
+            WeightedMeasurement("m1", ("o1", "o2"), (Fraction(1, 2), Fraction(1, 2))),
+            WeightedMeasurement("m2", ("o1", "o2"), (Fraction(1, 4), Fraction(3, 4))),
+        ))
+        ordering = induced_ordering(family)
+        assert all(report.satisfied for report in run_all_checks(ordering))
+        pair = (EventRef("m1", frozenset({"o1"})), EventRef("m2", frozenset({"o1"})))
+        assert not replay_witness(ordering, "Dominance", pair)
 
 
 class TestEquivalence:
@@ -211,11 +248,12 @@ class TestEquivalence:
         ordering = outcome_count_ordering(family)
         report = check_equivalence(ordering)
         assert not report.satisfied
-        weights = event_weights(family)
+        weights = own_weights(family)
         for witness in report.witnesses:
             a, b = witness
-            assert weights[a] == weights[b]
-            assert not ordering.simeq(a, b)
+            assert weights.value(a) == weights.value(b)
+            i, j = ordering.index[a], ordering.index[b]
+            assert not (ordering.matrix[i, j] and ordering.matrix[j, i])
             assert replay_witness(ordering, "Equivalence", witness)
         # The advertised trap pair is among the witnesses in some order.
         pair = {
@@ -256,12 +294,10 @@ class TestTotality:
         assert not replay_witness(induced, "Totality", (x, p))
 
     def test_block_scan_matches_the_whole_matrix_formula(self):
-        from born_kernel import generate_rich_family
-
         family = generate_rich_family(6, 6)  # 486 events: more than one block
         n = family.event_count()
         matrix = np.random.default_rng(5).random((n, n)) < 0.9
-        ordering = LikelihoodOrdering(family, enumerate_event_refs(family), matrix)
+        ordering = LikelihoodOrdering(family, family.refs, matrix)
         rows, cols = np.nonzero(np.triu(~(matrix | matrix.T)))
         refs = ordering.refs
         expected = tuple((refs[i], refs[j]) for i, j in zip(rows, cols))
@@ -283,8 +319,8 @@ class TestNullEvents:
         for _ in range(10):
             family = random_family(rng, max_measurements=4, max_outcomes=5)
             ordering = induced_ordering(family)
-            weights = event_weights(family)
-            expected = {r for r in ordering.refs if weights[r] == 0}
+            weights = own_weights(family)
+            expected = {r for r in ordering.refs if weights.value(r) == 0}
             assert null_events(ordering) == expected
 
     def test_empty_event_always_null(self):
@@ -316,10 +352,10 @@ class TestOutcomeCountOrdering:
             )
         )
         ordering = outcome_count_ordering(family)
-        singles = [EventRef("u", frozenset({o})) for o in ("a", "b", "c")]
+        singles = [ordering.index[EventRef("u", frozenset({o}))] for o in ("a", "b", "c")]
         for x in singles:
             for y in singles:
-                assert ordering.simeq(x, y)
+                assert ordering.matrix[x, y] and ordering.matrix[y, x]
 
     def test_transitive(self):
         assert check_transitivity(
@@ -335,9 +371,9 @@ class TestOutcomeCountOrdering:
             )
         )
         ordering = outcome_count_ordering(family)
-        assert ordering.simeq(
-            EventRef("m", frozenset({"o2"})), EventRef("m", frozenset())
-        )
+        o2 = ordering.index[EventRef("m", frozenset({"o2"}))]
+        empty = ordering.index[EventRef("m", frozenset())]
+        assert ordering.matrix[o2, empty] and ordering.matrix[empty, o2]
 
 
 class TestInducedPassesEverything:
@@ -357,8 +393,6 @@ class TestInducedPassesEverything:
         equivalence, and flips across a strict weight gap break
         transitivity through an equal-weight partner.
         """
-        from born_kernel import generate_rich_family
-
         family = generate_rich_family(3, 3)
         ordering = induced_ordering(family)
         n = len(ordering.refs)

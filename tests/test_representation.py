@@ -20,7 +20,6 @@ from born_kernel import (
     SizeLimitExceeded,
     WeightedMeasurement,
     derive_representation,
-    event_weights,
     generate_rich_family,
     induced_ordering,
     outcome_count_ordering,
@@ -139,9 +138,9 @@ class TestDeriveRepresentation:
         family = generate_rich_family(4, 4)
         ordering = induced_ordering(family)
         pr = derive_representation(ordering, 4)
-        weights = event_weights(family)
+        weights = own_weights(family)
         for ref in ordering.refs:
-            assert pr.value(ref) == weights[ref]
+            assert pr.value(ref) == weights.value(ref)
 
         # Condition 1: boundaries.
         for m in family.measurements:
@@ -164,7 +163,8 @@ class TestDeriveRepresentation:
         # Condition 3: order agreement over every ordered pair.
         for a in ordering.refs:
             for b in ordering.refs:
-                assert (pr.value(a) >= pr.value(b)) == ordering.holds(a, b)
+                geq = ordering.matrix[ordering.index[a], ordering.index[b]]
+                assert (pr.value(a) >= pr.value(b)) == geq
 
     def test_k1_certain(self):
         family = generate_rich_family(1, 1)
@@ -329,10 +329,9 @@ class TestVerifyRepresentation:
     def test_non_total_relation_fails_order_condition(self):
         """Value comparisons are total, so a partial relation cannot agree."""
         from born_kernel import LikelihoodOrdering
-        from born_kernel.ordering import enumerate_event_refs
 
         family = generate_rich_family(2, 2)
-        refs = enumerate_event_refs(family)
+        refs = family.refs
         partial = LikelihoodOrdering(
             family, refs, np.eye(len(refs), dtype=bool)
         )
@@ -374,7 +373,7 @@ def naive_uniqueness_oracle(family, ordering, K):
             }
             good = all(
                 (val[a] >= val[b])
-                == ordering.holds(EventRef(mid, a), EventRef(mid, b))
+                == ordering.matrix[family.position(mid, a), family.position(mid, b)]
                 for a in subsets
                 for b in subsets
             )
@@ -393,7 +392,7 @@ def naive_uniqueness_oracle(family, ordering, K):
                     Fraction(0),
                 )
         good = all(
-            (values[a] >= values[b]) == ordering.holds(a, b)
+            (values[a] >= values[b]) == ordering.matrix[ordering.index[a], ordering.index[b]]
             for a in values
             for b in values
         )
@@ -408,8 +407,8 @@ class TestUniquenessSearch:
         ordering = induced_ordering(family)
         found = uniqueness_search(ordering, 2)
         assert len(found) == 1
-        weights = event_weights(family)
-        assert all(found[0].value(r) == weights[r] for r in ordering.refs)
+        weights = own_weights(family)
+        assert all(found[0].value(r) == weights.value(r) for r in ordering.refs)
 
     def test_count_ordering_has_no_representation(self):
         family = MeasurementFamily(
@@ -492,10 +491,11 @@ class TestWeightAgreementBothDirections:
         for _ in range(6):
             family = random_family(rng, max_measurements=3, max_outcomes=5)
             ordering = induced_ordering(family)
-            weights = event_weights(family)
+            weights = own_weights(family)
             for a in ordering.refs:
                 for b in ordering.refs:
-                    assert ordering.holds(a, b) == (weights[a] >= weights[b])
+                    geq = ordering.matrix[ordering.index[a], ordering.index[b]]
+                    assert geq == (weights.value(a) >= weights.value(b))
 
     def test_strict_monotonicity_across_denominator_64(self):
         """Every grid value with denominator <= 64 ranks strictly by value."""
@@ -530,4 +530,4 @@ class TestWeightAgreementBothDirections:
             i, j = sorted(rng.integers(0, len(interior), size=2))
             if i == j:
                 continue
-            assert ordering.strictly(refs[j], refs[i])
+            assert matrix[idx[j], idx[i]] and not matrix[idx[i], idx[j]]

@@ -22,7 +22,6 @@ from born_kernel import (
     WeightedMeasurement,
     check_totality,
     check_transitivity,
-    enumerate_event_refs,
     generate_rich_family,
     induced_ordering,
     verify_representation,
@@ -64,7 +63,7 @@ def _report(ordering, axiom, witnesses) -> AxiomReport:
 
 
 def _ordering(family, matrix) -> LikelihoodOrdering:
-    return LikelihoodOrdering(family, enumerate_event_refs(family), matrix)
+    return LikelihoodOrdering(family, family.refs, matrix)
 
 
 small_families = st.lists(st.integers(1, 3), min_size=1, max_size=3).map(
@@ -138,8 +137,8 @@ def test_verify_matches_the_whole_matrix_formula(case):
 
 @pytest.mark.parametrize("flip", [None, (480, 3), (3, 480), (300, 300)])
 def test_rank_test_across_blocks_matches_the_oracles(flip):
-    """486 events: the rank test and the Totality scan run in two blocks,
-    and a flipped entry in either block changes the verdict."""
+    """486 events: the rank test runs in two blocks, and a flipped entry
+    in either block changes the verdict."""
     family = generate_rich_family(6, 6)
     matrix = induced_ordering(family).matrix.copy()
     if flip:
