@@ -46,7 +46,7 @@ pr = derive_representation(ordering, 4)
 ok, _ = verify_representation(pr, ordering)
 print(f"derived measure verifies: {ok}")
 
-found = uniqueness_search(ordering, 4, max_measurements=16)
+found = uniqueness_search(ordering, 4)
 print(f"exhaustive search found {len(found)} representing assignment(s)")
 print("and it equals the weight function:", found[0].vector == weights)
 

@@ -175,11 +175,11 @@ class MeasurementFamily:
         return out
 
     def position(self, measurement_id: str, event: Iterable[str]) -> int:
-        """Canonical position of an event of one measurement."""
-        return self.slices[measurement_id].start + self.by_id[measurement_id].event_mask(event)
-
-    def __contains__(self, measurement_id: str) -> bool:
-        return measurement_id in self.by_id
+        """Canonical position of an event; ValueError if it is not in the family."""
+        m = self.by_id.get(measurement_id)
+        if m is None:
+            raise ValueError(f"unknown measurement {measurement_id!r}")
+        return self.slices[measurement_id].start + m.event_mask(event)
 
     def event_count(self) -> int:
         return sum(2 ** len(m.outcomes) for m in self.measurements)
@@ -534,7 +534,7 @@ def replay_witness(
     for ref in witness:
         try:
             pos.append(family.position(ref.measurement_id, ref.event))
-        except (KeyError, ValueError):
+        except ValueError:
             raise ValueError(f"{ref.label()} is not in this ordering's event space") from None
         start.append(family.slices[ref.measurement_id].start)
     if axiom == "Transitivity":

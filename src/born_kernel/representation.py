@@ -7,8 +7,9 @@ the ordering on every pair of events.  The constructive derivation
 reproduces the uniqueness argument: the uniform K-outcome measurement
 pins 1/K on each of its outcomes, blocks of uniform outcomes pin k/K,
 and equal-likelihood judgments transfer those values to every event of
-matching weight.  The exhaustive search then confirms on small instances
-that no other assignment on the 1/K grid represents the ordering.
+matching weight.  The exhaustive search then confirms, one value per
+tier of equally likely events, that no other assignment on the 1/K grid
+represents the ordering.
 
 Everything in this module is exact rational arithmetic.
 """
@@ -34,7 +35,6 @@ from .ordering import (
     order_matrix,
     rational_subset_sums,
     require_event_count,
-    subset_sums,
 )
 
 
@@ -59,16 +59,14 @@ class FamilyMismatch(ValueError):
 
 
 class SearchSpaceTooLarge(ValueError):
-    """Instance exceeds the brute-force caps."""
+    """The uniqueness search would try more than ``MAX_SEARCH_STEPS`` values."""
 
 
 # Measurements in one rich family, which the library may build unordered.
 MAX_RICH_MEASUREMENTS = 10**6
 
-# Brute-force caps for the exhaustive search.
-MAX_SEARCH_OUTCOMES = 12
-MAX_SEARCH_MEASUREMENTS = 6
-MAX_SEARCH_PARTIALS = 200_000
+# Values the uniqueness search may try, over all tiers, before it refuses.
+MAX_SEARCH_STEPS = 100_000
 
 
 @dataclass(frozen=True, eq=False)
@@ -316,149 +314,79 @@ def verify_representation(
     return (not witnesses, witnesses)
 
 
-def _measurement_candidates(
-    ordering: LikelihoodOrdering, m: WeightedMeasurement, K: int
-) -> list[tuple[int, ...]]:
-    """Per-measurement singleton grids consistent with the ordering.
-
-    Enumerates integer vectors v >= 0 with sum K, pruned during recursion
-    by the ordering's judgments between singletons (and against the
-    empty event), then filtered by full order agreement over the
-    measurement's own event space.  These are exactly the restrictions
-    to this measurement of the assignments the exhaustive definition
-    would keep.
-    """
-    n = len(m.outcomes)
-    sl = ordering.family.slices[m.id]
-    h_local = ordering.matrix[sl, sl]
-
-    single = [1 << i for i in range(n)]
-    # Pairwise constraints between singletons: (ge, le) booleans.
-    ge = [[bool(h_local[single[i], single[j]]) for j in range(n)] for i in range(n)]
-    strict_positive = [
-        not (h_local[0, single[i]] and h_local[single[i], 0]) for i in range(n)
-    ]
-
-    out: list[tuple[int, ...]] = []
-    vec = [0] * n
-
-    def recurse(i: int, remaining: int) -> None:
-        if i == n:
-            if remaining == 0:
-                out.append(tuple(vec))
-            return
-        # A null singleton is pinned to 0; anything else needs value >= 1,
-        # or the value order would merge it with the empty event.
-        lo, hi = (1, remaining) if strict_positive[i] else (0, 0)
-        for v in range(lo, hi + 1):
-            ok = True
-            for j in range(i):
-                if ge[i][j] and not ge[j][i] and not (v > vec[j]):
-                    ok = False
-                elif ge[j][i] and not ge[i][j] and not (v < vec[j]):
-                    ok = False
-                elif ge[i][j] and ge[j][i] and v != vec[j]:
-                    ok = False
-                elif not ge[i][j] and not ge[j][i]:
-                    # Incomparable singletons can never agree with a total
-                    # value order; no candidate survives.
-                    ok = False
-                if not ok:
-                    break
-            if not ok:
-                continue
-            vec[i] = v
-            recurse(i + 1, remaining - v)
-        vec[i] = 0
-
-    recurse(0, K)
-
-    # Event-level filter: value order over this measurement's full event
-    # space must reproduce the ordering's submatrix.
-    survivors = []
-    for v in out:
-        vals = np.array(subset_sums(v))
-        if np.array_equal(vals[:, None] >= vals[None, :], h_local):
-            survivors.append(v)
-    return survivors
-
-
-def uniqueness_search(
-    ordering: LikelihoodOrdering,
-    K: int,
-    max_outcomes: int = MAX_SEARCH_OUTCOMES,
-    max_measurements: int = MAX_SEARCH_MEASUREMENTS,
-) -> list[ProbabilityAssignment]:
+def uniqueness_search(ordering: LikelihoodOrdering, K: int) -> list[ProbabilityAssignment]:
     """Every additive assignment on the 1/K grid representing the ordering.
 
-    Exhausts all assignments with event values in {0, 1/K, ..., K/K}
-    (equivalently: all nonnegative integer singleton vectors summing to
-    K per measurement) and keeps those passing
-    :func:`verify_representation`.  Enumeration prunes with necessary
-    conditions only, and survivors are re-verified in full, so the
-    result set matches the brute-force definition exactly.
+    Grid values order events as a total preorder, and they represent one
+    exactly when they are a strictly increasing map f from its tiers
+    (the dense ranks of ``preorder_row_sums``) into {0, ..., K} that is
+    additive on each measurement.  f is chosen one tier at a time, least
+    likely first.  Empty events pin their tier to 0 and full events
+    theirs to K; an event whose lowest outcome and remainder lie in lower
+    tiers forces its tier to their sum; any other tier tries f(t - 1) + 1
+    up to K minus the number of tiers above it.  Each constraint v(E) =
+    v(lowest outcome of E) + v(E minus it) is checked at its highest
+    tier.  Results are sorted by their singleton values in canonical
+    order and re-verified with :func:`verify_representation`.  Past
+    ``MAX_SEARCH_STEPS`` values tried, it raises :class:`SearchSpaceTooLarge`.
     """
     family = ordering.family
     _require_grid(family, K)
-    if len(family.measurements) > max_measurements:
-        raise SearchSpaceTooLarge(
-            f"{len(family.measurements)} measurements exceed the cap of "
-            f"{max_measurements}"
-        )
-    for m in family.measurements:
-        if len(m.outcomes) > max_outcomes:
-            raise SearchSpaceTooLarge(
-                f"measurement {m.id!r} has {len(m.outcomes)} outcomes, "
-                f"exceeding the cap of {max_outcomes}"
-            )
-
-    mids = list(family.sorted_ids)
-    per_measurement = {
-        mid: _measurement_candidates(ordering, family.by_id[mid], K) for mid in mids
-    }
-    if any(not c for c in per_measurement.values()):
+    rowsums = ordering.preorder_row_sums
+    if rowsums is None:
         return []
+    rank = dense_ranks(rowsums.tolist()).tolist()
+    tiers = max(rank) + 1
+    pinned: dict[int, int] = {}
+    forced: dict[int, tuple[int, int]] = {}
+    checks: list[set[tuple[int, int, int]]] = [set() for _ in range(tiers)]
+    for sl in family.slices.values():
+        for t, v in ((rank[sl.start], 0), (rank[sl.stop - 1], K)):
+            if pinned.setdefault(t, v) != v:
+                return []
+        for mask in range(1, sl.stop - sl.start):
+            low = mask & -mask
+            e, s, r = rank[sl.start + mask], rank[sl.start + low], rank[sl.start + mask - low]
+            if s < e and r < e:
+                forced.setdefault(e, (s, r))
+            checks[max(e, s, r)].add((e, s, r))
 
-    # Join measurements one at a time in canonical order, so the events
-    # already joined are the position prefix [:start], filtering on
-    # cross-measurement order agreement as we go.
-    h = ordering.matrix
-    partials: list[tuple[tuple[int, ...], ...]] = [()]
-    partial_vals: list[list[int]] = [[]]
-    for mid, sl in family.slices.items():
-        h_new_old = h[sl, : sl.start]
-        h_old_new = h[: sl.start, sl]
-        cands = [(c, np.array(subset_sums(c))) for c in per_measurement[mid]]
-        new_partials = []
-        new_vals = []
-        for partial, old_vals in zip(partials, partial_vals):
-            old_arr = np.array(old_vals, dtype=np.int64)
-            for cand, vals in cands:
-                if not np.array_equal(vals[:, None] >= old_arr[None, :], h_new_old):
-                    continue
-                if not np.array_equal(old_arr[:, None] >= vals[None, :], h_old_new):
-                    continue
-                new_partials.append(partial + (cand,))
-                new_vals.append(old_vals + vals.tolist())
-        partials = new_partials
-        partial_vals = new_vals
-        if len(partials) > MAX_SEARCH_PARTIALS:
+    f: list[int] = []  # f[t] for the tiers below the one being tried
+
+    def candidates(t: int) -> range:
+        lo, hi = (f[-1] + 1 if f else 0), K - (tiers - 1 - t)
+        v = pinned.get(t)
+        if v is None and t in forced:
+            v = sum(f[u] for u in forced[t])
+        return range(lo, hi + 1) if v is None else range(max(lo, v), min(hi, v) + 1)
+
+    outcomes = [(mid, o) for mid in family.sorted_ids for o in family.by_id[mid].outcomes]
+    singles = [rank[family.position(mid, (o,))] for mid, o in outcomes]
+    solutions = []
+    stack, steps = [iter(candidates(0))], 0
+    while stack:
+        del f[len(stack) - 1:]
+        v = next(stack[-1], None)
+        if v is None:
+            stack.pop()
+            continue
+        steps += 1
+        if steps > MAX_SEARCH_STEPS:
             raise SearchSpaceTooLarge(
-                f"partial assignment count {len(partials)} exceeds "
-                f"{MAX_SEARCH_PARTIALS}"
+                f"search for K={K} over {tiers:,} tiers tried more than "
+                f"{MAX_SEARCH_STEPS:,} values, the cap MAX_SEARCH_STEPS"
             )
-        if not partials:
-            return []
+        f.append(v)
+        t = len(f) - 1
+        if any(f[e] != f[s] + f[r] for e, s, r in checks[t]):
+            continue
+        if t + 1 < tiers:
+            stack.append(iter(candidates(t + 1)))
+        else:
+            solutions.append(tuple(f[u] for u in singles))
 
-    results = []
-    for partial in sorted(partials):
-        singleton_values = {}
-        for mid, cand in zip(mids, partial):
-            m = family.by_id[mid]
-            for o, v in zip(m.outcomes, cand):
-                singleton_values[(mid, o)] = Fraction(v, K)
-        assignment = ProbabilityAssignment.from_singletons(family, singleton_values)
-        ok, _ = verify_representation(assignment, ordering)
-        if ok:
-            results.append(assignment)
-    return results
+    assignments = (
+        ProbabilityAssignment(family, {k: Fraction(v, K) for k, v in zip(outcomes, values)})
+        for values in sorted(solutions)
+    )
+    return [a for a in assignments if verify_representation(a, ordering)[0]]

@@ -2,9 +2,9 @@
 
 A tolerance record is passed only where an object is validated, the
 package reads no environment variable, and the CLI and `NumericPolicy`
-offer exactly the options listed here.  A new setting has to change
-this file, and so does a new name that `born_kernel` exports or a new
-public attribute of `LikelihoodOrdering`.
+offer exactly the options listed here; `uniqueness_search` takes none.
+A new setting has to change this file, and so does a new name that
+`born_kernel` exports or a new public attribute of `LikelihoodOrdering`.
 """
 import argparse
 import importlib
@@ -147,3 +147,8 @@ def test_likelihood_ordering_surface():
     assert [f.name for f in fields(LikelihoodOrdering)] == ["family", "refs", "matrix"]
     public = sorted(a for a in vars(LikelihoodOrdering) if not a.startswith("_"))
     assert public == ["index", "preorder_row_sums", "reports"]
+
+
+def test_uniqueness_search_takes_no_settings():
+    """One step cap, a module constant, bounds the search: no parameter."""
+    assert list(inspect.signature(born_kernel.uniqueness_search).parameters) == ["ordering", "K"]

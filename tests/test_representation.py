@@ -3,14 +3,16 @@ import itertools
 import math
 import re
 import sys
+import time
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from born_kernel import (
     EventRef,
+    LikelihoodOrdering,
     MeasurementFamily,
     MissingUniformMeasurement,
     NonconformingDenominator,
@@ -28,8 +30,9 @@ from born_kernel import (
     uniqueness_search,
     verify_representation,
 )
-from born_kernel.ordering import ALL_CHECKS, MAX_EXTENSIONAL_EVENTS
+from born_kernel.ordering import ALL_CHECKS, MAX_EXTENSIONAL_EVENTS, order_matrix
 from born_kernel.representation import (
+    MAX_SEARCH_STEPS,
     require_rich_family_within_cap,
     rich_family_events,
     rich_family_size,
@@ -260,6 +263,13 @@ class TestProbabilityAssignment:
                 {("m", "a"): Fraction(1), ("m", "b"): Fraction(0), ("m", "c"): 0},
             )
 
+    def test_ref_outside_the_family_is_a_value_error(self):
+        pr = own_weights(COIN)
+        with pytest.raises(ValueError, match="unknown measurement 'x'"):
+            pr.value(EventRef("x", frozenset()))
+        with pytest.raises(ValueError, match="unknown outcome 'c'"):
+            pr.value(EventRef("m", frozenset({"c"})))
+
     @given(outcome_numerators)
     def test_vector_is_per_bit_sums_and_json_round_trips(self, numerators):
         from born_kernel.formats import assignment_from_json, assignment_to_json
@@ -328,8 +338,6 @@ class TestVerifyRepresentation:
 
     def test_non_total_relation_fails_order_condition(self):
         """Value comparisons are total, so a partial relation cannot agree."""
-        from born_kernel import LikelihoodOrdering
-
         family = generate_rich_family(2, 2)
         refs = family.refs
         partial = LikelihoodOrdering(
@@ -432,13 +440,30 @@ class TestUniquenessSearch:
         assert found[0].value(EventRef("k1", frozenset({"o1"}))) == 1
 
     def test_caps(self):
-        family = generate_rich_family(4, 4)
-        ordering = induced_ordering(family)
-        with pytest.raises(SearchSpaceTooLarge):
-            uniqueness_search(ordering, 4, max_measurements=3)
-        big = MeasurementFamily((uniform_measurement(13),))
-        with pytest.raises(SearchSpaceTooLarge):
-            uniqueness_search(induced_ordering(big), 13)
+        """(1/2, 1/2) at K = 4 * 10**6 would try every value of its middle
+        tier; the one step cap refuses it quickly, by name."""
+        half = MeasurementFamily(
+            (WeightedMeasurement("h", ("a", "b"), (Fraction(1, 2), Fraction(1, 2))),)
+        )
+        ordering = induced_ordering(half)
+        start = time.perf_counter()
+        with pytest.raises(SearchSpaceTooLarge, match=f"{MAX_SEARCH_STEPS:,}.*MAX_SEARCH_STEPS"):
+            uniqueness_search(ordering, 4 * 10**6)
+        assert time.perf_counter() - start < 1.0
+
+    @pytest.mark.parametrize("K", range(2, 9))
+    def test_full_rich_family_has_exactly_its_own_weights(self, K):
+        family = generate_rich_family(K, K)
+        assert uniqueness_search(induced_ordering(family), K) == [own_weights(family)]
+
+    def test_16384_tiers_need_no_recursion(self):
+        """Every subset of 14 bits has its own weight: one tier per event."""
+        K = 2**14 - 1
+        bits = WeightedMeasurement(
+            "bits", tuple(f"b{i}" for i in range(14)), tuple(Fraction(2**i, K) for i in range(14))
+        )
+        family = MeasurementFamily((bits,))
+        assert uniqueness_search(induced_ordering(family), K) == [own_weights(family)]
 
     def test_denominator_check(self):
         family = MeasurementFamily(
@@ -459,7 +484,7 @@ class TestUniquenessSearch:
 
         oracle = naive_uniqueness_oracle(family, ordering, 4)
         assert len(oracle) == 1
-        found = uniqueness_search(ordering, 4, max_measurements=16)
+        found = uniqueness_search(ordering, 4)
         assert len(found) == 1
         assert [found[0].value(r) for r in ordering.refs] == [
             oracle[0][r] for r in ordering.refs
@@ -483,6 +508,51 @@ class TestUniquenessSearch:
         rich = MeasurementFamily(family.measurements + (uniform_measurement(8),))
         found_rich = uniqueness_search(induced_ordering(rich), 8)
         assert len(found_rich) == 1
+
+
+@st.composite
+def grid_orderings(draw):
+    """(ordering, K): at most 3 measurements of at most 4 outcomes on the
+    1/K grid, K <= 6, ordered by their weights with or without the uniform
+    K-outcome measurement, by outcome count, by integer scores, or by
+    their weights with one entry flipped."""
+    kind = draw(st.sampled_from(["induced", "uniform", "count", "scores", "flipped"]))
+    uniform = kind == "uniform"
+    K = draw(st.integers(1, 4 if uniform else 6))
+    measurements = []
+    for i in range(draw(st.integers(1, 3)) - uniform):
+        n = draw(st.integers(1, 4))
+        cuts = sorted(draw(st.lists(st.integers(0, K), min_size=n - 1, max_size=n - 1)))
+        parts = [b - a for a, b in zip([0] + cuts, cuts + [K])]
+        measurements.append(WeightedMeasurement(
+            f"m{i}", tuple(f"o{j}" for j in range(n)), tuple(Fraction(p, K) for p in parts)
+        ))
+    if uniform:
+        measurements.append(uniform_measurement(K))
+    family = MeasurementFamily(tuple(measurements))
+    if kind == "count":
+        return outcome_count_ordering(family), K
+    n = family.event_count()
+    if kind == "scores":
+        scores = draw(st.lists(st.integers(0, 4), min_size=n, max_size=n))
+        return LikelihoodOrdering(family, family.refs, order_matrix(scores)), K
+    ordering = induced_ordering(family)
+    if kind == "flipped":
+        matrix = ordering.matrix.copy()
+        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        matrix[i, j] = not matrix[i, j]
+        ordering = LikelihoodOrdering(family, family.refs, matrix)
+    return ordering, K
+
+
+@settings(max_examples=150, deadline=None)
+@given(grid_orderings())
+def test_search_matches_the_naive_oracle(drawn):
+    """The same assignments as the brute-force definition, in its order."""
+    ordering, K = drawn
+    found = uniqueness_search(ordering, K)
+    oracle = naive_uniqueness_oracle(ordering.family, ordering, K)
+    assert [{r: a.value(r) for r in ordering.refs} for a in found] == oracle
 
 
 class TestWeightAgreementBothDirections:
