@@ -54,6 +54,10 @@ EXIT_INPUT = 2
 # demo-erasure plays 32 games over R**2 microstate choices: time and report grow as R**2.
 MAX_ERASURE_CHOICES = 10_000
 
+# Witnesses a verdict lists; its witness_count stays exact.  A failing
+# K=8 control has 822,609, which would be 287 MB of report.
+WITNESS_LIMIT = 1_000
+
 
 class InputError(Exception):
     """Anything wrong with the inputs themselves: maps to exit 2."""
@@ -95,7 +99,7 @@ def _verdict(check: str, ok: bool, witnesses=()) -> dict:
         "check": check,
         "result": "pass" if ok else "fail",
         "witness_count": len(witnesses),
-        "witnesses": [_witness_json(w) for w in witnesses],
+        "witnesses": [_witness_json(w) for w in witnesses[:WITNESS_LIMIT]],
     }
 
 

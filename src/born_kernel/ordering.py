@@ -32,14 +32,21 @@ O(n^2) in time and builds no second n x n array.  Only a relation that
 fails it pays for witnesses: the n^3 composition for Transitivity and an
 n^2 scan for Totality.  ``verify_representation`` and
 ``formats.tiers_to_json`` read the same row sums.
+
+Exact weights are ranked and grouped as integer numerators over the
+family's common denominator (:func:`weight_numerators`), never as
+``Fraction`` objects.  Witnesses stay an array of canonical positions,
+sorted once, until a caller reads them (:class:`Witnesses`): a relation
+with 10^5 violations costs an array, not 10^5 tuples of refs.
 """
 from __future__ import annotations
 
 import math
+import operator
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -211,19 +218,38 @@ def subset_sums(values: Sequence[int]) -> list[int]:
     return out
 
 
+def scaled_subset_sums(rows: Iterable[Sequence[Fraction]]) -> tuple[list[int], int]:
+    """:func:`subset_sums` of each row of exact rationals, concatenated, as
+    integer numerators over the rows' common denominator.
+
+    Returns (numerators, denominator).  The numerators compare exactly as
+    the rationals do, so they rank and group events with no ``Fraction``
+    arithmetic.
+    """
+    rows = [tuple(row) for row in rows]
+    den = math.lcm(*(v.denominator for row in rows for v in row))
+    nums: list[int] = []
+    for row in rows:
+        nums += subset_sums([v.numerator * (den // v.denominator) for v in row])
+    return nums, den
+
+
 def rational_subset_sums(values: Sequence[Fraction]) -> list[Fraction]:
-    """:func:`subset_sums` of exact rationals, on their common denominator."""
-    den = math.lcm(*(v.denominator for v in values))
-    nums = subset_sums([v.numerator * (den // v.denominator) for v in values])
+    """:func:`subset_sums` of exact rationals."""
+    nums, den = scaled_subset_sums([values])
     return [Fraction(n, den) for n in nums]
+
+
+def weight_numerators(family: MeasurementFamily) -> tuple[list[int], int]:
+    """Exact weight of every event, in canonical position order, as integer
+    numerators over the family's common denominator."""
+    return scaled_subset_sums(family.by_id[mid].weights for mid in family.sorted_ids)
 
 
 def weight_vector(family: MeasurementFamily) -> list[Fraction]:
     """Exact weight of every event, in canonical position order."""
-    out: list[Fraction] = []
-    for mid in family.sorted_ids:
-        out += rational_subset_sums(family.by_id[mid].weights)
-    return out
+    nums, den = weight_numerators(family)
+    return [Fraction(n, den) for n in nums]
 
 
 def dense_ranks(scores: Sequence) -> np.ndarray:
@@ -246,8 +272,8 @@ def order_matrix(scores: Sequence) -> np.ndarray:
     return ranks[:, None] >= ranks[None, :]
 
 
-# Rows per block of the rank test: small enough that a block's
-# temporaries stay in cache.
+# Rows per block of the rank test and of witness iteration: small enough
+# that a block's temporaries stay in cache.
 _BLOCK = 256
 
 
@@ -353,7 +379,7 @@ def induced_ordering(family: MeasurementFamily) -> LikelihoodOrdering:
     equal-weight events equally likely.
     """
     require_event_count(family.event_count())
-    return _ordering_from_scores(family, weight_vector(family))
+    return _ordering_from_scores(family, weight_numerators(family)[0])
 
 
 def outcome_count_ordering(family: MeasurementFamily) -> LikelihoodOrdering:
@@ -369,34 +395,96 @@ def outcome_count_ordering(family: MeasurementFamily) -> LikelihoodOrdering:
     return _ordering_from_scores(family, counts)
 
 
+class Witnesses(Sequence):
+    """Read-only sequence of witnesses, held as canonical positions.
+
+    Row i of ``rows`` gives the positions of witness i.  The sequence
+    stands for the tuple of event-ref tuples those rows name: ``len``,
+    iteration, indexing, slicing (to a tuple), ``in``, ``==`` and
+    ``hash`` behave exactly as on that tuple, yet a ref tuple is built
+    only when it is read, and a slice reads only its own rows.
+    """
+
+    __slots__ = ("_rows", "_family")
+
+    def __init__(self, rows: np.ndarray, family: MeasurementFamily):
+        self._rows = rows
+        self._family = family
+
+    def __len__(self) -> int:
+        return len(self._rows)
+
+    def __getitem__(self, i):
+        refs = self._family.refs
+        if isinstance(i, slice):
+            return tuple(tuple(refs[p] for p in row) for row in self._rows[i].tolist())
+        return tuple(refs[p] for p in self._rows[operator.index(i)].tolist())
+
+    def __iter__(self):
+        for s in range(0, len(self), _BLOCK):
+            yield from self[s:s + _BLOCK]
+
+    def __contains__(self, item: object) -> bool:
+        rows = self._rows
+        if not (isinstance(item, tuple) and len(rows) and len(item) == rows.shape[1]):
+            return False
+        if not all(isinstance(ref, EventRef) for ref in item):
+            return False
+        try:
+            pos = [self._family.position(ref.measurement_id, ref.event) for ref in item]
+        except ValueError:
+            return False
+        return bool((rows == pos).all(axis=1).any())
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, (Witnesses, tuple)):
+            return NotImplemented
+        if len(self) != len(other):
+            return False
+        if (
+            isinstance(other, Witnesses)
+            and self._rows.shape == other._rows.shape
+            and (self._family is other._family or self._family == other._family)
+        ):
+            return np.array_equal(self._rows, other._rows)
+        return all(a == b for a, b in zip(self, other))
+
+    def __hash__(self) -> int:
+        return hash(tuple(self))
+
+    def __repr__(self) -> str:
+        return repr(tuple(self))
+
+
 @dataclass(frozen=True)
 class AxiomReport:
     """Verdict of one axiom check with replayable witnesses.
 
-    ``witnesses`` holds violating tuples of event refs and is empty
-    exactly when the axiom is satisfied.  For the existential Separation
-    axiom, ``evidence`` carries a non-null event when satisfied, and the
-    witnesses on failure are the events (all of them) that replay as
-    null.
+    ``witnesses`` holds violating tuples of event refs, in canonical
+    order, and is empty exactly when the axiom is satisfied.  The checks
+    return it as a :class:`Witnesses` sequence, which holds positions and
+    builds a ref tuple only when one is read, so a check that finds many
+    violations pays for the refs only when its caller reads them.  For
+    the existential Separation axiom, ``evidence`` carries a non-null
+    event when satisfied, and the witnesses on failure are the events
+    (all of them) that replay as null.
     """
 
     axiom: str
     satisfied: bool
-    witnesses: tuple[tuple[EventRef, ...], ...]
+    witnesses: Sequence[tuple[EventRef, ...]]
     evidence: EventRef | None = None
 
 
-def _report(
-    ordering: LikelihoodOrdering, axiom: str, witnesses: Iterable[tuple[int, ...]]
-) -> AxiomReport:
-    """Report from witnesses given as position tuples.
+def _report(ordering: LikelihoodOrdering, axiom: str, positions: np.ndarray) -> AxiomReport:
+    """Report from witnesses given as an (m, arity) array of positions.
 
     Position order is (measurement id, event bitmask) order, so sorting
-    the tuples sorts the witnesses canonically.
+    the rows lexicographically sorts the witnesses canonically.
     """
-    refs = ordering.refs
-    found = tuple(tuple(refs[i] for i in w) for w in sorted(witnesses))
-    return AxiomReport(axiom, satisfied=not found, witnesses=found)
+    rows = positions[np.lexsort(positions.T[::-1])]
+    rows.setflags(write=False)
+    return AxiomReport(axiom, satisfied=not len(rows), witnesses=Witnesses(rows, ordering.family))
 
 
 def _null_mask(ordering: LikelihoodOrdering) -> np.ndarray:
@@ -417,15 +505,15 @@ def check_transitivity(ordering: LikelihoodOrdering) -> AxiomReport:
     not related directly, one witnessing triple (a, b, c) is reported.
     """
     if ordering.preorder_row_sums is not None:
-        return _report(ordering, "Transitivity", ())
+        return _report(ordering, "Transitivity", np.empty((0, 3), np.int64))
     h = ordering.matrix
     reach = (h.astype(np.float32) @ h.astype(np.float32)) > 0
     bad = reach & ~h
     witnesses = []
     for i, k in zip(*np.nonzero(bad)):
         j = np.nonzero(h[i, :] & h[:, k])[0][0]
-        witnesses.append((int(i), int(j), int(k)))
-    return _report(ordering, "Transitivity", witnesses)
+        witnesses.append((i, j, k))
+    return _report(ordering, "Transitivity", np.array(witnesses, np.int64).reshape(-1, 3))
 
 
 def check_separation(ordering: LikelihoodOrdering) -> AxiomReport:
@@ -434,7 +522,7 @@ def check_separation(ordering: LikelihoodOrdering) -> AxiomReport:
     if not null.all():
         evidence = ordering.refs[int(np.argmin(null))]
         return AxiomReport("Separation", True, (), evidence=evidence)
-    return _report(ordering, "Separation", ((i,) for i in range(len(null))))
+    return _report(ordering, "Separation", np.arange(len(null)).reshape(-1, 1))
 
 
 def check_dominance(ordering: LikelihoodOrdering) -> AxiomReport:
@@ -459,30 +547,37 @@ def check_dominance(ordering: LikelihoodOrdering) -> AxiomReport:
                 if e_mask == 0:
                     break
                 e_mask = (e_mask - 1) & f_mask
-    return _report(ordering, "Dominance", witnesses)
+    return _report(ordering, "Dominance", np.array(witnesses, np.int64).reshape(-1, 2))
 
 
 def check_equivalence(ordering: LikelihoodOrdering) -> AxiomReport:
     """Check that events of exactly equal weight are judged equally likely.
 
-    Weight equality is decided in exact rational arithmetic against the
-    family's weights; the ordering is then required to relate every such
-    pair in both directions.
+    Weight equality is decided exactly, on the family's weights as
+    integer numerators over one denominator; the ordering is then
+    required to relate every such pair in both directions.  Positions
+    are grouped by weight.  A total preorder judges two events equally
+    likely exactly when their row sums are equal (``preorder_row_sums``),
+    so it is satisfied at once when the row sums are constant on every
+    group.  Otherwise each group's block of the matrix is read once to
+    list the witnesses: no per-pair Python loop.
     """
-    groups: dict[Fraction, list[int]] = {}
-    for i, w in enumerate(weight_vector(ordering.family)):
-        groups.setdefault(w, []).append(i)
+    group = dense_ranks(weight_numerators(ordering.family)[0])
+    order = np.argsort(group, kind="stable")  # positions ascend within a group
+    rowsums = ordering.preorder_row_sums
+    if rowsums is not None:
+        same_group = np.diff(group[order]) == 0
+        if not np.any(same_group & (np.diff(rowsums[order]) != 0)):
+            return _report(ordering, "Equivalence", np.empty((0, 2), np.int64))
+    sizes = np.bincount(group)
+    starts = np.cumsum(sizes) - sizes
     h = ordering.matrix
-    witnesses = []
-    for idx in groups.values():
-        if len(idx) < 2:
-            continue
-        block = h[np.ix_(idx, idx)]
-        if block.all():
-            continue
-        for a, b in zip(*np.nonzero(~block)):
-            witnesses.append((idx[int(a)], idx[int(b)]))
-    return _report(ordering, "Equivalence", witnesses)
+    pieces = [np.empty((0, 2), np.int64)]
+    for start, size in zip(starts[sizes > 1].tolist(), sizes[sizes > 1].tolist()):
+        g = order[start:start + size]
+        a, b = np.nonzero(~h[np.ix_(g, g)])
+        pieces.append(np.stack((g[a], g[b]), axis=1))
+    return _report(ordering, "Equivalence", np.concatenate(pieces))
 
 
 def check_totality(ordering: LikelihoodOrdering) -> AxiomReport:
@@ -495,9 +590,9 @@ def check_totality(ordering: LikelihoodOrdering) -> AxiomReport:
     a = b is one when a >= a fails.
     """
     if ordering.preorder_row_sums is not None:
-        return _report(ordering, "Totality", ())
+        return _report(ordering, "Totality", np.empty((0, 2), np.int64))
     h = ordering.matrix
-    return _report(ordering, "Totality", np.argwhere(np.triu(~(h | h.T))).tolist())
+    return _report(ordering, "Totality", np.argwhere(np.triu(~(h | h.T))))
 
 
 # Last, so derive still names the first of the earlier checks that fails.

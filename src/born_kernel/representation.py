@@ -33,8 +33,8 @@ from .ordering import (
     dense_ranks,
     event_cap_error,
     order_matrix,
-    rational_subset_sums,
     require_event_count,
+    scaled_subset_sums,
 )
 
 
@@ -105,13 +105,19 @@ class ProbabilityAssignment:
         return cls(family, singleton_values)
 
     @cached_property
+    def _scaled(self) -> tuple[list[int], int]:
+        """Value of every event, in canonical position order, as integer
+        numerators over one common denominator."""
+        return scaled_subset_sums(
+            [self.singletons[(mid, o)] for o in self.family.by_id[mid].outcomes]
+            for mid in self.family.sorted_ids
+        )
+
+    @cached_property
     def vector(self) -> list[Fraction]:
         """Value of every event, in canonical position order."""
-        out: list[Fraction] = []
-        for mid in self.family.sorted_ids:
-            outcomes = self.family.by_id[mid].outcomes
-            out += rational_subset_sums([self.singletons[(mid, o)] for o in outcomes])
-        return out
+        nums, den = self._scaled
+        return [Fraction(n, den) for n in nums]
 
     def value(self, ref: EventRef) -> Fraction:
         return self.vector[self.family.position(ref.measurement_id, ref.event)]
@@ -297,19 +303,21 @@ def verify_representation(
     preorder exactly when their dense ranks equal those of its row sums
     (``preorder_row_sums``): one sort, O(n log n).  Only when the ranks
     differ, or the ordering is no total preorder, is the n x n
-    comparison built to list the witnesses.
+    comparison built to list the witnesses.  Values are compared as
+    integer numerators over one denominator, never as ``Fraction``s.
     """
     if assignment.family is not ordering.family and not (
         assignment.family == ordering.family
     ):
         raise FamilyMismatch("assignment and ordering have different families")
     rowsums = ordering.preorder_row_sums
+    values = assignment._scaled[0]
     if rowsums is not None and np.array_equal(
-        dense_ranks(assignment.vector), dense_ranks(rowsums.tolist())
+        dense_ranks(values), dense_ranks(rowsums.tolist())
     ):
         return (True, [])
     refs = ordering.refs
-    mismatch = order_matrix(assignment.vector) != ordering.matrix
+    mismatch = order_matrix(values) != ordering.matrix
     witnesses = [("order", refs[i], refs[j]) for i, j in zip(*np.nonzero(mismatch))]
     return (not witnesses, witnesses)
 

@@ -12,15 +12,20 @@ from born_kernel import (
     MeasurementQuadruple,
     StateVector,
     WeightedMeasurement,
+    check_equivalence,
+    generate_rich_family,
     outcome_count_ordering,
     spectral_decompose,
     uniform_measurement,
 )
+from born_kernel.cli import WITNESS_LIMIT
 from born_kernel.formats import (
     canonical_dumps,
+    event_ref_to_json,
     family_to_json,
     ordering_to_json,
     quadruple_to_json,
+    tiers_to_json,
 )
 
 
@@ -171,6 +176,24 @@ class TestCheck:
         assert by_name["Equivalence"]["result"] == "fail"
         assert by_name["Equivalence"]["witness_count"] > 0
         assert by_name["Equivalence"]["witnesses"]
+
+    def test_long_witness_list_is_cut_and_counted_exactly(self, tmp_path):
+        """The K=7 control fails Equivalence 91,276 times: the report
+        counts them all and lists the first WITNESS_LIMIT in canonical
+        order, where the whole list was 30.5 MB of stdout."""
+        family = generate_rich_family(7, 7)
+        control = outcome_count_ordering(family)
+        fam_path, ord_path = tmp_path / "family.json", tmp_path / "control.json"
+        fam_path.write_text(canonical_dumps(family_to_json(family)))
+        ord_path.write_text(canonical_dumps(tiers_to_json(control)))
+        proc = run_cli("check", "--family", str(fam_path), "--ordering", str(ord_path))
+        assert proc.returncode == 1
+        assert len(proc.stdout.encode()) < 10**6
+        by_name = {v["check"]: v for v in json.loads(proc.stdout)["verdicts"]}
+        equivalence = by_name["Equivalence"]
+        assert equivalence["witness_count"] == 91276
+        first = check_equivalence(control).witnesses[:WITNESS_LIMIT]
+        assert equivalence["witnesses"] == [[event_ref_to_json(r) for r in w] for w in first]
 
     def test_truncated_json_exit_2(self, tmp_path):
         bad = tmp_path / "bad.json"

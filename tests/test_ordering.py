@@ -262,6 +262,20 @@ class TestEquivalence:
         }
         assert any(set(w) == pair for w in report.witnesses)
 
+    def test_many_witnesses_stay_positions(self):
+        """The K=7 control's 91,276 witnesses are held as a position array,
+        not as ref tuples: the check peaked at 12.5 MB when it built them."""
+        ordering = outcome_count_ordering(generate_rich_family(7, 7))
+        ordering.family.refs  # warm the cache
+        tracemalloc.start()
+        try:
+            report = check_equivalence(ordering)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(report.witnesses) == 91276
+        assert peak < 8 * 10**6, peak
+
     def test_vacuous_when_no_equal_weights(self):
         family = MeasurementFamily(
             (WeightedMeasurement("m", ("a", "b"), (Fraction(1, 3), Fraction(2, 3))),)

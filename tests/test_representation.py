@@ -336,6 +336,24 @@ class TestVerifyRepresentation:
         ok, _ = verify_representation(pr, ordering)
         assert ok
 
+    def test_values_are_ranked_as_integers(self, monkeypatch):
+        """On a 14-outcome measurement, 16,384 distinct values, the values
+        are ranked with no Fraction comparison: sorting the Fractions was
+        182,511 calls to Fraction.__lt__."""
+        K = 2**14 - 1
+        bits = WeightedMeasurement(
+            "bits", tuple(f"b{i}" for i in range(14)), tuple(Fraction(2**i, K) for i in range(14))
+        )
+        family = MeasurementFamily((bits,))
+        ordering = induced_ordering(family)
+        ordering.preorder_row_sums  # cached, as after the checks
+        pr = own_weights(family)
+        calls = []
+        less = Fraction.__lt__
+        monkeypatch.setattr(Fraction, "__lt__", lambda a, b: calls.append(1) or less(a, b))
+        assert verify_representation(pr, ordering) == (True, [])
+        assert not calls
+
     def test_non_total_relation_fails_order_condition(self):
         """Value comparisons are total, so a partial relation cannot agree."""
         family = generate_rich_family(2, 2)

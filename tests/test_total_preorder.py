@@ -1,12 +1,20 @@
-"""The rank test for total preorders, against the whole-relation code it
-short-circuits.
+"""The rank test for total preorders, and the lazy witness sequences,
+against the materialized code they replace.
 
 `LikelihoodOrdering.preorder_row_sums` decides "is a total preorder"
 once.  Transitivity, Totality and `verify_representation` return at once
-on a relation that passes it, and otherwise run their witness-listing
-code.  The oracles below are that code as it ran on every relation: the
-float32 composition cube, the blocked Totality scan and the whole-matrix
-comparison of `verify_representation`.
+on a relation that passes it, and Equivalence when the row sums are
+constant on every weight group; otherwise they run their
+witness-listing code.  The oracles below are that code as it ran on
+every relation: the float32 composition cube, the blocked Totality scan,
+the whole-matrix comparison of `verify_representation` and the
+Equivalence loop over `Fraction` weight groups.
+
+Every check reports its witnesses as a `Witnesses` sequence over a
+position array.  The oracle `_report` builds the tuple of ref tuples
+those witnesses stand for, as the checks did before.  The Separation
+oracle is the check's old code, and the Dominance oracle tests every
+pair of nested events directly.
 """
 from fractions import Fraction
 
@@ -20,6 +28,9 @@ from born_kernel import (
     MeasurementFamily,
     ProbabilityAssignment,
     WeightedMeasurement,
+    check_dominance,
+    check_equivalence,
+    check_separation,
     check_totality,
     check_transitivity,
     generate_rich_family,
@@ -27,7 +38,7 @@ from born_kernel import (
     verify_representation,
 )
 from born_kernel.formats import tiers_to_json
-from born_kernel.ordering import order_matrix
+from born_kernel.ordering import order_matrix, weight_vector
 
 
 def cube_transitivity(ordering) -> AxiomReport:
@@ -47,6 +58,60 @@ def blocked_totality(ordering) -> AxiomReport:
         i, j = np.nonzero(~(h[s:s + 256, s:] | h[s:, s:s + 256].T))
         witnesses += [(s + a, s + b) for a, b in zip(i.tolist(), j.tolist()) if a <= b]
     return _report(ordering, "Totality", witnesses)
+
+
+def null_mask(ordering) -> np.ndarray:
+    h = ordering.matrix
+    return np.concatenate(
+        [h[sl, sl.start] & h[sl.start, sl] for sl in ordering.family.slices.values()]
+    )
+
+
+def listed_separation(ordering) -> AxiomReport:
+    null = null_mask(ordering)
+    if not null.all():
+        return AxiomReport("Separation", True, (), evidence=ordering.refs[int(np.argmin(null))])
+    return _report(ordering, "Separation", ((i,) for i in range(len(null))))
+
+
+def listed_dominance(ordering) -> AxiomReport:
+    h, null = ordering.matrix, null_mask(ordering)
+    witnesses = []
+    for sl in ordering.family.slices.values():
+        for f in range(sl.stop - sl.start):
+            for e in range(f + 1):
+                if e & ~f:
+                    continue
+                i, j, d = sl.start + e, sl.start + f, sl.start + (f & ~e)
+                if not h[j, i] or bool(h[i, j]) != bool(null[d]):
+                    witnesses.append((i, j))
+    return _report(ordering, "Dominance", witnesses)
+
+
+def listed_equivalence(ordering) -> AxiomReport:
+    groups: dict[Fraction, list[int]] = {}
+    for i, w in enumerate(weight_vector(ordering.family)):
+        groups.setdefault(w, []).append(i)
+    h = ordering.matrix
+    witnesses = []
+    for idx in groups.values():
+        if len(idx) < 2:
+            continue
+        block = h[np.ix_(idx, idx)]
+        if block.all():
+            continue
+        for a, b in zip(*np.nonzero(~block)):
+            witnesses.append((idx[int(a)], idx[int(b)]))
+    return _report(ordering, "Equivalence", witnesses)
+
+
+ORACLES = {
+    check_transitivity: cube_transitivity,
+    check_separation: listed_separation,
+    check_dominance: listed_dominance,
+    check_equivalence: listed_equivalence,
+    check_totality: blocked_totality,
+}
 
 
 def whole_matrix_verify(assignment, ordering):
@@ -103,6 +168,27 @@ def test_checks_match_the_cube_and_the_blocked_scan(ordering):
     assert is_preorder == (transitivity.satisfied and totality.satisfied)
 
 
+@settings(max_examples=200, deadline=None)
+@given(relations(), st.data())
+def test_witness_sequences_stand_for_the_materialized_tuples(ordering, data):
+    for check, oracle in ORACLES.items():
+        report, expected = check(ordering), oracle(ordering)
+        got, want = report.witnesses, expected.witnesses
+        assert tuple(got) == want and len(got) == len(want)
+        assert got == want and want == got and not (got != want)
+        assert report == expected and expected == report
+        assert hash(got) == hash(want) and hash(report) == hash(expected)
+        a, b = data.draw(st.integers(-3, len(want) + 3)), data.draw(st.integers(-3, len(want) + 3))
+        assert got[a:b] == want[a:b] and got[::-1] == want[::-1]
+        if want:
+            i = data.draw(st.integers(-len(want), len(want) - 1))
+            assert got[i] == want[i] and got[-1] == want[-1]
+            assert want[i] in got and got.index(want[i]) == want.index(want[i])
+        with pytest.raises(IndexError):
+            got[len(want)]
+        assert (ordering.refs[0],) * 4 not in got
+
+
 @st.composite
 def assignments_and_orderings(draw):
     """A random assignment against its own order, that order with one
@@ -150,7 +236,7 @@ def test_rank_test_across_blocks_matches_the_oracles(flip):
 
 
 def test_tiers_form_and_checks_read_the_one_rank_test():
-    """`tiers_to_json` and both checks take their verdict from the cached
+    """`tiers_to_json` and three checks take their verdict from the cached
     rank test and derive none of their own: told that a total preorder
     failed it, `tiers_to_json` refuses it, while the checks fall back to
     the whole-relation code and still find nothing wrong."""
@@ -159,4 +245,5 @@ def test_tiers_form_and_checks_read_the_one_rank_test():
     ordering.__dict__["preorder_row_sums"] = None  # where cached_property keeps it
     with pytest.raises(ValueError, match="not a total preorder"):
         tiers_to_json(ordering)
-    assert check_transitivity(ordering).satisfied and check_totality(ordering).satisfied
+    for check in (check_transitivity, check_totality, check_equivalence):
+        assert check(ordering).satisfied
