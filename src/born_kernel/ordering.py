@@ -33,11 +33,11 @@ fails it pays for witnesses: the n^3 composition for Transitivity and an
 n^2 scan for Totality.  ``verify_representation`` and
 ``formats.tiers_to_json`` read the same row sums.
 
-Exact weights are ranked and grouped as integer numerators over the
-family's common denominator (:func:`weight_numerators`), never as
-``Fraction`` objects.  Witnesses stay an array of canonical positions,
-sorted once, until a caller reads them (:class:`Witnesses`): a relation
-with 10^5 violations costs an array, not 10^5 tuples of refs.
+Exact weights are ranked and grouped by their dense ranks
+(:func:`weight_ranks`), computed on integer numerators over each
+measurement's own denominator.  Witnesses stay an array of canonical
+positions, sorted once, until a caller reads them (:class:`Witnesses`):
+a relation with 10^5 violations costs an array, not 10^5 tuples of refs.
 """
 from __future__ import annotations
 
@@ -218,38 +218,61 @@ def subset_sums(values: Sequence[int]) -> list[int]:
     return out
 
 
-def scaled_subset_sums(rows: Iterable[Sequence[Fraction]]) -> tuple[list[int], int]:
-    """:func:`subset_sums` of each row of exact rationals, concatenated, as
-    integer numerators over the rows' common denominator.
+def scaled_subset_sums(values: Sequence[Fraction]) -> tuple[list[int], int]:
+    """:func:`subset_sums` of exact rationals, as integer numerators over
+    the values' least common denominator.
 
     Returns (numerators, denominator).  The numerators compare exactly as
-    the rationals do, so they rank and group events with no ``Fraction``
-    arithmetic.
+    the sums do, with no ``Fraction`` arithmetic.
     """
-    rows = [tuple(row) for row in rows]
-    den = math.lcm(*(v.denominator for row in rows for v in row))
-    nums: list[int] = []
-    for row in rows:
-        nums += subset_sums([v.numerator * (den // v.denominator) for v in row])
-    return nums, den
+    den = math.lcm(*(v.denominator for v in values))
+    return subset_sums([v.numerator * (den // v.denominator) for v in values]), den
 
 
-def rational_subset_sums(values: Sequence[Fraction]) -> list[Fraction]:
-    """:func:`subset_sums` of exact rationals."""
-    nums, den = scaled_subset_sums([values])
-    return [Fraction(n, den) for n in nums]
+def subset_sum_ranks(rows: Iterable[Sequence[Fraction]]) -> np.ndarray:
+    """:func:`dense_ranks` of the :func:`subset_sums` of each row of exact
+    rationals, concatenated.
+
+    Each row's sums are integer numerators over that row's own
+    denominator (:func:`scaled_subset_sums`), so no numerator grows with
+    the number of rows.  When all rows share a denominator the numerators
+    are ranked as they are; otherwise only the distinct values are
+    sorted, each once.  The sums must lie within float range.
+    """
+    scaled = [scaled_subset_sums(row) for row in rows]
+    if len({den for _, den in scaled}) == 1:
+        return dense_ranks([n for nums, _ in scaled for n in nums])
+    # Equal values have equal reduced (numerator, denominator) pairs.
+    # Rounding to float keeps order (x < y implies float(x) <= float(y)),
+    # so the sort compares Fractions only on float ties.
+    reduced = [
+        {n: (n // g, den // g) for n in set(nums) for g in (math.gcd(n, den),)}
+        for nums, den in scaled
+    ]
+    distinct = sorted(
+        {p for pairs in reduced for p in pairs.values()},
+        key=lambda p: (p[0] / p[1], Fraction(*p)),
+    )
+    rank_of = {p: r for r, p in enumerate(distinct)}
+    ranks: list[int] = []
+    for (nums, _), pairs in zip(scaled, reduced):
+        local = {n: rank_of[p] for n, p in pairs.items()}
+        ranks += [local[n] for n in nums]
+    return np.array(ranks, dtype=np.int64)
 
 
-def weight_numerators(family: MeasurementFamily) -> tuple[list[int], int]:
-    """Exact weight of every event, in canonical position order, as integer
-    numerators over the family's common denominator."""
-    return scaled_subset_sums(family.by_id[mid].weights for mid in family.sorted_ids)
+def weight_ranks(family: MeasurementFamily) -> np.ndarray:
+    """Dense rank of every event's exact weight, in canonical position order."""
+    return subset_sum_ranks(family.by_id[mid].weights for mid in family.sorted_ids)
 
 
 def weight_vector(family: MeasurementFamily) -> list[Fraction]:
     """Exact weight of every event, in canonical position order."""
-    nums, den = weight_numerators(family)
-    return [Fraction(n, den) for n in nums]
+    out: list[Fraction] = []
+    for mid in family.sorted_ids:
+        nums, den = scaled_subset_sums(family.by_id[mid].weights)
+        out += [Fraction(n, den) for n in nums]
+    return out
 
 
 def dense_ranks(scores: Sequence) -> np.ndarray:
@@ -272,8 +295,8 @@ def order_matrix(scores: Sequence) -> np.ndarray:
     return ranks[:, None] >= ranks[None, :]
 
 
-# Rows per block of the rank test and of witness iteration: small enough
-# that a block's temporaries stay in cache.
+# Rows per block of the rank test: small enough that a block's
+# temporaries stay in cache.
 _BLOCK = 256
 
 
@@ -363,11 +386,9 @@ def event_cap_error(count: str) -> SizeLimitExceeded:
     )
 
 
-def _ordering_from_scores(
-    family: MeasurementFamily, scores: Sequence
-) -> LikelihoodOrdering:
-    """Total preorder: event a >= event b iff score(a) >= score(b)."""
-    matrix = order_matrix(scores)
+def _ordering_from_ranks(family: MeasurementFamily, ranks: np.ndarray) -> LikelihoodOrdering:
+    """Total preorder: event a >= event b iff rank(a) >= rank(b)."""
+    matrix = ranks[:, None] >= ranks[None, :]
     matrix.setflags(write=False)  # handed over, so the ordering need not copy it
     return LikelihoodOrdering(family, family.refs, matrix)
 
@@ -379,7 +400,7 @@ def induced_ordering(family: MeasurementFamily) -> LikelihoodOrdering:
     equal-weight events equally likely.
     """
     require_event_count(family.event_count())
-    return _ordering_from_scores(family, weight_numerators(family)[0])
+    return _ordering_from_ranks(family, weight_ranks(family))
 
 
 def outcome_count_ordering(family: MeasurementFamily) -> LikelihoodOrdering:
@@ -392,7 +413,7 @@ def outcome_count_ordering(family: MeasurementFamily) -> LikelihoodOrdering:
     counts: list[int] = []
     for mid in family.sorted_ids:
         counts += subset_sums([int(w > 0) for w in family.by_id[mid].weights])
-    return _ordering_from_scores(family, counts)
+    return _ordering_from_ranks(family, dense_ranks(counts))
 
 
 class Witnesses(Sequence):
@@ -420,34 +441,10 @@ class Witnesses(Sequence):
             return tuple(tuple(refs[p] for p in row) for row in self._rows[i].tolist())
         return tuple(refs[p] for p in self._rows[operator.index(i)].tolist())
 
-    def __iter__(self):
-        for s in range(0, len(self), _BLOCK):
-            yield from self[s:s + _BLOCK]
-
-    def __contains__(self, item: object) -> bool:
-        rows = self._rows
-        if not (isinstance(item, tuple) and len(rows) and len(item) == rows.shape[1]):
-            return False
-        if not all(isinstance(ref, EventRef) for ref in item):
-            return False
-        try:
-            pos = [self._family.position(ref.measurement_id, ref.event) for ref in item]
-        except ValueError:
-            return False
-        return bool((rows == pos).all(axis=1).any())
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, (Witnesses, tuple)):
             return NotImplemented
-        if len(self) != len(other):
-            return False
-        if (
-            isinstance(other, Witnesses)
-            and self._rows.shape == other._rows.shape
-            and (self._family is other._family or self._family == other._family)
-        ):
-            return np.array_equal(self._rows, other._rows)
-        return all(a == b for a, b in zip(self, other))
+        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
 
     def __hash__(self) -> int:
         return hash(tuple(self))
@@ -553,8 +550,8 @@ def check_dominance(ordering: LikelihoodOrdering) -> AxiomReport:
 def check_equivalence(ordering: LikelihoodOrdering) -> AxiomReport:
     """Check that events of exactly equal weight are judged equally likely.
 
-    Weight equality is decided exactly, on the family's weights as
-    integer numerators over one denominator; the ordering is then
+    Weight equality is decided exactly, on the dense ranks of the
+    family's weights (:func:`weight_ranks`); the ordering is then
     required to relate every such pair in both directions.  Positions
     are grouped by weight.  A total preorder judges two events equally
     likely exactly when their row sums are equal (``preorder_row_sums``),
@@ -562,7 +559,7 @@ def check_equivalence(ordering: LikelihoodOrdering) -> AxiomReport:
     group.  Otherwise each group's block of the matrix is read once to
     list the witnesses: no per-pair Python loop.
     """
-    group = dense_ranks(weight_numerators(ordering.family)[0])
+    group = weight_ranks(ordering.family)
     order = np.argsort(group, kind="stable")  # positions ascend within a group
     rowsums = ordering.preorder_row_sums
     if rowsums is not None:

@@ -35,6 +35,7 @@ from .ordering import (
     order_matrix,
     require_event_count,
     scaled_subset_sums,
+    subset_sum_ranks,
 )
 
 
@@ -104,20 +105,26 @@ class ProbabilityAssignment:
         """The assignment with the given per-outcome values."""
         return cls(family, singleton_values)
 
-    @cached_property
-    def _scaled(self) -> tuple[list[int], int]:
-        """Value of every event, in canonical position order, as integer
-        numerators over one common denominator."""
-        return scaled_subset_sums(
+    def _rows(self) -> list[list[Fraction]]:
+        """Per measurement, in id order, the values of its outcomes."""
+        return [
             [self.singletons[(mid, o)] for o in self.family.by_id[mid].outcomes]
             for mid in self.family.sorted_ids
-        )
+        ]
+
+    @cached_property
+    def _ranks(self) -> np.ndarray:
+        """Dense rank of every event's value, in canonical position order."""
+        return subset_sum_ranks(self._rows())
 
     @cached_property
     def vector(self) -> list[Fraction]:
         """Value of every event, in canonical position order."""
-        nums, den = self._scaled
-        return [Fraction(n, den) for n in nums]
+        out: list[Fraction] = []
+        for row in self._rows():
+            nums, den = scaled_subset_sums(row)
+            out += [Fraction(n, den) for n in nums]
+        return out
 
     def value(self, ref: EventRef) -> Fraction:
         return self.vector[self.family.position(ref.measurement_id, ref.event)]
@@ -303,21 +310,19 @@ def verify_representation(
     preorder exactly when their dense ranks equal those of its row sums
     (``preorder_row_sums``): one sort, O(n log n).  Only when the ranks
     differ, or the ordering is no total preorder, is the n x n
-    comparison built to list the witnesses.  Values are compared as
-    integer numerators over one denominator, never as ``Fraction``s.
+    comparison built to list the witnesses.  Values are compared by their
+    dense ranks (``subset_sum_ranks``).
     """
     if assignment.family is not ordering.family and not (
         assignment.family == ordering.family
     ):
         raise FamilyMismatch("assignment and ordering have different families")
     rowsums = ordering.preorder_row_sums
-    values = assignment._scaled[0]
-    if rowsums is not None and np.array_equal(
-        dense_ranks(values), dense_ranks(rowsums.tolist())
-    ):
+    ranks = assignment._ranks
+    if rowsums is not None and np.array_equal(ranks, dense_ranks(rowsums.tolist())):
         return (True, [])
     refs = ordering.refs
-    mismatch = order_matrix(values) != ordering.matrix
+    mismatch = order_matrix(ranks.tolist()) != ordering.matrix
     witnesses = [("order", refs[i], refs[j]) for i, j in zip(*np.nonzero(mismatch))]
     return (not witnesses, witnesses)
 

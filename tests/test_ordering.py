@@ -103,6 +103,28 @@ class TestInducedOrdering:
             writable[0, 1] = True
 
 
+    def test_weights_stay_on_each_measurement_denominator(self):
+        """500 two-outcome measurements on nearly coprime 200-bit
+        denominators: over their common denominator (about 10^5 bits)
+        the 2,000 weight numerators took about 25 MB."""
+        dens = [2**200 + 2 * i + 1 for i in range(500)]
+        family = MeasurementFamily(tuple(
+            WeightedMeasurement(f"m{i:03}", ("a", "b"), (Fraction(1, d), Fraction(d - 1, d)))
+            for i, d in enumerate(dens)
+        ))
+        tracemalloc.start()
+        try:
+            ordering = induced_ordering(family)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10 * 10**6, peak
+        weights = weight_vector(family)
+        for i in (0, 1, 2, 1001, 1998, 1999):
+            for j in (0, 1, 2, 1001, 1998, 1999):
+                assert ordering.matrix[i, j] == (weights[i] >= weights[j])
+
+
 class TestTransitivity:
     def test_induced_satisfied(self):
         report = check_transitivity(induced_ordering(count_trap_family()))
