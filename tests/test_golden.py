@@ -18,7 +18,7 @@ from hypothesis import given, strategies as st
 from born_kernel import EventRef, MeasurementFamily, WeightedMeasurement, induced_ordering
 from born_kernel.cli import main
 from born_kernel.formats import canonical_dumps, family_from_json, ordering_to_json
-from born_kernel.ordering import dense_ranks, scaled_subset_sums, subset_sum_ranks, subset_sums
+from born_kernel.ordering import scaled_subset_sums, subset_sums
 
 # A d=3 bet: eigenvalues 0, 1, 2 on (|0>+|1>)/sqrt2, (|0>-|1>)/sqrt2, |2>;
 # state 0.6|0> + 0.8|2>, event {0, 2}, weight 0.18 + 0.64 = 0.82.
@@ -182,16 +182,6 @@ def test_rational_subset_sums_match_per_mask_sums(values):
     sums = [Fraction(n, den) for n in nums]
     assert sums == _brute_sums(values, Fraction(0))
     assert all(isinstance(s, Fraction) for s in sums)
-
-
-@given(st.lists(
-    st.lists(st.fractions(min_value=-5, max_value=5, max_denominator=50), max_size=4),
-    min_size=1, max_size=4,
-))
-def test_subset_sum_ranks_rank_the_rational_sums(rows):
-    """Rows on their own denominators rank as the concatenated sums do."""
-    sums = [s for row in rows for s in _brute_sums(row, Fraction(0))]
-    assert subset_sum_ranks(rows).tolist() == dense_ranks(sums).tolist()
 
 
 @given(measurement_specs)

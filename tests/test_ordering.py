@@ -3,6 +3,7 @@ import tracemalloc
 from fractions import Fraction
 
 import numpy as np
+from hypothesis import given, strategies as st
 
 from born_kernel import (
     EventRef,
@@ -21,7 +22,7 @@ from born_kernel import (
     replay_witness,
     run_all_checks,
 )
-from born_kernel.ordering import weight_vector
+from born_kernel.ordering import dense_ranks, subset_sum_ranks, weight_vector
 from conftest import own_weights, random_family
 
 
@@ -123,6 +124,20 @@ class TestInducedOrdering:
         for i in (0, 1, 2, 1001, 1998, 1999):
             for j in (0, 1, 2, 1001, 1998, 1999):
                 assert ordering.matrix[i, j] == (weights[i] >= weights[j])
+
+
+@given(st.lists(
+    st.lists(st.fractions(min_value=-5, max_value=5, max_denominator=50), max_size=4),
+    min_size=1, max_size=4,
+))
+def test_subset_sum_ranks_rank_the_rational_sums(rows):
+    """Rows on their own denominators rank as the concatenated sums do."""
+    sums = [
+        sum((v for i, v in enumerate(row) if mask >> i & 1), Fraction(0))
+        for row in rows
+        for mask in range(2 ** len(row))
+    ]
+    assert subset_sum_ranks(rows).tolist() == dense_ranks(sums).tolist()
 
 
 class TestTransitivity:
