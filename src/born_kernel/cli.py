@@ -87,19 +87,12 @@ def _emit(report: dict, text_lines: list[str], as_json: bool) -> None:
         sys.stdout.write("\n".join(text_lines) + "\n")
 
 
-def _witness_json(witness: tuple) -> list:
-    return [
-        event_ref_to_json(item) if hasattr(item, "measurement_id") else item
-        for item in witness
-    ]
-
-
 def _verdict(check: str, ok: bool, witnesses=()) -> dict:
     return {
         "check": check,
         "result": "pass" if ok else "fail",
         "witness_count": len(witnesses),
-        "witnesses": [_witness_json(w) for w in witnesses[:WITNESS_LIMIT]],
+        "witnesses": [[event_ref_to_json(r) for r in w] for w in witnesses[:WITNESS_LIMIT]],
     }
 
 

@@ -31,7 +31,7 @@ from .ordering import (
     LikelihoodOrdering,
     MeasurementFamily,
     WeightedMeasurement,
-    order_matrix,
+    _ordering_from_ranks,
     require_event_count,
 )
 from .quantum import MeasurementModel, Observable, StateVector
@@ -333,21 +333,20 @@ def ordering_to_json(ordering: LikelihoodOrdering) -> dict:
 def tiers_to_json(ordering: LikelihoodOrdering) -> dict:
     """Total preorder as its equal-likelihood classes, least likely first.
 
-    The classes are the groups of equal row sums that
-    ``ordering.preorder_row_sums`` gives for a total preorder; any other
-    relation has no tiers form and raises ValueError.  Refs within a
-    tier are in canonical position order.
+    Tier t lists the events of rank t (``ordering.ranks``) in canonical
+    position order.  A relation without ranks, no total preorder, has no
+    tiers form and raises ValueError.
     """
-    if ordering.preorder_row_sums is None:
+    ranks = ordering.ranks
+    if ranks is None:
         raise ValueError("ordering is not a total preorder, so it has no tiers form")
-    rowsums = ordering.preorder_row_sums.tolist()
-    tiers: dict[int, list] = {}
-    for i in sorted(range(len(rowsums)), key=rowsums.__getitem__):
-        tiers.setdefault(rowsums[i], []).append(event_ref_to_json(ordering.refs[i]))
+    tiers: list[list] = [[] for _ in range(int(ranks.max()) + 1)]
+    for ref, t in zip(ordering.refs, ranks.tolist()):
+        tiers[t].append(event_ref_to_json(ref))
     return {
         "schema": TIERS_SCHEMA,
         "family_digest": family_digest(ordering.family),
-        "tiers": list(tiers.values()),
+        "tiers": tiers,
     }
 
 
@@ -365,20 +364,18 @@ def ordering_from_json(doc: Any, family: MeasurementFamily) -> LikelihoodOrderin
         tiers = _get(doc, "tiers", list[list], "ordering")
         if [] in tiers:
             raise FormatError(f"ordering.tiers[{tiers.index([])}]: a tier is never empty")
-        tier_of = _each_event_once(family, "ordering", (
+        return _ordering_from_ranks(family, _each_event_once(family, "ordering", (
             (f"ordering.tiers[{t}][{k}]", ref, t)
             for t, tier in enumerate(tiers) for k, ref in enumerate(tier)
-        ))
-        matrix = order_matrix(tier_of)
-    else:
-        rows, cols = [], []
-        for k, pair in enumerate(_get(doc, "pairs", list, "ordering")):
-            if not isinstance(pair, list) or len(pair) != 2:
-                raise FormatError(f"ordering.pairs[{k}]: each pair is [left, right]")
-            rows.append(_position(pair[0], family, f"ordering.pairs[{k}][0]"))
-            cols.append(_position(pair[1], family, f"ordering.pairs[{k}][1]"))
-        matrix = np.zeros((len(family.refs),) * 2, dtype=bool)
-        matrix[rows, cols] = True
+        )))
+    rows, cols = [], []
+    for k, pair in enumerate(_get(doc, "pairs", list, "ordering")):
+        if not isinstance(pair, list) or len(pair) != 2:
+            raise FormatError(f"ordering.pairs[{k}]: each pair is [left, right]")
+        rows.append(_position(pair[0], family, f"ordering.pairs[{k}][0]"))
+        cols.append(_position(pair[1], family, f"ordering.pairs[{k}][1]"))
+    matrix = np.zeros((len(family.refs),) * 2, dtype=bool)
+    matrix[rows, cols] = True
     matrix.setflags(write=False)  # handed over, so the ordering need not copy it
     return LikelihoodOrdering(family, family.refs, matrix)
 

@@ -23,21 +23,17 @@ Axioms checked:
 * Totality        -- any two events are comparable: a >= b or b >= a,
                      so a >= a for every a.
 
-Transitivity and Totality together say the relation is a total
-preorder, and that is decided once per ordering by one rank test
-(``LikelihoodOrdering.preorder_row_sums``): an event's row sum counts
-the events it is at least as likely as, and the relation is a total
-preorder exactly when comparing row sums gives it back.  That test is
-O(n^2) in time and builds no second n x n array.  Only a relation that
-fails it pays for witnesses: the n^3 composition for Transitivity and an
-n^2 scan for Totality.  ``verify_representation`` and
-``formats.tiers_to_json`` read the same row sums.
+A total preorder is its dense ranks: a >= b iff rank(a) >= rank(b).
+``LikelihoodOrdering.ranks`` holds them, or None for any other relation.
+An ordering built from ranks keeps them; a matrix given from outside is
+ranked once by an O(n^2) test.  Transitivity and Totality are satisfied
+at once when the ranks exist, and only a relation without them pays for
+witnesses.
 
-Exact weights are ranked and grouped by their dense ranks
-(:func:`weight_ranks`), computed on integer numerators over each
-measurement's own denominator.  Witnesses stay an array of canonical
-positions, sorted once, until a caller reads them (:class:`Witnesses`):
-a relation with 10^5 violations costs an array, not 10^5 tuples of refs.
+Exact weights are ranked (:func:`weight_ranks`) on integer numerators
+over each measurement's own denominator.  Witnesses stay an array of
+canonical positions, sorted once, until a caller reads them
+(:class:`Witnesses`).
 """
 from __future__ import annotations
 
@@ -266,13 +262,18 @@ def weight_ranks(family: MeasurementFamily) -> np.ndarray:
     return subset_sum_ranks(family.by_id[mid].weights for mid in family.sorted_ids)
 
 
-def weight_vector(family: MeasurementFamily) -> list[Fraction]:
-    """Exact weight of every event, in canonical position order."""
+def subset_sum_values(rows: Iterable[Sequence[Fraction]]) -> list[Fraction]:
+    """The :func:`subset_sums` of each row of exact rationals, concatenated."""
     out: list[Fraction] = []
-    for mid in family.sorted_ids:
-        nums, den = scaled_subset_sums(family.by_id[mid].weights)
+    for row in rows:
+        nums, den = scaled_subset_sums(row)
         out += [Fraction(n, den) for n in nums]
     return out
+
+
+def weight_vector(family: MeasurementFamily) -> list[Fraction]:
+    """Exact weight of every event, in canonical position order."""
+    return subset_sum_values(family.by_id[mid].weights for mid in family.sorted_ids)
 
 
 def dense_ranks(scores: Sequence) -> np.ndarray:
@@ -283,16 +284,6 @@ def dense_ranks(scores: Sequence) -> np.ndarray:
     """
     rank_of = {s: r for r, s in enumerate(sorted(set(scores)))}
     return np.array([rank_of[s] for s in scores], dtype=np.int64)
-
-
-def order_matrix(scores: Sequence) -> np.ndarray:
-    """``out[i, j]`` is True exactly when ``scores[i] >= scores[j]``.
-
-    Scores may be any totally ordered values (exact rationals included);
-    they are compared once, through their dense ranks.
-    """
-    ranks = dense_ranks(scores)
-    return ranks[:, None] >= ranks[None, :]
 
 
 # Rows per block of the rank test: small enough that a block's
@@ -339,22 +330,24 @@ class LikelihoodOrdering:
         return tuple(check(self) for check in ALL_CHECKS)
 
     @cached_property
-    def preorder_row_sums(self) -> np.ndarray | None:
-        """The row sums when the relation is a total preorder, else None.
+    def ranks(self) -> np.ndarray | None:
+        """Dense rank of each position when the relation is a total
+        preorder (a >= b iff ranks[a] >= ranks[b]), else None.
 
-        Row i's sum counts the events that event i is judged at least as
-        likely as.  In a total preorder those sets are nested, so
-        a >= b iff rowsum(a) >= rowsum(b); conversely a relation that
-        ``order_matrix(row sums)`` gives back is a total preorder.  The
-        comparison runs block by block, so no second n x n array exists.
+        Read-only.  An ordering built from ranks keeps them.  Otherwise
+        row i's sum counts the events that event i is at least as likely
+        as; the relation is a total preorder exactly when comparing row
+        sums gives it back, tested block by block so that no second
+        n x n array exists.
         """
         h = self.matrix
         rowsums = np.count_nonzero(h, axis=1)
         for s in range(0, len(h), _BLOCK):
             if not np.array_equal(rowsums[s:s + _BLOCK, None] >= rowsums, h[s:s + _BLOCK]):
                 return None
-        rowsums.setflags(write=False)
-        return rowsums
+        ranks = np.unique(rowsums, return_inverse=True)[1]
+        ranks.setflags(write=False)
+        return ranks
 
 
 class SizeLimitExceeded(ValueError):
@@ -387,10 +380,17 @@ def event_cap_error(count: str) -> SizeLimitExceeded:
 
 
 def _ordering_from_ranks(family: MeasurementFamily, ranks: np.ndarray) -> LikelihoodOrdering:
-    """Total preorder: event a >= event b iff rank(a) >= rank(b)."""
+    """Total preorder from dense ranks: a >= b iff rank(a) >= rank(b).
+
+    The ordering keeps the ranks, so the rank test never runs on it.
+    """
+    ranks = np.array(ranks, dtype=np.int64)
+    ranks.setflags(write=False)
     matrix = ranks[:, None] >= ranks[None, :]
     matrix.setflags(write=False)  # handed over, so the ordering need not copy it
-    return LikelihoodOrdering(family, family.refs, matrix)
+    ordering = LikelihoodOrdering(family, family.refs, matrix)
+    vars(ordering)["ranks"] = ranks  # where cached_property keeps it
+    return ordering
 
 
 def induced_ordering(family: MeasurementFamily) -> LikelihoodOrdering:
@@ -495,13 +495,13 @@ def _null_mask(ordering: LikelihoodOrdering) -> np.ndarray:
 def check_transitivity(ordering: LikelihoodOrdering) -> AxiomReport:
     """Check a >= b and b >= c imply a >= c over all triples.
 
-    A total preorder is transitive, so a relation that passes the rank
-    test (``preorder_row_sums`` is not None) is satisfied at once.  Any
-    other relation runs the composition test as an exact boolean matrix
-    product; for each (a, c) pair reached through some middle event but
-    not related directly, one witnessing triple (a, b, c) is reported.
+    A total preorder (``ordering.ranks`` is not None) is satisfied at
+    once.  Any other relation runs the composition test as an exact
+    boolean matrix product; for each (a, c) pair reached through some
+    middle event but not related directly, one witnessing triple
+    (a, b, c) is reported.
     """
-    if ordering.preorder_row_sums is not None:
+    if ordering.ranks is not None:
         return _report(ordering, "Transitivity", np.empty((0, 3), np.int64))
     h = ordering.matrix
     reach = (h.astype(np.float32) @ h.astype(np.float32)) > 0
@@ -550,26 +550,26 @@ def check_dominance(ordering: LikelihoodOrdering) -> AxiomReport:
 def check_equivalence(ordering: LikelihoodOrdering) -> AxiomReport:
     """Check that events of exactly equal weight are judged equally likely.
 
-    Weight equality is decided exactly, on the dense ranks of the
-    family's weights (:func:`weight_ranks`); the ordering is then
-    required to relate every such pair in both directions.  Positions
-    are grouped by weight.  A total preorder judges two events equally
-    likely exactly when their row sums are equal (``preorder_row_sums``),
-    so it is satisfied at once when the row sums are constant on every
-    group.  Otherwise each group's block of the matrix is read once to
-    list the witnesses: no per-pair Python loop.
+    Positions are grouped by the dense ranks of their exact weights
+    (:func:`weight_ranks`), and every pair in a group, an event with
+    itself included, must be related both ways.  A total preorder passes
+    at once when its ``ranks`` are constant on every group.  Otherwise
+    each group of two or more is read as one block of the matrix, and
+    the groups of one as one read of the diagonal.
     """
     group = weight_ranks(ordering.family)
     order = np.argsort(group, kind="stable")  # positions ascend within a group
-    rowsums = ordering.preorder_row_sums
-    if rowsums is not None:
+    ranks = ordering.ranks
+    if ranks is not None:
         same_group = np.diff(group[order]) == 0
-        if not np.any(same_group & (np.diff(rowsums[order]) != 0)):
+        if not np.any(same_group & (np.diff(ranks[order]) != 0)):
             return _report(ordering, "Equivalence", np.empty((0, 2), np.int64))
     sizes = np.bincount(group)
     starts = np.cumsum(sizes) - sizes
     h = ordering.matrix
-    pieces = [np.empty((0, 2), np.int64)]
+    alone = order[starts[sizes == 1]]
+    alone = alone[~h[alone, alone]]
+    pieces = [np.stack((alone, alone), axis=1)]
     for start, size in zip(starts[sizes > 1].tolist(), sizes[sizes > 1].tolist()):
         g = order[start:start + size]
         a, b = np.nonzero(~h[np.ix_(g, g)])
@@ -580,13 +580,12 @@ def check_equivalence(ordering: LikelihoodOrdering) -> AxiomReport:
 def check_totality(ordering: LikelihoodOrdering) -> AxiomReport:
     """Check that every two events are related at least one way.
 
-    A total preorder is total, so a relation that passes the rank test
-    (``preorder_row_sums`` is not None) is satisfied at once.  Any other
-    relation is read off the upper triangle.  A witness is a pair (a, b),
-    a at or before b in canonical order, with neither a >= b nor b >= a;
-    a = b is one when a >= a fails.
+    A total preorder (``ordering.ranks`` is not None) is satisfied at
+    once.  Any other relation is read off the upper triangle.  A witness
+    is a pair (a, b), a at or before b in canonical order, with neither
+    a >= b nor b >= a; a = b is one when a >= a fails.
     """
-    if ordering.preorder_row_sums is not None:
+    if ordering.ranks is not None:
         return _report(ordering, "Totality", np.empty((0, 2), np.int64))
     h = ordering.matrix
     return _report(ordering, "Totality", np.argwhere(np.triu(~(h | h.T))))

@@ -30,12 +30,11 @@ from .ordering import (
     MeasurementFamily,
     SizeLimitExceeded,
     WeightedMeasurement,
-    dense_ranks,
+    Witnesses,
     event_cap_error,
-    order_matrix,
     require_event_count,
-    scaled_subset_sums,
     subset_sum_ranks,
+    subset_sum_values,
 )
 
 
@@ -120,11 +119,7 @@ class ProbabilityAssignment:
     @cached_property
     def vector(self) -> list[Fraction]:
         """Value of every event, in canonical position order."""
-        out: list[Fraction] = []
-        for row in self._rows():
-            nums, den = scaled_subset_sums(row)
-            out += [Fraction(n, den) for n in nums]
-        return out
+        return subset_sum_values(self._rows())
 
     def value(self, ref: EventRef) -> Fraction:
         return self.vector[self.family.position(ref.measurement_id, ref.event)]
@@ -297,34 +292,31 @@ def derive_representation(
 
 def verify_representation(
     assignment: ProbabilityAssignment, ordering: LikelihoodOrdering
-) -> tuple[bool, list[tuple]]:
+) -> tuple[bool, Witnesses]:
     """Check that the assignment's values agree with the ordering.
 
     value(E) >= value(F) must hold exactly when the ordering judges E at
     least as likely as F, over every ordered pair.  The assignment is a
     probability measure by construction, so this is the only condition
-    left to check.  Returns (ok, witnesses); every violating pair is
-    reported as an ("order", E, F) tuple, in canonical order.
+    left to check.  Returns (ok, witnesses): every violating (E, F) pair,
+    in canonical order.
 
-    The values induce a total preorder, so they agree with a total
-    preorder exactly when their dense ranks equal those of its row sums
-    (``preorder_row_sums``): one sort, O(n log n).  Only when the ranks
-    differ, or the ordering is no total preorder, is the n x n
-    comparison built to list the witnesses.  Values are compared by their
-    dense ranks (``subset_sum_ranks``).
+    The values are compared by their dense ranks (``subset_sum_ranks``),
+    so they agree with the ordering exactly when those equal
+    ``ordering.ranks``.  Only when they do not is the n x n comparison
+    built to list the witnesses.
     """
     if assignment.family is not ordering.family and not (
         assignment.family == ordering.family
     ):
         raise FamilyMismatch("assignment and ordering have different families")
-    rowsums = ordering.preorder_row_sums
     ranks = assignment._ranks
-    if rowsums is not None and np.array_equal(ranks, dense_ranks(rowsums.tolist())):
-        return (True, [])
-    refs = ordering.refs
-    mismatch = order_matrix(ranks.tolist()) != ordering.matrix
-    witnesses = [("order", refs[i], refs[j]) for i, j in zip(*np.nonzero(mismatch))]
-    return (not witnesses, witnesses)
+    if np.array_equal(ranks, ordering.ranks):
+        pairs = np.empty((0, 2), np.int64)
+    else:
+        pairs = np.argwhere((ranks[:, None] >= ranks) != ordering.matrix)
+    pairs.setflags(write=False)
+    return (not len(pairs), Witnesses(pairs, ordering.family))
 
 
 def uniqueness_search(ordering: LikelihoodOrdering, K: int) -> list[ProbabilityAssignment]:
@@ -332,9 +324,8 @@ def uniqueness_search(ordering: LikelihoodOrdering, K: int) -> list[ProbabilityA
 
     Grid values order events as a total preorder, and they represent one
     exactly when they are a strictly increasing map f from its tiers
-    (the dense ranks of ``preorder_row_sums``) into {0, ..., K} that is
-    additive on each measurement.  f is chosen one tier at a time, least
-    likely first.  Empty events pin their tier to 0 and full events
+    (``ordering.ranks``) into {0, ..., K} that is additive on each
+    measurement.  f is chosen one tier at a time, least likely first.  Empty events pin their tier to 0 and full events
     theirs to K; an event whose lowest outcome and remainder lie in lower
     tiers forces its tier to their sum; any other tier tries f(t - 1) + 1
     up to K minus the number of tiers above it.  Each constraint v(E) =
@@ -345,10 +336,9 @@ def uniqueness_search(ordering: LikelihoodOrdering, K: int) -> list[ProbabilityA
     """
     family = ordering.family
     _require_grid(family, K)
-    rowsums = ordering.preorder_row_sums
-    if rowsums is None:
+    if ordering.ranks is None:
         return []
-    rank = dense_ranks(rowsums.tolist()).tolist()
+    rank = ordering.ranks.tolist()
     tiers = max(rank) + 1
     pinned: dict[int, int] = {}
     forced: dict[int, tuple[int, int]] = {}

@@ -12,6 +12,7 @@ from fractions import Fraction
 import numpy as np
 
 from born_kernel import MeasurementFamily, ProbabilityAssignment, WeightedMeasurement
+from born_kernel.ordering import dense_ranks
 
 
 def random_measurement(
@@ -74,3 +75,19 @@ def own_weights(family: MeasurementFamily) -> ProbabilityAssignment:
     return ProbabilityAssignment(family, {
         (m.id, o): w for m in family.measurements for o, w in zip(m.outcomes, m.weights)
     })
+
+
+def order_matrix(scores) -> np.ndarray:
+    """``out[i, j]`` is True exactly when ``scores[i] >= scores[j]``."""
+    ranks = dense_ranks(scores)
+    return ranks[:, None] >= ranks[None, :]
+
+
+def whole_matrix_verify(assignment, ordering):
+    """`verify_representation` as every pair of `Fraction` values compared:
+    (ok, the (E, F) pairs whose comparison disagrees with the ordering)."""
+    values = np.array(assignment.vector, dtype=object)
+    mismatch = (values[:, None] >= values[None, :]).astype(bool) != ordering.matrix
+    refs = ordering.refs
+    witnesses = tuple((refs[i], refs[j]) for i, j in zip(*np.nonzero(mismatch)))
+    return (not witnesses, witnesses)

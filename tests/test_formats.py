@@ -37,8 +37,7 @@ from born_kernel.formats import (
     rational_to_json,
     tiers_to_json,
 )
-from born_kernel.ordering import order_matrix
-from conftest import own_weights
+from conftest import order_matrix, own_weights
 
 
 class TestRationals:

@@ -146,7 +146,7 @@ def test_likelihood_ordering_surface():
     accessor keyed by event ref."""
     assert [f.name for f in fields(LikelihoodOrdering)] == ["family", "refs", "matrix"]
     public = sorted(a for a in vars(LikelihoodOrdering) if not a.startswith("_"))
-    assert public == ["index", "preorder_row_sums", "reports"]
+    assert public == ["index", "ranks", "reports"]
 
 
 def test_uniqueness_search_takes_no_settings():

@@ -323,6 +323,17 @@ class TestEquivalence:
         ordering = outcome_count_ordering(family)
         assert check_equivalence(ordering).satisfied
 
+    def test_missing_diagonal_of_a_lone_weight_is_witnessed(self):
+        """An event whose a >= a is missing is a witness (a, a) even when
+        no other event shares its weight; the check skipped such events."""
+        family = MeasurementFamily((WeightedMeasurement("m", ("o",), (Fraction(1),)),))
+        matrix = np.array(induced_ordering(family).matrix)
+        matrix[0, 0] = False
+        cut = LikelihoodOrdering(family, family.refs, matrix)
+        empty = EventRef("m", frozenset())
+        assert check_equivalence(cut).witnesses == ((empty, empty),)
+        assert replay_witness(cut, "Equivalence", (empty, empty))
+
 
 class TestTotality:
     def test_induced_satisfied(self):

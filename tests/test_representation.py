@@ -30,14 +30,16 @@ from born_kernel import (
     uniqueness_search,
     verify_representation,
 )
-from born_kernel.ordering import ALL_CHECKS, MAX_EXTENSIONAL_EVENTS, order_matrix
+from born_kernel.ordering import ALL_CHECKS, MAX_EXTENSIONAL_EVENTS
 from born_kernel.representation import (
     MAX_SEARCH_STEPS,
     require_rich_family_within_cap,
     rich_family_events,
     rich_family_size,
 )
-from conftest import grid_measurement, own_weights, random_family
+from conftest import (
+    grid_measurement, order_matrix, own_weights, random_family, whole_matrix_verify,
+)
 
 
 def brute_compositions(total, parts):
@@ -314,9 +316,8 @@ class TestVerifyRepresentation:
         values[("k1-3", "o1")] = values[("k1-3", "o2")] = Fraction(1, 2)
         pr = ProbabilityAssignment(family, values)
         ok, witnesses = verify_representation(pr, ordering)
-        assert not ok
-        kinds = {w[0] for w in witnesses}
-        assert "order" in kinds
+        assert not ok and witnesses
+        assert witnesses == whole_matrix_verify(pr, ordering)[1]
 
     def test_family_mismatch(self):
         fam_a = generate_rich_family(2, 2)
@@ -346,12 +347,11 @@ class TestVerifyRepresentation:
         )
         family = MeasurementFamily((bits,))
         ordering = induced_ordering(family)
-        ordering.preorder_row_sums  # cached, as after the checks
         pr = own_weights(family)
         calls = []
         less = Fraction.__lt__
         monkeypatch.setattr(Fraction, "__lt__", lambda a, b: calls.append(1) or less(a, b))
-        assert verify_representation(pr, ordering) == (True, [])
+        assert verify_representation(pr, ordering) == (True, ())
         assert not calls
 
     def test_non_total_relation_fails_order_condition(self):
@@ -363,8 +363,8 @@ class TestVerifyRepresentation:
         )
         pr = own_weights(family)
         ok, witnesses = verify_representation(pr, partial)
-        assert not ok
-        assert any(w[0] == "order" for w in witnesses)
+        assert not ok and witnesses
+        assert witnesses == whole_matrix_verify(pr, partial)[1]
 
 
 def naive_uniqueness_oracle(family, ordering, K):

@@ -1,20 +1,21 @@
-"""The rank test for total preorders, and the lazy witness sequences,
-against the materialized code they replace.
+"""The rank test for total preorders, the stored ranks, and the lazy
+witness sequences, against the materialized code they replace.
 
-`LikelihoodOrdering.preorder_row_sums` decides "is a total preorder"
-once.  Transitivity, Totality and `verify_representation` return at once
-on a relation that passes it, and Equivalence when the row sums are
+`LikelihoodOrdering.ranks` decides "is a total preorder".  An ordering
+built from ranks keeps them; any other matrix is ranked by the rank
+test.  Transitivity, Totality and `verify_representation` return at once
+when the ranks settle the verdict, and Equivalence when the ranks are
 constant on every weight group; otherwise they run their
 witness-listing code.  The oracles below are that code as it ran on
 every relation: the float32 composition cube, the blocked Totality scan,
 the whole-matrix comparison of `verify_representation` and the
 Equivalence loop over `Fraction` weight groups.
 
-Every check reports its witnesses as a `Witnesses` sequence over a
-position array.  The oracle `_report` builds the tuple of ref tuples
-those witnesses stand for, as the checks did before.  The Separation
-oracle is the check's old code, and the Dominance oracle tests every
-pair of nested events directly.
+Every check, and `verify_representation`, reports its witnesses as a
+`Witnesses` sequence over a position array.  The oracle `_report` builds
+the tuple of ref tuples those witnesses stand for, as the checks did
+before.  The Separation oracle is the check's old code, and the
+Dominance oracle tests every pair of nested events directly.
 """
 from fractions import Fraction
 
@@ -35,10 +36,12 @@ from born_kernel import (
     check_transitivity,
     generate_rich_family,
     induced_ordering,
+    outcome_count_ordering,
     verify_representation,
 )
-from born_kernel.formats import tiers_to_json
-from born_kernel.ordering import order_matrix, weight_vector
+from born_kernel.formats import ordering_from_json, tiers_to_json
+from born_kernel.ordering import weight_vector
+from conftest import order_matrix, random_family, whole_matrix_verify
 
 
 def cube_transitivity(ordering) -> AxiomReport:
@@ -95,8 +98,6 @@ def listed_equivalence(ordering) -> AxiomReport:
     h = ordering.matrix
     witnesses = []
     for idx in groups.values():
-        if len(idx) < 2:
-            continue
         block = h[np.ix_(idx, idx)]
         if block.all():
             continue
@@ -112,14 +113,6 @@ ORACLES = {
     check_equivalence: listed_equivalence,
     check_totality: blocked_totality,
 }
-
-
-def whole_matrix_verify(assignment, ordering):
-    values = np.array(assignment.vector, dtype=object)
-    mismatch = (values[:, None] >= values[None, :]).astype(bool) != ordering.matrix
-    refs = ordering.refs
-    witnesses = [("order", refs[i], refs[j]) for i, j in zip(*np.nonzero(mismatch))]
-    return (not witnesses, witnesses)
 
 
 def _report(ordering, axiom, witnesses) -> AxiomReport:
@@ -161,11 +154,27 @@ def relations(draw, family=None):
 @settings(max_examples=200, deadline=None)
 @given(relations())
 def test_checks_match_the_cube_and_the_blocked_scan(ordering):
-    is_preorder = ordering.preorder_row_sums is not None
+    is_preorder = ordering.ranks is not None
     transitivity, totality = check_transitivity(ordering), check_totality(ordering)
     assert transitivity == cube_transitivity(ordering)
     assert totality == blocked_totality(ordering)
     assert is_preorder == (transitivity.satisfied and totality.satisfied)
+
+
+def assert_stands_for(got, want, data, refs):
+    """`got` behaves as the tuple `want` under every sequence operation."""
+    assert tuple(got) == want and len(got) == len(want)
+    assert got == want and want == got and not (got != want)
+    assert hash(got) == hash(want)
+    a, b = data.draw(st.integers(-3, len(want) + 3)), data.draw(st.integers(-3, len(want) + 3))
+    assert got[a:b] == want[a:b] and got[::-1] == want[::-1]
+    if want:
+        i = data.draw(st.integers(-len(want), len(want) - 1))
+        assert got[i] == want[i] and got[-1] == want[-1]
+        assert want[i] in got and got.index(want[i]) == want.index(want[i])
+    with pytest.raises(IndexError):
+        got[len(want)]
+    assert (refs[0],) * 4 not in got
 
 
 @settings(max_examples=200, deadline=None)
@@ -173,20 +182,9 @@ def test_checks_match_the_cube_and_the_blocked_scan(ordering):
 def test_witness_sequences_stand_for_the_materialized_tuples(ordering, data):
     for check, oracle in ORACLES.items():
         report, expected = check(ordering), oracle(ordering)
-        got, want = report.witnesses, expected.witnesses
-        assert tuple(got) == want and len(got) == len(want)
-        assert got == want and want == got and not (got != want)
+        assert_stands_for(report.witnesses, expected.witnesses, data, ordering.refs)
         assert report == expected and expected == report
-        assert hash(got) == hash(want) and hash(report) == hash(expected)
-        a, b = data.draw(st.integers(-3, len(want) + 3)), data.draw(st.integers(-3, len(want) + 3))
-        assert got[a:b] == want[a:b] and got[::-1] == want[::-1]
-        if want:
-            i = data.draw(st.integers(-len(want), len(want) - 1))
-            assert got[i] == want[i] and got[-1] == want[-1]
-            assert want[i] in got and got.index(want[i]) == want.index(want[i])
-        with pytest.raises(IndexError):
-            got[len(want)]
-        assert (ordering.refs[0],) * 4 not in got
+        assert hash(report) == hash(expected)
 
 
 @st.composite
@@ -213,12 +211,15 @@ def assignments_and_orderings(draw):
 
 
 @settings(max_examples=200, deadline=None)
-@given(assignments_and_orderings())
-def test_verify_matches_the_whole_matrix_formula(case):
+@given(assignments_and_orderings(), st.data())
+def test_verify_matches_the_whole_matrix_formula(case, data):
+    """`verify_representation` gives the oracle's verdict, and its
+    witnesses stand for the oracle's (E, F) pairs."""
     assignment, ordering = case
-    assert verify_representation(assignment, ordering) == whole_matrix_verify(
-        assignment, ordering
-    )
+    ok, got = verify_representation(assignment, ordering)
+    want_ok, want = whole_matrix_verify(assignment, ordering)
+    assert ok == want_ok
+    assert_stands_for(got, want, data, ordering.refs)
 
 
 @pytest.mark.parametrize("flip", [None, (480, 3), (3, 480), (300, 300)])
@@ -230,20 +231,50 @@ def test_rank_test_across_blocks_matches_the_oracles(flip):
     if flip:
         matrix[flip] = not matrix[flip]
     ordering = _ordering(family, matrix)
-    assert (ordering.preorder_row_sums is None) == (flip is not None)
+    assert (ordering.ranks is None) == (flip is not None)
     assert check_transitivity(ordering) == cube_transitivity(ordering)
     assert check_totality(ordering) == blocked_totality(ordering)
 
 
 def test_tiers_form_and_checks_read_the_one_rank_test():
-    """`tiers_to_json` and three checks take their verdict from the cached
-    rank test and derive none of their own: told that a total preorder
-    failed it, `tiers_to_json` refuses it, while the checks fall back to
-    the whole-relation code and still find nothing wrong."""
+    """`tiers_to_json` and three checks take their verdict from
+    `ordering.ranks` and derive none of their own: told that a total
+    preorder has none, `tiers_to_json` refuses it, while the checks fall
+    back to the whole-relation code and still find nothing wrong."""
     ordering = induced_ordering(generate_rich_family(3, 3))
     tiers_to_json(ordering)
-    ordering.__dict__["preorder_row_sums"] = None  # where cached_property keeps it
+    vars(ordering)["ranks"] = None  # where cached_property keeps it
     with pytest.raises(ValueError, match="not a total preorder"):
         tiers_to_json(ordering)
     for check in (check_transitivity, check_totality, check_equivalence):
         assert check(ordering).satisfied
+
+
+@st.composite
+def ranked_families(draw):
+    """A small uniform family, a random one, or a rich family up to K=4."""
+    kind = draw(st.sampled_from(["small", "random", "rich"]))
+    if kind == "small":
+        return draw(small_families)
+    if kind == "random":
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        return random_family(rng, max_measurements=3, max_outcomes=5)
+    K = draw(st.integers(1, 4))
+    return generate_rich_family(K, draw(st.integers(1, K)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(ranked_families(), st.sampled_from([induced_ordering, outcome_count_ordering]))
+def test_orderings_built_from_ranks_store_the_rank_tests_ranks(family, build):
+    """An ordering built from ranks, directly or read back from its tiers
+    form, holds them from construction on, so the rank test never runs on
+    it; and they are the ranks the test gives the same matrix."""
+    built = build(family)
+    assert "ranks" in vars(built)
+    back = ordering_from_json(tiers_to_json(built), family)
+    assert "ranks" in vars(back)
+    for ordering in (built, back):
+        tested = LikelihoodOrdering(family, family.refs, ordering.matrix.copy()).ranks
+        assert tested is not None and ordering.ranks.dtype == np.int64
+        assert np.array_equal(ordering.ranks, tested)
+        assert not ordering.ranks.flags.writeable
