@@ -15,11 +15,10 @@ Everything in this module is exact rational arithmetic.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Iterator
+from typing import Iterable
 
 import numpy as np
 
@@ -61,9 +60,6 @@ class FamilyMismatch(ValueError):
 class SearchSpaceTooLarge(ValueError):
     """The uniqueness search would try more than ``MAX_SEARCH_STEPS`` values."""
 
-
-# Measurements in one rich family, which the library may build unordered.
-MAX_RICH_MEASUREMENTS = 10**6
 
 # Values the uniqueness search may try, over all tiers, before it refuses.
 MAX_SEARCH_STEPS = 100_000
@@ -142,66 +138,34 @@ def compositions(total: int, parts: int) -> Iterable[tuple[int, ...]]:
             yield (first,) + rest
 
 
-def rich_family_size(K: int, max_outcomes: int) -> int:
-    """Number of measurements in the rich family for (K, max_outcomes)."""
-    return sum(math.comb(K - 1, n - 1) for n in range(1, min(K, max_outcomes) + 1))
-
-
-def _rich_event_terms(K: int, max_outcomes: int) -> Iterator[int]:
-    """C(K - 1, n - 1) * 2**n for n = 1, 2, ... up to min(K, max_outcomes):
-    an n-outcome measurement has 2**n events."""
-    term = 2  # term for n = 1; each next one is exact in integers
-    for n in range(1, min(K, max_outcomes) + 1):
-        yield term
-        term = term * 2 * (K - n) // n
-
-
-def rich_family_events(K: int, max_outcomes: int) -> int:
-    """Number of events in the rich family, the sum over n of
-    C(K - 1, n - 1) * 2**n: an n-outcome measurement has 2**n events.
-    Over every n up to K the sum is 2 * 3**(K - 1)."""
-    if max_outcomes >= K >= 1:
-        return 2 * 3 ** (K - 1)
-    return sum(_rich_event_terms(K, max_outcomes))
-
-
-def require_rich_family_within_cap(K: int, max_outcomes: int) -> None:
-    """Raise :class:`SizeLimitExceeded` unless the rich family's
-    extensional ordering is within ``MAX_EXTENSIONAL_EVENTS`` events,
-    without building the family, in time that does not grow with K.
-
-    With every outcome count up to K the closed form gives the count.
-    A partial sum takes one big-integer step per n, so it stops once its
-    running total passes the cap; only then is the reported count a lower
-    bound, and the message says "at least".
-    """
-    if max_outcomes >= K:
-        require_event_count(rich_family_events(K, max_outcomes))
-        return
-    total = 0
-    for n, term in enumerate(_rich_event_terms(K, max_outcomes), 1):
-        total += term
-        if total > MAX_EXTENSIONAL_EVENTS and n < max_outcomes:
-            raise event_cap_error(f"at least {total:,}")
-    require_event_count(total)
-
-
 def generate_rich_family(K: int, max_outcomes: int) -> MeasurementFamily:
     """Every measurement with weights (k1/K, ..., kn/K), n <= max_outcomes.
 
     One measurement per composition of K into n positive parts, for each
     n up to max_outcomes.  The uniform K-outcome measurement is included
-    whenever max_outcomes >= K.  Raises :class:`SizeLimitExceeded` when
-    the family would have more than ``MAX_RICH_MEASUREMENTS`` measurements.
+    whenever max_outcomes >= K.
+
+    Raises :class:`SizeLimitExceeded`, before any measurement is built
+    and in time that does not grow with K, when the family has more than
+    ``MAX_EXTENSIONAL_EVENTS`` events, the cap on the ordering every use
+    of it builds.  The family has C(K - 1, n - 1) measurements of 2**n
+    events each; over every n up to K that sums to 2 * 3**(K - 1).  A
+    partial sum takes one big-integer step per n, so it stops once its
+    running total passes the cap; only then is the count a lower bound,
+    and the message says "at least".
     """
     if K < 1 or max_outcomes < 1:
         raise ValueError("K and max_outcomes must be positive")
-    size = rich_family_size(K, max_outcomes)
-    if size > MAX_RICH_MEASUREMENTS:
-        raise SizeLimitExceeded(
-            f"rich family for K={K}, max_outcomes={max_outcomes} has {size} "
-            f"measurements, exceeding the cap of {MAX_RICH_MEASUREMENTS}"
-        )
+    if max_outcomes >= K:
+        require_event_count(2 * 3 ** (K - 1))
+    else:
+        total, term = 0, 2  # term for n = 1; each next one is exact in integers
+        for n in range(1, max_outcomes + 1):
+            total += term
+            if total > MAX_EXTENSIONAL_EVENTS and n < max_outcomes:
+                raise event_cap_error(f"at least {total:,}")
+            term = term * 2 * (K - n) // n
+        require_event_count(total)
     measurements = []
     for n in range(1, min(K, max_outcomes) + 1):
         for parts in compositions(K, n):

@@ -67,8 +67,8 @@ class TestGenRich:
         assert report["verdicts"][0]["result"] == "fail"
 
     def test_event_cap_exit_1_with_report(self, tmp_path):
-        # 2,048 measurements pass the measurement cap; their 354,294
-        # events exceed the 20,000-event cap of extensional orderings.
+        # 2,048 measurements with 354,294 events exceed the 20,000-event
+        # cap of extensional orderings.
         out = tmp_path / "big.json"
         proc = run_cli("gen-rich", "-K", "12", "--max-outcomes", "12", "--out", str(out))
         assert proc.returncode == 1
@@ -94,12 +94,12 @@ class TestGenRich:
     ):
         # K = 20 has 524,288 measurements and 2 * 3**19 events; the event
         # count alone must refuse it, before any measurement is built.
-        from born_kernel import cli
+        from born_kernel import cli, representation
 
-        def generate(*args):
-            raise AssertionError("the rich family was generated")
+        def build(*args):
+            raise AssertionError("a measurement of the rich family was built")
 
-        monkeypatch.setattr(cli, "generate_rich_family", generate)
+        monkeypatch.setattr(representation, "WeightedMeasurement", build)
         out = tmp_path / "big.json"
         rc = cli.main(["gen-rich", "-K", K, "--max-outcomes", K, "--out", str(out)])
         stdout, stderr = capsys.readouterr()

@@ -31,12 +31,7 @@ from born_kernel import (
     verify_representation,
 )
 from born_kernel.ordering import ALL_CHECKS, MAX_EXTENSIONAL_EVENTS
-from born_kernel.representation import (
-    MAX_SEARCH_STEPS,
-    require_rich_family_within_cap,
-    rich_family_events,
-    rich_family_size,
-)
+from born_kernel.representation import MAX_SEARCH_STEPS
 from conftest import (
     grid_measurement, order_matrix, own_weights, random_family, whole_matrix_verify,
 )
@@ -77,8 +72,8 @@ class TestGenerateRichFamily:
     def test_size_formula_matches_enumeration(self):
         for K, mx in [(2, 2), (4, 3), (5, 5), (6, 4)]:
             family = generate_rich_family(K, mx)
-            assert len(family.measurements) == rich_family_size(K, mx)
-            assert family.event_count() == rich_family_events(K, mx)
+            events = sum(math.comb(K - 1, n - 1) * 2**n for n in range(1, mx + 1))
+            assert family.event_count() == events
             brute = sum(len(brute_compositions(K, n)) for n in range(1, mx + 1))
             assert len(family.measurements) == brute
 
@@ -90,23 +85,31 @@ class TestGenerateRichFamily:
             (6000, 2, False),  # passes the cap only at its last term
             (100, 5, True),
             (100, 99, True),
+            (20000, 10000, True),  # at least 79,998; summed to the end it took 45 s
         ],
     )
     def test_cap_refusal_says_at_least_only_for_a_stopped_sum(self, K, mx, at_least):
-        exact = sum(math.comb(K - 1, n - 1) * 2**n for n in range(1, min(K, mx) + 1))
+        terms = (math.comb(K - 1, n - 1) * 2**n for n in range(1, min(K, mx) + 1))
         if at_least is None:
+            exact = sum(terms)
             assert exact <= MAX_EXTENSIONAL_EVENTS
-            require_rich_family_within_cap(K, mx)
+            assert generate_rich_family(K, mx).event_count() == exact
             return
+        start = time.perf_counter()
         with pytest.raises(SizeLimitExceeded) as info:
-            require_rich_family_within_cap(K, mx)
+            generate_rich_family(K, mx)
+        assert time.perf_counter() - start < 0.5
         found = re.search(r"family has (at least )?([\d,]+) events", str(info.value))
         count = int(found[2].replace(",", ""))
         assert bool(found[1]) is at_least
         if at_least:
-            assert MAX_EXTENSIONAL_EVENTS < count < exact
+            # The first partial sum past the cap, with terms left over.
+            partial = 0
+            while partial <= MAX_EXTENSIONAL_EVENTS:
+                partial += next(terms)
+            assert count == partial and next(terms, None) is not None
         else:
-            assert count == exact
+            assert count == sum(terms)
 
     def test_cap_enforced(self):
         with pytest.raises(SizeLimitExceeded):
