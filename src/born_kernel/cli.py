@@ -133,12 +133,18 @@ def cmd_derive(args) -> int:
     ordering, digest = _load_ordering(args)
     try:
         assignment = derive_representation(ordering, args.K)
-    except (
-        PreconditionViolated, MissingUniformMeasurement, NonconformingDenominator
-    ) as exc:
-        name = getattr(exc, "axiom", type(exc).__name__)
+    except PreconditionViolated as exc:
+        witnesses = next(
+            (r.witnesses for r in ordering.reports if r.axiom == exc.axiom and not r.satisfied), ()
+        )
         raise DomainFailure(
-            f"precondition failed: {name}",
+            f"precondition failed: {exc.axiom}",
+            _report("derive", digest, [_verdict(f"precondition:{exc.axiom}", False, witnesses)]),
+        )
+    except (MissingUniformMeasurement, NonconformingDenominator) as exc:
+        name = type(exc).__name__
+        raise DomainFailure(
+            f"precondition failed: {name}: {exc}",
             _report("derive", digest, [_verdict(f"precondition:{name}", False)]),
         )
     ok, witnesses = verify_representation(assignment, ordering)

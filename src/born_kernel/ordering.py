@@ -2,13 +2,16 @@
 
 A :class:`WeightedMeasurement` abstracts a measurement down to outcome
 labels with exact rational weights.  A :class:`LikelihoodOrdering` is a
-two-place relation over (event, measurement) pairs, stored
-extensionally as a boolean matrix so that every axiom verdict is
+two-place relation over (event, measurement) pairs: a boolean matrix
+given from outside, or the dense ranks of a total preorder, whose matrix
+is built only when a caller reads it.  Every axiom verdict is
 replayable.  An event's one address is its canonical position
 (``MeasurementFamily.slices``); an :class:`EventRef` names it only in
-reports and documents, and ``MeasurementFamily.refs`` lists those names
-by position.  The checkers make no assumption that the relation came
-from weights: they accept arbitrary relations and report witnesses.
+reports and documents, built from its position
+(``MeasurementFamily.ref_at``), and ``MeasurementFamily.refs`` lists
+those names by position.  The checkers make no assumption that the
+relation came from weights: they accept arbitrary relations and report
+witnesses.
 
 Axioms checked:
 
@@ -25,10 +28,13 @@ Axioms checked:
 
 A total preorder is its dense ranks: a >= b iff rank(a) >= rank(b).
 ``LikelihoodOrdering.ranks`` holds them, or None for any other relation.
-An ordering built from ranks keeps them; a matrix given from outside is
-ranked once by an O(n^2) test.  Transitivity and Totality are satisfied
-at once when the ranks exist, and only a relation without them pays for
-witnesses.
+An ordering built from ranks keeps them and holds no n x n array; a
+matrix given from outside is ranked once by an O(n^2) test.  When the
+ranks exist every check reads them: Transitivity and Totality are
+satisfied at once, null events compare ranks with the empty event's,
+Dominance tests covering pairs only, and Equivalence compares ranks
+within each weight group.  Only a relation without ranks reads the
+matrix.
 
 Exact weights are ranked (:func:`weight_ranks`) on integer numerators
 over each measurement's own denominator.  Witnesses stay an array of
@@ -37,6 +43,7 @@ canonical positions, sorted once, until a caller reads them
 """
 from __future__ import annotations
 
+import bisect
 import math
 import operator
 from collections.abc import Iterable, Sequence
@@ -184,6 +191,21 @@ class MeasurementFamily:
             raise ValueError(f"unknown measurement {measurement_id!r}")
         return self.slices[measurement_id].start + m.event_mask(event)
 
+    @cached_property
+    def _bounds(self) -> list[int]:
+        """Each measurement's first position, in id order, then the event count."""
+        return [sl.start for sl in self.slices.values()] + [self.event_count()]
+
+    def ref_at(self, position: int) -> EventRef:
+        """The event at a canonical position, built alone: ``refs[position]``
+        without building ``refs``.  IndexError outside the event space."""
+        bounds = self._bounds
+        if not 0 <= position < bounds[-1]:
+            raise IndexError(f"position {position} is outside {bounds[-1]} events")
+        i = bisect.bisect_right(bounds, position) - 1
+        mid = self.sorted_ids[i]
+        return EventRef(mid, self.by_id[mid].mask_event(position - bounds[i]))
+
     def event_count(self) -> int:
         return sum(2 ** len(m.outcomes) for m in self.measurements)
 
@@ -291,7 +313,6 @@ def dense_ranks(scores: Sequence) -> np.ndarray:
 _BLOCK = 256
 
 
-@dataclass(frozen=True, eq=False)
 class LikelihoodOrdering:
     """Two-place relation over the family's event space.
 
@@ -300,25 +321,41 @@ class LikelihoodOrdering:
     row and column i are the event at canonical position i (see
     ``MeasurementFamily.slices``).  Equal likelihood means both
     directions hold.  No axiom is assumed; conformance is what the
-    checkers test.  The matrix is kept read-only, and copied only when
-    its owner could still write it: a writable array, or a view.
+    checkers test.  The ordering and its matrix are read-only; a matrix
+    is copied only when its owner could still write it: a writable
+    array, or a view.
+
+    An ordering built from ranks (:func:`induced_ordering`, the v2
+    reader) holds only ``family`` and ``ranks``: its ``matrix`` is built
+    on first read, and ``refs`` reads ``family.refs``.
     """
 
-    family: MeasurementFamily
-    refs: tuple[EventRef, ...]
-    matrix: np.ndarray
-
-    def __post_init__(self) -> None:
-        m = np.asarray(self.matrix, dtype=bool)
-        n = len(self.refs)
+    def __init__(self, family: MeasurementFamily, refs: Sequence[EventRef], matrix: np.ndarray):
+        m = np.asarray(matrix, dtype=bool)
+        n = len(refs)
         if m.shape != (n, n):
             raise ValueError(f"matrix shape {m.shape} does not match {n} event refs")
-        if tuple(self.refs) != self.family.refs:
+        if tuple(refs) != family.refs:
             raise ValueError("refs must be the family's refs, in canonical order")
-        if m is self.matrix and (m.flags.writeable or m.base is not None):
+        if m is matrix and (m.flags.writeable or m.base is not None):
             m = m.copy()
         m.setflags(write=False)
-        object.__setattr__(self, "matrix", m)
+        vars(self).update(family=family, matrix=m)  # matrix where cached_property keeps it
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"a LikelihoodOrdering is read-only; cannot set {name!r}")
+
+    @property
+    def refs(self) -> tuple[EventRef, ...]:
+        return self.family.refs
+
+    @cached_property
+    def matrix(self) -> np.ndarray:
+        """The relation of an ordering built from ranks, built on first read."""
+        require_event_count(len(self.ranks))
+        matrix = self.ranks[:, None] >= self.ranks
+        matrix.setflags(write=False)
+        return matrix
 
     @cached_property
     def index(self) -> dict[EventRef, int]:
@@ -382,14 +419,13 @@ def event_cap_error(count: str) -> SizeLimitExceeded:
 def _ordering_from_ranks(family: MeasurementFamily, ranks: np.ndarray) -> LikelihoodOrdering:
     """Total preorder from dense ranks: a >= b iff rank(a) >= rank(b).
 
-    The ordering keeps the ranks, so the rank test never runs on it.
+    The ordering holds only the family and the ranks, so the rank test
+    never runs on it and no n x n array exists until ``matrix`` is read.
     """
     ranks = np.array(ranks, dtype=np.int64)
     ranks.setflags(write=False)
-    matrix = ranks[:, None] >= ranks[None, :]
-    matrix.setflags(write=False)  # handed over, so the ordering need not copy it
-    ordering = LikelihoodOrdering(family, family.refs, matrix)
-    vars(ordering)["ranks"] = ranks  # where cached_property keeps it
+    ordering = LikelihoodOrdering.__new__(LikelihoodOrdering)
+    vars(ordering).update(family=family, ranks=ranks)  # ranks where cached_property keeps it
     return ordering
 
 
@@ -416,6 +452,10 @@ def outcome_count_ordering(family: MeasurementFamily) -> LikelihoodOrdering:
     return _ordering_from_ranks(family, dense_ranks(counts))
 
 
+# Rows per slice when a Witnesses sequence is iterated.
+_CHUNK = 4096
+
+
 class Witnesses(Sequence):
     """Read-only sequence of witnesses, held as canonical positions.
 
@@ -423,7 +463,10 @@ class Witnesses(Sequence):
     stands for the tuple of event-ref tuples those rows name: ``len``,
     iteration, indexing, slicing (to a tuple), ``in``, ``==`` and
     ``hash`` behave exactly as on that tuple, yet a ref tuple is built
-    only when it is read, and a slice reads only its own rows.
+    only when it is read, and a slice reads only its own rows.  Refs are
+    built one position at a time (``MeasurementFamily.ref_at``), never
+    the family's whole list; a slice builds each position it names once,
+    and iteration reads slice by slice.
     """
 
     __slots__ = ("_rows", "_family")
@@ -436,10 +479,17 @@ class Witnesses(Sequence):
         return len(self._rows)
 
     def __getitem__(self, i):
-        refs = self._family.refs
-        if isinstance(i, slice):
-            return tuple(tuple(refs[p] for p in row) for row in self._rows[i].tolist())
-        return tuple(refs[p] for p in self._rows[operator.index(i)].tolist())
+        ref_at = self._family.ref_at
+        if not isinstance(i, slice):
+            return tuple(map(ref_at, self._rows[operator.index(i)].tolist()))
+        rows = self._rows[i]
+        positions = np.unique(rows).tolist()
+        ref = dict(zip(positions, map(ref_at, positions)))
+        return tuple(tuple(ref[p] for p in row) for row in rows.tolist())
+
+    def __iter__(self):
+        for start in range(0, len(self), _CHUNK):
+            yield from self[start:start + _CHUNK]
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, (Witnesses, tuple)):
@@ -482,7 +532,7 @@ def _report(ordering: LikelihoodOrdering, axiom: str, positions: np.ndarray) -> 
     argsort of it is cheaper than a lexsort of the columns.  n**3 fits
     in int64 for every n whose n x n matrix fits in memory.
     """
-    cube = (len(ordering.refs),) * positions.shape[1]
+    cube = (ordering.family.event_count(),) * positions.shape[1]
     rows = positions[np.argsort(np.ravel_multi_index(positions.T, cube), kind="stable")]
     rows.setflags(write=False)
     return AxiomReport(axiom, satisfied=not len(rows), witnesses=Witnesses(rows, ordering.family))
@@ -490,10 +540,12 @@ def _report(ordering: LikelihoodOrdering, axiom: str, positions: np.ndarray) -> 
 
 def _null_mask(ordering: LikelihoodOrdering) -> np.ndarray:
     """Per position: is the event judged equal to its measurement's empty event."""
+    slices = ordering.family.slices.values()
+    ranks = ordering.ranks
+    if ranks is not None:
+        return np.concatenate([ranks[sl] == ranks[sl.start] for sl in slices])
     h = ordering.matrix
-    return np.concatenate(
-        [h[sl, sl.start] & h[sl.start, sl] for sl in ordering.family.slices.values()]
-    )
+    return np.concatenate([h[sl, sl.start] & h[sl.start, sl] for sl in slices])
 
 
 def check_transitivity(ordering: LikelihoodOrdering) -> AxiomReport:
@@ -521,22 +573,58 @@ def check_separation(ordering: LikelihoodOrdering) -> AxiomReport:
     """Check that some event is not null."""
     null = _null_mask(ordering)
     if not null.all():
-        evidence = ordering.refs[int(np.argmin(null))]
+        evidence = ordering.family.ref_at(int(np.argmin(null)))
         return AxiomReport("Separation", True, (), evidence=evidence)
     return _report(ordering, "Separation", np.arange(len(null)).reshape(-1, 1))
+
+
+def _covering_failures(ranks: np.ndarray, family: MeasurementFamily) -> list[slice]:
+    """The measurements of a total preorder with a covering pair that
+    breaks Dominance.
+
+    For each event E and outcome o not in E, rank(E + o) >= rank(E) must
+    hold, with equality iff rank({o}) = rank(empty).  Every nested pair
+    E of F passes exactly when these do: add F minus E one outcome at a
+    time.  Measurements with k outcomes are tested together, one array
+    operation per outcome.
+    """
+    by_size: dict[int, list[slice]] = {}
+    for sl in family.slices.values():
+        by_size.setdefault(sl.stop - sl.start, []).append(sl)
+    failing = []
+    for size, group in by_size.items():
+        masks = np.arange(size)
+        r = ranks[np.array([sl.start for sl in group])[:, None] + masks]
+        bad = np.zeros(len(group), dtype=bool)
+        for bit in (1 << o for o in range(size.bit_length() - 1)):
+            e = masks[(masks & bit) == 0]
+            grown, kept = r[:, e | bit], r[:, e]
+            null = r[:, [bit]] == r[:, [0]]
+            bad |= ((grown < kept) | ((grown == kept) != null)).any(axis=1)
+        failing += [sl for sl, b in zip(group, bad.tolist()) if b]
+    return failing
 
 
 def check_dominance(ordering: LikelihoodOrdering) -> AxiomReport:
     """Check E subset-of F implies F >= E, with equality iff F minus E is null.
 
-    Runs over every nested event pair of every measurement (submask
-    enumeration).  A witness is the offending (E, F) pair.
+    Runs over every nested event pair of a measurement (submask
+    enumeration).  A witness is the offending (E, F) pair.  A total
+    preorder first tests its covering pairs (:func:`_covering_failures`),
+    and enumerates, on its ranks, only the measurements that fail there.
     """
-    h = ordering.matrix
     null = _null_mask(ordering)
+    ranks = ordering.ranks
+    if ranks is None:
+        h = ordering.matrix
+        blocks = [(sl, h[sl, sl]) for sl in ordering.family.slices.values()]
+    else:
+        blocks = [
+            (sl, ranks[sl][:, None] >= ranks[sl])
+            for sl in _covering_failures(ranks, ordering.family)
+        ]
     witnesses = []
-    for sl in ordering.family.slices.values():
-        h_local = h[sl, sl]
+    for sl, h_local in blocks:
         null_by_mask = null[sl].tolist()
         for f_mask in range(sl.stop - sl.start):
             row = h_local[f_mask]
@@ -557,9 +645,10 @@ def check_equivalence(ordering: LikelihoodOrdering) -> AxiomReport:
     Positions are grouped by the dense ranks of their exact weights
     (:func:`weight_ranks`), and every pair in a group, an event with
     itself included, must be related both ways.  A total preorder passes
-    at once when its ``ranks`` are constant on every group.  Otherwise
-    each group of two or more is read as one block of the matrix, and
-    the groups of one as one read of the diagonal.
+    at once when its ``ranks`` are constant on every group; otherwise a
+    pair (a, b) of a group fails where ranks[a] < ranks[b].  Any other
+    relation reads each group of two or more as one block of the matrix,
+    and the groups of one as one read of the diagonal.
     """
     group = weight_ranks(ordering.family)
     order = np.argsort(group, kind="stable")  # positions ascend within a group
@@ -570,13 +659,18 @@ def check_equivalence(ordering: LikelihoodOrdering) -> AxiomReport:
             return _report(ordering, "Equivalence", np.empty((0, 2), np.int64))
     sizes = np.bincount(group)
     starts = np.cumsum(sizes) - sizes
-    h = ordering.matrix
     alone = order[starts[sizes == 1]]
-    alone = alone[~h[alone, alone]]
+    groups = [order[a:a + k] for a, k in zip(starts[sizes > 1].tolist(), sizes[sizes > 1].tolist())]
+    if ranks is None:
+        h = ordering.matrix
+        alone = alone[~h[alone, alone]]
+        missing = (~h[np.ix_(g, g)] for g in groups)
+    else:
+        alone = alone[:0]  # ranks relate every event to itself
+        missing = (ranks[g][:, None] < ranks[g] for g in groups)
     pieces = [np.stack((alone, alone), axis=1)]
-    for start, size in zip(starts[sizes > 1].tolist(), sizes[sizes > 1].tolist()):
-        g = order[start:start + size]
-        a, b = np.nonzero(~h[np.ix_(g, g)])
+    for g, block in zip(groups, missing):
+        a, b = np.nonzero(block)
         pieces.append(np.stack((g[a], g[b]), axis=1))
     return _report(ordering, "Equivalence", np.concatenate(pieces))
 
@@ -611,7 +705,8 @@ def run_all_checks(ordering: LikelihoodOrdering) -> tuple[AxiomReport, ...]:
 
 def null_events(ordering: LikelihoodOrdering) -> set[EventRef]:
     """All events judged equal to the empty event of their measurement."""
-    return {ordering.refs[int(i)] for i in np.flatnonzero(_null_mask(ordering))}
+    ref_at = ordering.family.ref_at
+    return {ref_at(int(i)) for i in np.flatnonzero(_null_mask(ordering))}
 
 
 def replay_witness(

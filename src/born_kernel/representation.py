@@ -230,7 +230,7 @@ def derive_representation(
             f"family has no uniform {K}-outcome measurement"
         )
 
-    h = ordering.matrix
+    ranks = ordering.ranks  # a total preorder: Transitivity and Totality passed
     uniform_start = family.slices[uniform.id].start
     singleton_values: dict[tuple[str, str], Fraction] = {}
     for mid, sl in family.slices.items():
@@ -243,10 +243,10 @@ def derive_representation(
             # Equal weight guarantees the ordering judged them alike; the
             # equivalence check above already certified this, so a failure
             # here means the ordering mutated underneath us.
-            if not (h[block, target] and h[target, block]):
+            if ranks[block] != ranks[target]:
                 raise PreconditionViolated(
                     "Equivalence",
-                    f"{ordering.refs[target].label()} is not judged equal to "
+                    f"{family.ref_at(target).label()} is not judged equal to "
                     "its uniform block",
                 )
             singleton_values[(mid, o)] = Fraction(k, K)

@@ -262,6 +262,49 @@ class TestDerive:
         assert proc.returncode == 1
         assert "NonconformingDenominator" in proc.stdout
 
+    def test_grid_refusal_prints_the_weight_measurement_and_grid(self, rich_files, tmp_path):
+        family, ordering = rich_files
+        proc = run_cli(
+            "derive", "--family", str(family), "--ordering", str(ordering),
+            "-K", "3", "--out", str(tmp_path / "pr.json"),
+        )
+        assert proc.returncode == 1
+        assert proc.stderr == (
+            "error: precondition failed: NonconformingDenominator: weight 1/4 of "
+            "measurement 'k1-1-1-1' does not live on the 1/3 grid\n"
+        )
+
+    def test_missing_uniform_refusal_prints_K(self, tmp_path):
+        family = tmp_path / "family.json"
+        assert run_cli("gen-rich", "-K", "4", "--max-outcomes", "3",
+                       "--out", str(family)).returncode == 0
+        proc = run_cli(
+            "derive", "--family", str(family),
+            "--ordering", str(family.with_suffix(".ordering.json")),
+            "-K", "4", "--out", str(tmp_path / "pr.json"),
+        )
+        assert proc.returncode == 1
+        assert proc.stderr == (
+            "error: precondition failed: MissingUniformMeasurement: "
+            "family has no uniform 4-outcome measurement\n"
+        )
+        assert "precondition:MissingUniformMeasurement" in proc.stdout
+
+    def test_failed_axiom_precondition_carries_the_checks_witnesses(self, tmp_path):
+        """derive's precondition verdict is check's verdict on the failing
+        axiom, renamed: the K=4 control's 111 Equivalence witnesses, not 0."""
+        family = generate_rich_family(4, 4)
+        fam_path, ord_path = tmp_path / "family.json", tmp_path / "control.json"
+        fam_path.write_text(canonical_dumps(family_to_json(family)))
+        ord_path.write_text(canonical_dumps(tiers_to_json(outcome_count_ordering(family))))
+        files = ("--family", str(fam_path), "--ordering", str(ord_path))
+        proc = run_cli("derive", *files, "-K", "4", "--out", str(tmp_path / "pr.json"))
+        assert proc.returncode == 1
+        (verdict,) = json.loads(proc.stdout)["verdicts"]
+        checked = {v["check"]: v for v in json.loads(run_cli("check", *files).stdout)["verdicts"]}
+        assert verdict == dict(checked["Equivalence"], check="precondition:Equivalence")
+        assert verdict["witness_count"] == 111 == len(verdict["witnesses"])
+
     def test_certain_family_k1(self, tmp_path):
         fam_path = tmp_path / "family.json"
         out = tmp_path / "pr.json"

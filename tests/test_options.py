@@ -142,11 +142,13 @@ def test_package_exports():
 
 
 def test_likelihood_ordering_surface():
-    """Three fields, and positions are read from ``matrix`` directly: no
-    accessor keyed by event ref."""
-    assert [f.name for f in fields(LikelihoodOrdering)] == ["family", "refs", "matrix"]
+    """Three constructor arguments, and positions are read from ``matrix``
+    or ``ranks`` directly: no accessor keyed by event ref.  ``matrix`` and
+    ``refs`` are read lazily, so an ordering built from ranks holds
+    neither until asked."""
+    assert list(inspect.signature(LikelihoodOrdering).parameters) == ["family", "refs", "matrix"]
     public = sorted(a for a in vars(LikelihoodOrdering) if not a.startswith("_"))
-    assert public == ["index", "ranks", "reports"]
+    assert public == ["index", "matrix", "ranks", "refs", "reports"]
 
 
 def test_uniqueness_search_takes_no_settings():

@@ -25,6 +25,7 @@ from hypothesis import given, settings, strategies as st
 
 from born_kernel import (
     AxiomReport,
+    EventRef,
     LikelihoodOrdering,
     MeasurementFamily,
     ProbabilityAssignment,
@@ -34,13 +35,17 @@ from born_kernel import (
     check_separation,
     check_totality,
     check_transitivity,
+    derive_representation,
     generate_rich_family,
     induced_ordering,
+    null_events,
     outcome_count_ordering,
+    run_all_checks,
+    uniqueness_search,
     verify_representation,
 )
 from born_kernel.formats import ordering_from_json, tiers_to_json
-from born_kernel.ordering import weight_vector
+from born_kernel.ordering import _ordering_from_ranks, dense_ranks, weight_vector
 from conftest import order_matrix, random_family, whole_matrix_verify
 
 
@@ -134,16 +139,19 @@ small_families = st.lists(st.integers(1, 3), min_size=1, max_size=3).map(
 
 @st.composite
 def relations(draw, family=None):
-    """A total preorder from integer scores, one with an entry flipped, or
-    a random boolean matrix, on a small family."""
+    """A total preorder from integer scores, as a matrix or as its ranks
+    alone, one with an entry flipped, or a random boolean matrix, on a
+    small family."""
     family = family or draw(small_families)
     n = family.event_count()
-    kind = draw(st.sampled_from(["preorder", "flipped", "random"]))
+    kind = draw(st.sampled_from(["preorder", "ranks", "flipped", "random"]))
     if kind == "random":
         seed = draw(st.integers(0, 2**32 - 1))
         density = draw(st.sampled_from([0.3, 0.7, 0.95]))
         return _ordering(family, np.random.default_rng(seed).random((n, n)) < density)
     scores = draw(st.lists(st.integers(0, 4), min_size=n, max_size=n))
+    if kind == "ranks":
+        return _ordering_from_ranks(family, dense_ranks(scores))
     matrix = order_matrix(scores)
     if kind == "flipped":
         i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
@@ -185,6 +193,66 @@ def test_witness_sequences_stand_for_the_materialized_tuples(ordering, data):
         assert_stands_for(report.witnesses, expected.witnesses, data, ordering.refs)
         assert report == expected and expected == report
         assert hash(report) == hash(expected)
+
+
+def _outcome(fn, *args):
+    """What a call returns, or the type and message of the ValueError it raises."""
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_families, st.data())
+def test_rank_orderings_report_as_their_matrix_twins(family, data):
+    """Path invariance: an ordering that holds only ranks and the
+    three-field ordering on ``r[:, None] >= r`` give every check the same
+    report, witnesses and Separation evidence included, and that report
+    is the oracle's.  ``null_events`` and ``derive_representation``
+    agree too, on the value or on the exception raised."""
+    n = family.event_count()
+    ranks = dense_ranks(data.draw(st.lists(st.integers(0, 4), min_size=n, max_size=n)))
+    ordering = _ordering_from_ranks(family, ranks)
+    twin = _ordering(family, ranks[:, None] >= ranks)
+    for check, oracle in ORACLES.items():
+        report = check(ordering)
+        assert report == oracle(twin) and report == check(twin)
+    assert null_events(ordering) == null_events(twin)
+    K = data.draw(st.sampled_from(sorted({len(m.outcomes) for m in family.measurements})))
+    assert _outcome(derive_representation, ordering, K) == _outcome(derive_representation, twin, K)
+
+
+def test_rank_chain_builds_no_matrix_and_no_ref_list():
+    """The kernel's path on a rank ordering reads ranks only: no n x n
+    array, and no ``family.refs``."""
+    family = generate_rich_family(6, 6)
+    ordering = induced_ordering(family)
+    assert all(r.satisfied for r in run_all_checks(ordering))
+    assignment = derive_representation(ordering, 6)
+    assert verify_representation(assignment, ordering)[0]
+    assert null_events(ordering) == {EventRef(m.id, ()) for m in family.measurements}
+    assert uniqueness_search(ordering, 6) == [assignment]
+    assert "matrix" not in vars(ordering)
+    assert "refs" not in vars(family)
+
+
+def test_reading_one_witness_builds_only_its_refs():
+    family = generate_rich_family(6, 6)
+    control = outcome_count_ordering(family)
+    first = check_equivalence(control).witnesses[0]
+    assert "refs" not in vars(family)
+    assert first == listed_equivalence(control).witnesses[0]
+
+
+@settings(max_examples=100, deadline=None)
+@given(small_families)
+def test_ref_at_is_refs_by_position(family):
+    n = family.event_count()
+    assert tuple(family.ref_at(i) for i in range(n)) == family.refs
+    for outside in (-1, n):
+        with pytest.raises(IndexError):
+            family.ref_at(outside)
 
 
 @st.composite
@@ -240,16 +308,18 @@ def test_rank_test_across_blocks_matches_the_oracles(flip):
 
 
 def test_tiers_form_and_checks_read_the_one_rank_test():
-    """`tiers_to_json` and three checks take their verdict from
+    """`tiers_to_json` and the checks take their verdict from
     `ordering.ranks` and derive none of their own: told that a total
-    preorder has none, `tiers_to_json` refuses it, while the checks fall
-    back to the whole-relation code and still find nothing wrong."""
-    ordering = induced_ordering(generate_rich_family(3, 3))
+    preorder given as a matrix has none, `tiers_to_json` refuses it, while
+    the checks fall back to the whole-relation code and still find
+    nothing wrong."""
+    family = generate_rich_family(3, 3)
+    ordering = _ordering(family, induced_ordering(family).matrix)
     tiers_to_json(ordering)
     vars(ordering)["ranks"] = None  # where cached_property keeps it
     with pytest.raises(ValueError, match="not a total preorder"):
         tiers_to_json(ordering)
-    for check in (check_transitivity, check_totality, check_equivalence):
+    for check in ORACLES:
         assert check(ordering).satisfied
 
 
