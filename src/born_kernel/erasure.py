@@ -16,7 +16,7 @@ import itertools
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .ordering import (
     EventRef,
@@ -129,10 +129,6 @@ class ReachableSet:
 
     states: frozenset[tuple]
 
-    @classmethod
-    def from_states(cls, states: Iterable[BranchState]) -> "ReachableSet":
-        return cls(frozenset(s.canonical_key() for s in states))
-
     def __len__(self) -> int:
         return len(self.states)
 
@@ -197,19 +193,22 @@ def reachable_set(
     game: GameSpec,
     index_range: int = DEFAULT_INDEX_RANGE,
 ) -> ReachableSet:
-    """All erased states over every admissible microstate choice."""
+    """Canonical keys of the erased states over every admissible choice.
+
+    Erasing a branch to index i gives the item ("erased", False, i, reward,
+    w), w its rounded squared amplitude; a key sorts the items with w != 0,
+    as ``canonical_key`` does.  Branches sharing (i, reward) would merge
+    into one label, the choice :func:`erase` refuses: it is skipped."""
     if index_range < 1:
         raise ValueError("index_range must be at least 1")
-    state = play_game(prep_weights, game)
-    labels = [label for label, _ in state.branches]
-    states = []
-    for assignment in itertools.product(range(1, index_range + 1), repeat=len(labels)):
-        choice = dict(zip(labels, assignment))
-        try:
-            states.append(erase(state, choice, index_range))
-        except BranchCollision:
-            continue
-    return ReachableSet.from_states(states)
+    candidates = [[("erased", False, i, label.reward, round(abs(amp) ** 2, _CANONICAL_DECIMALS))
+                   for i in range(1, index_range + 1)]
+                  for label, amp in play_game(prep_weights, game).branches]
+    return ReachableSet(frozenset(
+        tuple(sorted(item for item in choice if item[4] != 0.0))
+        for choice in itertools.product(*candidates)
+        if len({item[2:4] for item in choice}) == len(choice)
+    ))
 
 
 def sets_equal(a: ReachableSet, b: ReachableSet) -> bool:

@@ -209,6 +209,12 @@ class MeasurementFamily:
     def event_count(self) -> int:
         return sum(2 ** len(m.outcomes) for m in self.measurements)
 
+    @cached_property
+    def _weight_ranks(self) -> np.ndarray:
+        ranks = subset_sum_ranks(self.by_id[mid].weights for mid in self.sorted_ids)
+        ranks.setflags(write=False)
+        return ranks
+
 
 @dataclass(frozen=True)
 class EventRef:
@@ -280,8 +286,8 @@ def subset_sum_ranks(rows: Iterable[Sequence[Fraction]]) -> np.ndarray:
 
 
 def weight_ranks(family: MeasurementFamily) -> np.ndarray:
-    """Dense rank of every event's exact weight, in canonical position order."""
-    return subset_sum_ranks(family.by_id[mid].weights for mid in family.sorted_ids)
+    """Dense rank of every event's exact weight by position; cached, read-only."""
+    return family._weight_ranks
 
 
 def subset_sum_values(rows: Iterable[Sequence[Fraction]]) -> list[Fraction]:
@@ -466,7 +472,7 @@ class Witnesses(Sequence):
     only when it is read, and a slice reads only its own rows.  Refs are
     built one position at a time (``MeasurementFamily.ref_at``), never
     the family's whole list; a slice builds each position it names once,
-    and iteration reads slice by slice.
+    and so does an iteration, reading slice by slice.
     """
 
     __slots__ = ("_rows", "_family")
@@ -479,17 +485,19 @@ class Witnesses(Sequence):
         return len(self._rows)
 
     def __getitem__(self, i):
-        ref_at = self._family.ref_at
         if not isinstance(i, slice):
-            return tuple(map(ref_at, self._rows[operator.index(i)].tolist()))
-        rows = self._rows[i]
-        positions = np.unique(rows).tolist()
-        ref = dict(zip(positions, map(ref_at, positions)))
-        return tuple(tuple(ref[p] for p in row) for row in rows.tolist())
+            return tuple(map(self._family.ref_at, self._rows[operator.index(i)].tolist()))
+        return self._read(self._rows[i], {})
 
     def __iter__(self):
+        ref: dict[int, EventRef] = {}  # each position's ref, built once per iteration
         for start in range(0, len(self), _CHUNK):
-            yield from self[start:start + _CHUNK]
+            yield from self._read(self._rows[start:start + _CHUNK], ref)
+
+    def _read(self, rows: np.ndarray, ref: dict[int, EventRef]) -> tuple:
+        new = [p for p in np.unique(rows).tolist() if p not in ref]
+        ref.update(zip(new, map(self._family.ref_at, new)))
+        return tuple(tuple(ref[p] for p in row) for row in rows.tolist())
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, (Witnesses, tuple)):
@@ -668,11 +676,10 @@ def check_equivalence(ordering: LikelihoodOrdering) -> AxiomReport:
     else:
         alone = alone[:0]  # ranks relate every event to itself
         missing = (ranks[g][:, None] < ranks[g] for g in groups)
-    pieces = [np.stack((alone, alone), axis=1)]
-    for g, block in zip(groups, missing):
-        a, b = np.nonzero(block)
-        pieces.append(np.stack((g[a], g[b]), axis=1))
-    return _report(ordering, "Equivalence", np.concatenate(pieces))
+    hits = [(g[a], g[b]) for g, (a, b) in zip(groups, map(np.nonzero, missing))]
+    firsts, seconds = zip((alone, alone), *hits)
+    pairs = np.stack((np.concatenate(firsts), np.concatenate(seconds)), axis=1)
+    return _report(ordering, "Equivalence", pairs)
 
 
 def check_totality(ordering: LikelihoodOrdering) -> AxiomReport:

@@ -1,11 +1,14 @@
 """Erasure games, reachable sets, refinement, and coarse invariance."""
+import itertools
 import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from born_kernel import (
+    BranchCollision,
     BranchLabel,
     BranchState,
     GameSpec,
@@ -134,6 +137,57 @@ class TestReachableSets:
         assert sets_equal(
             ReachableSet(frozenset()), ReachableSet(frozenset())
         )
+
+
+def per_choice_reachable_set(prep, game, index_range):
+    """The oracle: erase the played state for every microstate choice,
+    skip the choices that collide, and key each erased state."""
+    state = play_game(prep, game)
+    labels = [label for label, _ in state.branches]
+    keys = set()
+    for assignment in itertools.product(range(1, index_range + 1), repeat=len(labels)):
+        try:
+            keys.add(erase(state, dict(zip(labels, assignment)), index_range).canonical_key())
+        except BranchCollision:
+            continue
+    return ReachableSet(frozenset(keys))
+
+
+# Below 5e-13, so the squared amplitude rounds to 0 and the branch is pruned.
+TINY = Fraction(1, 10**13)
+
+
+@st.composite
+def erasure_games(draw):
+    """1-4 branches with random rational weights, one of them TINY at
+    times, a random reward subset, and an index range of 1-5."""
+    n = draw(st.integers(1, 4))
+    tiny = n > 1 and draw(st.booleans())
+    parts = draw(st.lists(st.integers(1, 12), min_size=n - tiny, max_size=n - tiny))
+    weights = [Fraction(p, sum(parts)) * (1 - TINY if tiny else 1) for p in parts]
+    results = [f"r{i}" for i in range(n)]
+    prep = list(zip(results, weights + [TINY] * tiny))
+    rewarded = draw(st.sets(st.sampled_from(results)))
+    return prep, GameSpec(frozenset(rewarded)), draw(st.integers(1, 5))
+
+
+@settings(max_examples=150, deadline=None)
+@given(erasure_games())
+# Two no-reward branches collide on every shared index.
+@example(([("a", Fraction(1, 3)), ("b", Fraction(1, 3)), ("c", Fraction(1, 3))],
+          GameSpec(frozenset({"a"})), 2))
+# The TINY branch is pruned from every key, yet still collides.
+@example(([("a", 1 - TINY), ("b", TINY)], GameSpec(frozenset()), 2))
+def test_reachable_set_matches_the_per_choice_oracle(game):
+    prep, spec, index_range = game
+    assert reachable_set(prep, spec, index_range) == per_choice_reachable_set(
+        prep, spec, index_range
+    )
+
+
+def test_tiny_branch_is_pruned_but_still_collides():
+    keys = reachable_set([("a", 1 - TINY), ("b", TINY)], GameSpec(frozenset()), 2).states
+    assert keys == {(("erased", False, 1, False, 1.0),), (("erased", False, 2, False, 1.0),)}
 
 
 class TestThreeOutcomeGame:

@@ -3,6 +3,7 @@ import tracemalloc
 from fractions import Fraction
 
 import numpy as np
+import pytest
 from hypothesis import given, strategies as st
 
 from born_kernel import (
@@ -22,7 +23,8 @@ from born_kernel import (
     replay_witness,
     run_all_checks,
 )
-from born_kernel.ordering import dense_ranks, subset_sum_ranks, weight_vector
+from born_kernel import ordering as ordering_module
+from born_kernel.ordering import dense_ranks, subset_sum_ranks, weight_ranks, weight_vector
 from conftest import own_weights, random_family
 
 
@@ -273,6 +275,28 @@ class TestDominance:
         assert all(report.satisfied for report in run_all_checks(ordering))
         pair = (EventRef("m1", frozenset({"o1"})), EventRef("m2", frozenset({"o1"})))
         assert not replay_witness(ordering, "Dominance", pair)
+
+
+class TestWeightRanks:
+    def test_ranked_once_per_family(self, monkeypatch):
+        """The induced ordering and the Equivalence checks of it and of
+        the outcome-count control share one ranking of the weights."""
+        calls = []
+        rank = ordering_module.subset_sum_ranks
+        monkeypatch.setattr(
+            ordering_module, "subset_sum_ranks", lambda rows: calls.append(1) or rank(rows)
+        )
+        family = generate_rich_family(5, 5)
+        induced = induced_ordering(family)
+        assert check_equivalence(induced).satisfied
+        assert not check_equivalence(outcome_count_ordering(family)).satisfied
+        assert len(calls) == 1
+
+    def test_cached_ranks_are_read_only(self):
+        ranks = weight_ranks(skewed_family())
+        assert ranks.tolist() == [0, 1, 2, 3]
+        with pytest.raises(ValueError):
+            ranks[0] = 3
 
 
 class TestEquivalence:

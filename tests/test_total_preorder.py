@@ -245,6 +245,21 @@ def test_reading_one_witness_builds_only_its_refs():
     assert first == listed_equivalence(control).witnesses[0]
 
 
+def test_iterating_witnesses_builds_each_ref_once(monkeypatch):
+    """One iteration shares its refs across all its 4,096-row slices: on
+    the K=7 control's 91,276 witnesses each slice built its own."""
+    report = check_equivalence(outcome_count_ordering(generate_rich_family(7, 7)))
+    calls = []
+    ref_at = MeasurementFamily.ref_at
+    monkeypatch.setattr(
+        MeasurementFamily, "ref_at", lambda self, p: calls.append(p) or ref_at(self, p)
+    )
+    witnesses = tuple(report.witnesses)
+    assert len(witnesses) == 91276
+    assert len(calls) == len(set(calls))
+    assert witnesses == report.witnesses[:]
+
+
 @settings(max_examples=100, deadline=None)
 @given(small_families)
 def test_ref_at_is_refs_by_position(family):
