@@ -16,7 +16,7 @@ import itertools
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .ordering import (
     EventRef,
@@ -103,14 +103,21 @@ class BranchState:
         Zero-amplitude branches are dropped and per-branch phase is
         discarded, so physically indistinguishable states compare equal.
         """
-        items = []
-        for label, amp in self.branches:
-            w = round(abs(amp) ** 2, _CANONICAL_DECIMALS)
-            if w == 0.0:
-                continue
-            items.append((label.result, label.detail is None, label.detail or 0,
-                          label.reward, w))
-        return tuple(sorted(items))
+        return _key(_key_item(label.result, label.detail, label.reward, amp)
+                    for label, amp in self.branches)
+
+
+def _key_item(result: str, detail: int | None, reward: bool, amp: complex) -> tuple:
+    """A branch's item in a canonical key: (result, detail is None,
+    detail or 0, reward, w), w its squared amplitude rounded to
+    ``_CANONICAL_DECIMALS`` places."""
+    return (result, detail is None, detail or 0, reward,
+            round(abs(amp) ** 2, _CANONICAL_DECIMALS))
+
+
+def _key(items: Iterable[tuple]) -> tuple:
+    """A canonical key from its branches' items: those with w != 0, sorted."""
+    return tuple(sorted(item for item in items if item[4] != 0.0))
 
 
 @dataclass(frozen=True)
@@ -195,17 +202,16 @@ def reachable_set(
 ) -> ReachableSet:
     """Canonical keys of the erased states over every admissible choice.
 
-    Erasing a branch to index i gives the item ("erased", False, i, reward,
-    w), w its rounded squared amplitude; a key sorts the items with w != 0,
-    as ``canonical_key`` does.  Branches sharing (i, reward) would merge
-    into one label, the choice :func:`erase` refuses: it is skipped."""
+    Each branch's key item for each index i (:func:`_key_item`) is built
+    once, and a choice's key is built from its items as ``canonical_key``
+    builds one.  Branches sharing (i, reward) would merge into one label,
+    the choice :func:`erase` refuses: it is skipped."""
     if index_range < 1:
         raise ValueError("index_range must be at least 1")
-    candidates = [[("erased", False, i, label.reward, round(abs(amp) ** 2, _CANONICAL_DECIMALS))
-                   for i in range(1, index_range + 1)]
+    candidates = [[_key_item("erased", i, label.reward, amp) for i in range(1, index_range + 1)]
                   for label, amp in play_game(prep_weights, game).branches]
     return ReachableSet(frozenset(
-        tuple(sorted(item for item in choice if item[4] != 0.0))
+        _key(choice)
         for choice in itertools.product(*candidates)
         if len({item[2:4] for item in choice}) == len(choice)
     ))

@@ -88,7 +88,9 @@ def _get(doc: Any, key: str, kind: Any, context: str) -> Any:
 
 
 def _reader(read):
-    """The one place a domain ValueError becomes a FormatError."""
+    """Where a domain ValueError becomes a FormatError, labelled with the
+    reader's name; ``_position`` converts first for an event ref, so its
+    error names the ref's field path."""
     @functools.wraps(read)
     def wrapper(*args, **kwargs):
         try:
@@ -257,7 +259,7 @@ def family_to_json(family: MeasurementFamily) -> dict:
                 "outcomes": list(m.outcomes),
                 "weights": [rational_to_json(w) for w in m.weights],
             }
-            for m in sorted(family.measurements, key=lambda m: m.id)
+            for m in family.canonical
         ],
     }
 
@@ -289,24 +291,24 @@ def _position(doc: Any, family: MeasurementFamily, context: str) -> int:
     """Canonical position ``slices[mid].start + event mask`` of an event ref."""
     mid = _get(doc, "measurement", str, context)
     labels = _get(doc, "event", list[str], context)
-    if mid not in family.by_id:
-        raise FormatError(f"{context}: unknown measurement {mid!r}")
-    return family.position(mid, labels)
+    try:
+        return family.position(mid, labels)
+    except ValueError as exc:
+        raise FormatError(f"{context}: {exc}") from exc
 
 
 def _each_event_once(family: MeasurementFamily, context: str, items) -> list:
     """Values by canonical position from ``(context, ref doc, value)``
     items that list every event of the family exactly once."""
-    refs = family.refs
-    out = [None] * len(refs)
+    out = [None] * family.event_count()
     for ctx, ref, value in items:
         i = _position(ref, family, ctx)
         if out[i] is not None:
-            raise FormatError(f"{ctx}: event {refs[i].label()} is listed twice")
+            raise FormatError(f"{ctx}: event {family.ref_at(i).label()} is listed twice")
         out[i] = value
     if None in out:
         raise FormatError(f"{context}: {out.count(None)} of {len(out)} events are not "
-                          f"listed, the first {refs[out.index(None)].label()}")
+                          f"listed, the first {family.ref_at(out.index(None)).label()}")
     return out
 
 
@@ -374,7 +376,7 @@ def ordering_from_json(doc: Any, family: MeasurementFamily) -> LikelihoodOrderin
             raise FormatError(f"ordering.pairs[{k}]: each pair is [left, right]")
         rows.append(_position(pair[0], family, f"ordering.pairs[{k}][0]"))
         cols.append(_position(pair[1], family, f"ordering.pairs[{k}][1]"))
-    matrix = np.zeros((len(family.refs),) * 2, dtype=bool)
+    matrix = np.zeros((family.event_count(),) * 2, dtype=bool)
     matrix[rows, cols] = True
     matrix.setflags(write=False)  # handed over, so the ordering need not copy it
     return LikelihoodOrdering(family, family.refs, matrix)
@@ -410,7 +412,8 @@ def assignment_from_json(doc: Any, family: MeasurementFamily) -> ProbabilityAssi
         (m.id, o): values[family.position(m.id, (o,))]
         for m in family.measurements for o in m.outcomes
     })
-    for ref, read, summed in zip(family.refs, values, assignment.vector):
+    for i, (read, summed) in enumerate(zip(values, assignment.vector)):
         if read != summed:
-            raise FormatError(f"assignment: {ref.label()} is {read}, its outcomes sum to {summed}")
+            raise FormatError(f"assignment: {family.ref_at(i).label()} is {read}, "
+                              f"its outcomes sum to {summed}")
     return assignment

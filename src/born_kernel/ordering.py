@@ -44,6 +44,7 @@ canonical positions, sorted once, until a caller reads them
 from __future__ import annotations
 
 import bisect
+import itertools
 import math
 import operator
 from collections.abc import Iterable, Sequence
@@ -143,6 +144,8 @@ class MeasurementFamily:
         object.__setattr__(self, "measurements", ms)
 
     def __eq__(self, other: object) -> bool:
+        if self is other:
+            return True
         if not isinstance(other, MeasurementFamily):
             return NotImplemented
         return frozenset(self.measurements) == frozenset(other.measurements)
@@ -155,18 +158,18 @@ class MeasurementFamily:
         return {m.id: m for m in self.measurements}
 
     @cached_property
-    def sorted_ids(self) -> tuple[str, ...]:
-        return tuple(sorted(self.by_id))
+    def canonical(self) -> tuple[WeightedMeasurement, ...]:
+        """The measurements in id order, the order of their events' positions."""
+        return tuple(sorted(self.measurements, key=operator.attrgetter("id")))
 
     @cached_property
     def refs(self) -> tuple[EventRef, ...]:
         """Every (event, measurement) pair, in canonical position order."""
-        refs: list[EventRef] = []
-        for mid in self.sorted_ids:
-            m = self.by_id[mid]
-            for mask in range(2 ** len(m.outcomes)):
-                refs.append(EventRef(mid, m.mask_event(mask)))
-        return tuple(refs)
+        return tuple(
+            EventRef(m.id, m.mask_event(mask))
+            for m in self.canonical
+            for mask in range(2 ** len(m.outcomes))
+        )
 
     @cached_property
     def slices(self) -> dict[str, slice]:
@@ -176,13 +179,8 @@ class MeasurementFamily:
         ``slices[mid].start + mask``; this is the one internal address
         of an event.
         """
-        out: dict[str, slice] = {}
-        start = 0
-        for mid in self.sorted_ids:
-            stop = start + 2 ** len(self.by_id[mid].outcomes)
-            out[mid] = slice(start, stop)
-            start = stop
-        return out
+        b = self._bounds
+        return {m.id: slice(b[i], b[i + 1]) for i, m in enumerate(self.canonical)}
 
     def position(self, measurement_id: str, event: Iterable[str]) -> int:
         """Canonical position of an event; ValueError if it is not in the family."""
@@ -194,7 +192,7 @@ class MeasurementFamily:
     @cached_property
     def _bounds(self) -> list[int]:
         """Each measurement's first position, in id order, then the event count."""
-        return [sl.start for sl in self.slices.values()] + [self.event_count()]
+        return [0, *itertools.accumulate(2 ** len(m.outcomes) for m in self.canonical)]
 
     def ref_at(self, position: int) -> EventRef:
         """The event at a canonical position, built alone: ``refs[position]``
@@ -203,15 +201,15 @@ class MeasurementFamily:
         if not 0 <= position < bounds[-1]:
             raise IndexError(f"position {position} is outside {bounds[-1]} events")
         i = bisect.bisect_right(bounds, position) - 1
-        mid = self.sorted_ids[i]
-        return EventRef(mid, self.by_id[mid].mask_event(position - bounds[i]))
+        m = self.canonical[i]
+        return EventRef(m.id, m.mask_event(position - bounds[i]))
 
     def event_count(self) -> int:
-        return sum(2 ** len(m.outcomes) for m in self.measurements)
+        return self._bounds[-1]
 
     @cached_property
     def _weight_ranks(self) -> np.ndarray:
-        ranks = subset_sum_ranks(self.by_id[mid].weights for mid in self.sorted_ids)
+        ranks = subset_sum_ranks(m.weights for m in self.canonical)
         ranks.setflags(write=False)
         return ranks
 
@@ -290,18 +288,13 @@ def weight_ranks(family: MeasurementFamily) -> np.ndarray:
     return family._weight_ranks
 
 
-def subset_sum_values(rows: Iterable[Sequence[Fraction]]) -> list[Fraction]:
-    """The :func:`subset_sums` of each row of exact rationals, concatenated."""
-    out: list[Fraction] = []
-    for row in rows:
-        nums, den = scaled_subset_sums(row)
-        out += [Fraction(n, den) for n in nums]
-    return out
-
-
 def weight_vector(family: MeasurementFamily) -> list[Fraction]:
     """Exact weight of every event, in canonical position order."""
-    return subset_sum_values(family.by_id[mid].weights for mid in family.sorted_ids)
+    out: list[Fraction] = []
+    for m in family.canonical:
+        nums, den = scaled_subset_sums(m.weights)
+        out += [Fraction(n, den) for n in nums]
+    return out
 
 
 def dense_ranks(scores: Sequence) -> np.ndarray:
@@ -453,8 +446,8 @@ def outcome_count_ordering(family: MeasurementFamily) -> LikelihoodOrdering:
     """
     require_event_count(family.event_count())
     counts: list[int] = []
-    for mid in family.sorted_ids:
-        counts += subset_sums([int(w > 0) for w in family.by_id[mid].weights])
+    for m in family.canonical:
+        counts += subset_sums([int(w > 0) for w in m.weights])
     return _ordering_from_ranks(family, dense_ranks(counts))
 
 

@@ -15,7 +15,8 @@ Everything in this module is exact rational arithmetic.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+import itertools
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from typing import Iterable
@@ -32,8 +33,8 @@ from .ordering import (
     Witnesses,
     event_cap_error,
     require_event_count,
-    subset_sum_ranks,
-    subset_sum_values,
+    weight_ranks,
+    weight_vector,
 )
 
 
@@ -73,25 +74,29 @@ class ProbabilityAssignment:
     values of each measurement are nonnegative and sum to exactly 1.  An
     event's value is the sum of its outcomes' values, so the empty event
     is 0, every full outcome set is 1, and additivity holds by
-    construction.
+    construction.  ``measure`` is the family re-weighted: the same
+    measurements and outcomes, the values as their weights, so an
+    event's value is its weight there.
     """
 
     family: MeasurementFamily
     singletons: dict[tuple[str, str], Fraction]
+    measure: MeasurementFamily = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        given, own = dict(self.singletons), {}
-        for m in self.family.measurements:
+        given, own, measure = dict(self.singletons), {}, []
+        for m in self.family.canonical:
             keys = [(m.id, o) for o in m.outcomes]
             missing = [o for o in m.outcomes if (m.id, o) not in given]
             if missing:
                 raise ValueError(f"missing value for outcome {missing[0]!r} of {m.id!r}")
             # The measurement checks the values are >= 0 and sum to 1.
-            values = tuple(given.pop(k) for k in keys)
-            own.update(zip(keys, WeightedMeasurement(m.id, m.outcomes, values).weights))
+            measure.append(WeightedMeasurement(m.id, m.outcomes, tuple(given.pop(k) for k in keys)))
+            own.update(zip(keys, measure[-1].weights))
         if given:
             raise ValueError(f"value for {next(iter(given))!r}, not an outcome of the family")
         object.__setattr__(self, "singletons", own)
+        object.__setattr__(self, "measure", MeasurementFamily(tuple(measure)))
 
     @classmethod
     def from_singletons(
@@ -100,22 +105,10 @@ class ProbabilityAssignment:
         """The assignment with the given per-outcome values."""
         return cls(family, singleton_values)
 
-    def _rows(self) -> list[list[Fraction]]:
-        """Per measurement, in id order, the values of its outcomes."""
-        return [
-            [self.singletons[(mid, o)] for o in self.family.by_id[mid].outcomes]
-            for mid in self.family.sorted_ids
-        ]
-
-    @cached_property
-    def _ranks(self) -> np.ndarray:
-        """Dense rank of every event's value, in canonical position order."""
-        return subset_sum_ranks(self._rows())
-
     @cached_property
     def vector(self) -> list[Fraction]:
         """Value of every event, in canonical position order."""
-        return subset_sum_values(self._rows())
+        return weight_vector(self.measure)
 
     def value(self, ref: EventRef) -> Fraction:
         return self.vector[self.family.position(ref.measurement_id, ref.event)]
@@ -123,19 +116,14 @@ class ProbabilityAssignment:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ProbabilityAssignment):
             return NotImplemented
-        same_family = self.family is other.family or self.family == other.family
-        return same_family and self.singletons == other.singletons
+        return self.family == other.family and self.singletons == other.singletons
 
 
 def compositions(total: int, parts: int) -> Iterable[tuple[int, ...]]:
     """All ordered tuples of `parts` positive integers summing to `total`."""
-    if parts == 1:
-        if total >= 1:
-            yield (total,)
-        return
-    for first in range(1, total - parts + 2):
-        for rest in compositions(total - first, parts - 1):
-            yield (first,) + rest
+    for cuts in itertools.combinations(range(1, total), parts - 1):
+        bounds = (0, *cuts, total)
+        yield tuple(b - a for a, b in zip(bounds, bounds[1:]))
 
 
 def generate_rich_family(K: int, max_outcomes: int) -> MeasurementFamily:
@@ -233,8 +221,7 @@ def derive_representation(
     ranks = ordering.ranks  # a total preorder: Transitivity and Totality passed
     uniform_start = family.slices[uniform.id].start
     singleton_values: dict[tuple[str, str], Fraction] = {}
-    for mid, sl in family.slices.items():
-        m = family.by_id[mid]
+    for m, sl in zip(family.canonical, family.slices.values()):
         offset = 0
         for i, (o, w) in enumerate(zip(m.outcomes, m.weights)):
             k = w.numerator * (K // w.denominator)
@@ -249,7 +236,7 @@ def derive_representation(
                     f"{family.ref_at(target).label()} is not judged equal to "
                     "its uniform block",
                 )
-            singleton_values[(mid, o)] = Fraction(k, K)
+            singleton_values[(m.id, o)] = Fraction(k, K)
             offset += k
     return ProbabilityAssignment.from_singletons(family, singleton_values)
 
@@ -265,16 +252,14 @@ def verify_representation(
     left to check.  Returns (ok, witnesses): every violating (E, F) pair,
     in canonical order.
 
-    The values are compared by their dense ranks (``subset_sum_ranks``),
-    so they agree with the ordering exactly when those equal
-    ``ordering.ranks``.  Only when they do not is the n x n comparison
-    built to list the witnesses.
+    The values are the weights of ``assignment.measure``, compared by
+    their dense ranks (:func:`weight_ranks`), so they agree with the
+    ordering exactly when those equal ``ordering.ranks``.  Only when they
+    do not is the n x n comparison built to list the witnesses.
     """
-    if assignment.family is not ordering.family and not (
-        assignment.family == ordering.family
-    ):
+    if assignment.family != ordering.family:
         raise FamilyMismatch("assignment and ordering have different families")
-    ranks = assignment._ranks
+    ranks = weight_ranks(assignment.measure)
     if np.array_equal(ranks, ordering.ranks):
         pairs = np.empty((0, 2), np.int64)
     else:
@@ -327,7 +312,7 @@ def uniqueness_search(ordering: LikelihoodOrdering, K: int) -> list[ProbabilityA
             v = sum(f[u] for u in forced[t])
         return range(lo, hi + 1) if v is None else range(max(lo, v), min(hi, v) + 1)
 
-    outcomes = [(mid, o) for mid in family.sorted_ids for o in family.by_id[mid].outcomes]
+    outcomes = [(m.id, o) for m in family.canonical for o in m.outcomes]
     singles = [rank[family.position(mid, (o,))] for mid, o in outcomes]
     solutions = []
     stack, steps = [iter(candidates(0))], 0

@@ -15,6 +15,7 @@ from born_kernel import (
     induced_ordering,
     make_rich_measurement,
     outcome_count_ordering,
+    run_all_checks,
     spectral_decompose,
 )
 from born_kernel.formats import (
@@ -184,6 +185,31 @@ class TestTiersFormat:
             [("k1-1", ["o1", "o2"]), ("k2", ["o1"])],
         ]
 
+    @pytest.mark.parametrize("field, value, message", [
+        ("measurement", "nope", "unknown measurement 'nope'"),
+        ("event", ["zz"], "unknown outcome 'zz' in measurement 'k1-1'"),
+    ], ids=["measurement", "outcome"])
+    def test_unknown_event_names_its_field(self, field, value, message):
+        family = generate_rich_family(2, 2)
+        doc = tiers_to_json(induced_ordering(family))
+        doc["tiers"][2][0][field] = value
+        del doc["family_digest"]
+        with pytest.raises(FormatError, match=rf"^ordering\.tiers\[2\]\[0\]: {message}$"):
+            ordering_from_json(doc, family)
+
+    @pytest.mark.parametrize("control", [False, True])
+    def test_reading_and_checking_build_no_ref_list(self, control):
+        """A v2 document is read, and checked, one position at a time."""
+        source = generate_rich_family(3, 3)
+        build = outcome_count_ordering if control else induced_ordering
+        doc = tiers_to_json(build(source))
+        family = family_from_json(family_to_json(source))
+        ordering = ordering_from_json(doc, family)
+        assert "refs" not in vars(family)
+        reports = run_all_checks(ordering)
+        assert all(r.satisfied for r in reports) != control
+        assert "refs" not in vars(family)
+
 
 class TestAssignmentFormat:
     def test_roundtrip(self):
@@ -212,6 +238,15 @@ class TestAssignmentFormat:
         bogus = dict(true_entry, probability={"num": "7", "den": "1"})
         doc["values"].insert(doc["values"].index(true_entry), bogus)
         with pytest.raises(FormatError, match=r"event \{o1\}\|k1-1 is listed twice"):
+            assignment_from_json(doc, family)
+
+    def test_unknown_outcome_names_its_field(self):
+        family = generate_rich_family(2, 2)
+        doc = assignment_to_json(own_weights(family))
+        doc["values"][3]["event"] = ["zz"]
+        measurement = doc["values"][3]["measurement"]
+        with pytest.raises(FormatError, match=rf"^assignment\.values\[3\]: unknown outcome "
+                                              rf"'zz' in measurement '{measurement}'$"):
             assignment_from_json(doc, family)
 
     def test_non_additive_value_rejected_naming_event(self):

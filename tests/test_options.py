@@ -4,7 +4,8 @@ A tolerance record is passed only where an object is validated, the
 package reads no environment variable, and the CLI and `NumericPolicy`
 offer exactly the options listed here; `uniqueness_search` takes none.
 A new setting has to change this file, and so does a new name that
-`born_kernel` exports or a new public attribute of `LikelihoodOrdering`.
+`born_kernel` exports or a new public attribute of `LikelihoodOrdering`,
+`MeasurementFamily` or `ProbabilityAssignment`.
 """
 import argparse
 import importlib
@@ -14,7 +15,7 @@ from dataclasses import fields
 from pathlib import Path
 
 import born_kernel
-from born_kernel import LikelihoodOrdering, NumericPolicy
+from born_kernel import LikelihoodOrdering, MeasurementFamily, NumericPolicy, ProbabilityAssignment
 from born_kernel.cli import build_parser
 
 PACKAGE_DIR = Path(born_kernel.__file__).parent
@@ -149,6 +150,23 @@ def test_likelihood_ordering_surface():
     assert list(inspect.signature(LikelihoodOrdering).parameters) == ["family", "refs", "matrix"]
     public = sorted(a for a in vars(LikelihoodOrdering) if not a.startswith("_"))
     assert public == ["index", "matrix", "ranks", "refs", "reports"]
+
+
+def test_measurement_family_surface():
+    """One field; the canonical order, the positions and the names of the
+    events are derived from it."""
+    assert [f.name for f in fields(MeasurementFamily)] == ["measurements"]
+    public = sorted(a for a in vars(MeasurementFamily) if not a.startswith("_"))
+    assert public == ["by_id", "canonical", "event_count", "position", "ref_at", "refs", "slices"]
+
+
+def test_probability_assignment_surface():
+    """Built from a family and its outcome values; ``measure``, the family
+    re-weighted by them, is derived."""
+    assert list(inspect.signature(ProbabilityAssignment).parameters) == ["family", "singletons"]
+    assert [f.name for f in fields(ProbabilityAssignment)] == ["family", "singletons", "measure"]
+    public = sorted(a for a in vars(ProbabilityAssignment) if not a.startswith("_"))
+    assert public == ["from_singletons", "value", "vector"]
 
 
 def test_uniqueness_search_takes_no_settings():

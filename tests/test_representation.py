@@ -31,19 +31,23 @@ from born_kernel import (
     verify_representation,
 )
 from born_kernel.ordering import ALL_CHECKS, MAX_EXTENSIONAL_EVENTS
-from born_kernel.representation import MAX_SEARCH_STEPS
+from born_kernel.representation import MAX_SEARCH_STEPS, compositions
 from conftest import (
     grid_measurement, order_matrix, own_weights, random_family, whole_matrix_verify,
 )
 
 
 def brute_compositions(total, parts):
-    """Oracle: positive compositions via cut-point enumeration."""
-    out = []
-    for cuts in itertools.combinations(range(1, total), parts - 1):
-        bounds = (0,) + cuts + (total,)
-        out.append(tuple(bounds[i + 1] - bounds[i] for i in range(parts)))
-    return out
+    """Oracle: every tuple of ``parts`` positive integers summing to
+    ``total``, in lexicographic order."""
+    splits = itertools.product(range(1, total + 1), repeat=parts)
+    return [c for c in splits if sum(c) == total]
+
+
+@pytest.mark.parametrize("total", range(1, 6))
+def test_compositions_are_every_positive_split_in_lexicographic_order(total):
+    for parts in range(1, total + 2):
+        assert list(compositions(total, parts)) == brute_compositions(total, parts)
 
 
 class TestGenerateRichFamily:
@@ -244,6 +248,14 @@ outcome_numerators = st.lists(
 )
 
 
+def uniformly_weighted(family):
+    """The family with every measurement's outcomes weighted equally."""
+    return MeasurementFamily(tuple(
+        WeightedMeasurement(m.id, m.outcomes, (Fraction(1, len(m.outcomes)),) * len(m.outcomes))
+        for m in family.measurements
+    ))
+
+
 class TestProbabilityAssignment:
     def test_signed_measure_rejected(self):
         # -1/2 and 3/2 sum to 1 and induce a consistent value order; only
@@ -274,6 +286,29 @@ class TestProbabilityAssignment:
             pr.value(EventRef("x", frozenset()))
         with pytest.raises(ValueError, match="unknown outcome 'c'"):
             pr.value(EventRef("m", frozenset({"c"})))
+
+    def test_equal_for_the_same_family_and_the_same_values(self):
+        family = generate_rich_family(3, 2)
+        pr = own_weights(family)
+        reordered = MeasurementFamily(family.measurements[::-1])
+        assert pr == own_weights(family)
+        assert pr == ProbabilityAssignment(reordered, dict(pr.singletons))
+        values = dict(pr.singletons)
+        values[("k1-2", "o1")], values[("k1-2", "o2")] = values[("k1-2", "o2")], values[("k1-2", "o1")]
+        assert pr != ProbabilityAssignment(family, values)
+
+    def test_unequal_for_the_same_values_over_other_weights(self):
+        family = generate_rich_family(3, 2)
+        uniform = uniformly_weighted(family)
+        values = dict(own_weights(family).singletons)
+        assert uniform != family
+        assert ProbabilityAssignment(uniform, values) != own_weights(family)
+
+    def test_measure_is_the_family_reweighted(self):
+        family = generate_rich_family(3, 3)
+        assert own_weights(family).measure == family
+        uniform = uniformly_weighted(family)
+        assert ProbabilityAssignment(family, own_weights(uniform).singletons).measure == uniform
 
     @given(outcome_numerators)
     def test_vector_is_per_bit_sums_and_json_round_trips(self, numerators):
@@ -368,6 +403,41 @@ class TestVerifyRepresentation:
         ok, witnesses = verify_representation(pr, partial)
         assert not ok and witnesses
         assert witnesses == whole_matrix_verify(pr, partial)[1]
+
+
+@st.composite
+def mixed_denominator_assignments(draw):
+    """(assignment, ordering): 2-3 measurements of 2-4 outcomes, each on
+    its own denominator with a 1/den weight, so the rows' denominators
+    differ and the values are ranked by reduced pairs.  The ordering is
+    induced by the weights; the assignment is the weights themselves, or
+    them with one measurement's values drawn afresh."""
+    dens = draw(st.lists(st.integers(2, 9), min_size=2, max_size=3, unique=True))
+
+    def split(den, n):
+        cuts = sorted(draw(st.lists(st.integers(0, den - 1), min_size=n - 2, max_size=n - 2)))
+        parts = [1] + [b - a for a, b in zip([0] + cuts, cuts + [den - 1])]
+        return tuple(Fraction(p, den) for p in parts)
+
+    measurements = []
+    for i, den in enumerate(dens):
+        n = draw(st.integers(2, 4))
+        measurements.append(WeightedMeasurement(f"m{i}", tuple(f"o{j}" for j in range(n)),
+                                                split(den, n)))
+    family = MeasurementFamily(tuple(measurements))
+    values = dict(own_weights(family).singletons)
+    if draw(st.booleans()):
+        m = draw(st.sampled_from(measurements))
+        fresh = split(draw(st.integers(2, 9)), len(m.outcomes))
+        values.update(zip([(m.id, o) for o in m.outcomes], draw(st.permutations(fresh))))
+    return ProbabilityAssignment(family, values), induced_ordering(family)
+
+
+@settings(max_examples=150, deadline=None)
+@given(mixed_denominator_assignments())
+def test_verify_matches_the_whole_matrix_comparison(drawn):
+    assignment, ordering = drawn
+    assert verify_representation(assignment, ordering) == whole_matrix_verify(assignment, ordering)
 
 
 def naive_uniqueness_oracle(family, ordering, K):
