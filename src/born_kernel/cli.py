@@ -18,7 +18,7 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Any
 
-from .erasure import GameSpec, reachable_set, sets_equal
+from .erasure import DEFAULT_INDEX_RANGE, GameSpec, reachable_set, sets_equal
 from .formats import (
     FormatError,
     assignment_to_json,
@@ -256,21 +256,17 @@ def cmd_canon(args) -> int:
         raise InputError(str(exc))
     # The normal-form state is c|0> + d|1>, and the weight is c^2.
     c, d = canon.state.components.real.tolist()
+    numbers = {"weight": f"{c * c:.12g}", "c": f"{c:.12g}", "d": f"{d:.12g}"}
+    canon_doc = _round12(quadruple_to_json(canon))
     report = _report(
         "canon",
         digest_bytes(quad_raw),
         [_verdict("canonicalize", True)],
-        weight=f"{c * c:.12g}",
-        c=f"{c:.12g}",
-        d=f"{d:.12g}",
-        canonical_quadruple=_round12(quadruple_to_json(canon)),
+        **numbers,
+        canonical_quadruple=canon_doc,
     )
-    lines = [
-        f"weight = {c * c:.12g}",
-        f"c = {c:.12g}",
-        f"d = {d:.12g}",
-        canonical_dumps(_round12(quadruple_to_json(canon))).rstrip("\n"),
-    ]
+    lines = [f"{name} = {value}" for name, value in numbers.items()]
+    lines.append(canonical_dumps(canon_doc).rstrip("\n"))
     _emit(report, lines, not args.text)
     return EXIT_OK
 
@@ -355,8 +351,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--p-num", type=int, required=True, help="reward weight numerator")
     p.add_argument("--p-den", type=int, required=True, help="reward weight denominator")
     p.add_argument(
-        "--index-range", type=int, default=4,
-        help="number of erasure microstates per branch (default 4)",
+        "--index-range", type=int, default=DEFAULT_INDEX_RANGE,
+        help="number of erasure microstates per branch (default %(default)s)",
     )
     add_output_flags(p)
     p.set_defaults(func=cmd_demo_erasure)

@@ -31,6 +31,7 @@ from .ordering import (
     LikelihoodOrdering,
     MeasurementFamily,
     WeightedMeasurement,
+    _ge,
     _ordering_from_ranks,
     require_event_count,
 )
@@ -317,13 +318,14 @@ def ordering_to_json(ordering: LikelihoodOrdering) -> dict:
 
     Unlisted pairs are false.  Pairs are emitted in canonical
     (measurement id, event bitmask) order, which is the row-major order
-    of the matrix over the ordering's canonical refs.
+    of the relation over the ordering's canonical refs, read row by row.
     """
     refs = ordering.refs
+    events = np.arange(len(refs))
     pairs = [
         [event_ref_to_json(refs[i]), event_ref_to_json(refs[j])]
-        for i, row in enumerate(ordering.matrix)
-        for j in np.flatnonzero(row)
+        for i in events.tolist()
+        for j in np.flatnonzero(_ge(ordering, i, events))
     ]
     return {
         "schema": SCHEMA,

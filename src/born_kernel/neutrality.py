@@ -18,7 +18,7 @@ from typing import Callable, Mapping
 import numpy as np
 
 from .numeric import max_abs
-from .quantum import Observable, StateVector, match_value, spectral_weight
+from .quantum import Observable, StateVector, _cluster_weights, match_value, spectral_weight
 
 
 class NotUnitary(ValueError):
@@ -147,23 +147,17 @@ def relabel(
     return MeasurementQuadruple(q.state, new_observable, new_event)
 
 
-def _indicator_relabeled(q: MeasurementQuadruple) -> MeasurementQuadruple:
-    """Relabel results to 0 on the event and 1 off it."""
-    f = {x: (0.0 if x in q.event else 1.0) for x in q.observable.eigenvalues}
-    return relabel(q, f)
-
-
 def canonical_form(q: MeasurementQuadruple) -> CanonicalForm:
     """Collapse a quadruple to its two-dimensional normal form.
 
-    Applies the indicator relabeling, splits the state across the binary
-    observable's two eigenspaces, and reads off the nonnegative
-    amplitudes (c, d) the intertwiner onto the plane spanned by |0>, |1>
-    would produce.  The output depends on the input only through the
-    event weight; degenerate weights 0 and 1 are admitted with c or d
-    equal to zero.  Raises ValueError when the observable's
-    ``eigenvalue_tol`` is 1 or more: the indicator values 0 and 1 would
-    merge, and every event would weigh 1.
+    The indicator relabeling (0 on the event, 1 off it) would merge the
+    event's eigenspaces and the rest's; the state's norms in those two
+    are the nonnegative amplitudes (c, d) the intertwiner onto the plane
+    spanned by |0>, |1> would produce.  The output depends on the input
+    only through the event weight; degenerate weights 0 and 1 are
+    admitted with c or d equal to zero.  Raises ValueError when the
+    observable's ``eigenvalue_tol`` is 1 or more: the indicator values 0
+    and 1 would merge, and every event would weigh 1.
     """
     tol = q.observable.policy.eigenvalue_tol
     if tol >= 1:
@@ -171,12 +165,12 @@ def canonical_form(q: MeasurementQuadruple) -> CanonicalForm:
             f"the normal form needs eigenvalue_tol < 1 to tell the "
             f"indicator values 0 and 1 apart, got {tol}"
         )
-    # c^2 and d^2: weights of the binary event ({0.0} or empty) and of its
-    # complement, so d = 0 exactly for the whole spectrum (1 - c^2 would
-    # leave rounding noise); over their sum |psi|^2 for a loose norm_tol.
-    r = _indicator_relabeled(q)
-    rest = set(r.observable.eigenvalues) - r.event
-    weights = np.array([r.event_weight(), spectral_weight(r.state, r.observable, rest)])
+    # c^2 and d^2: weights of the event and of its complement, so d = 0
+    # exactly for the whole spectrum (1 - c^2 would leave rounding noise);
+    # over their sum |psi|^2 for a loose norm_tol.
+    per_cluster = _cluster_weights(q.state, q.observable)
+    in_event = np.array([x in q.event for x in q.observable.eigenvalues])
+    weights = np.array([per_cluster[in_event].sum(), per_cluster[~in_event].sum()])
     c, d = np.sqrt(weights / weights.sum()).tolist()
     return CanonicalForm(weight_value=c * c, c=c, d=d)
 

@@ -29,12 +29,14 @@ Axioms checked:
 A total preorder is its dense ranks: a >= b iff rank(a) >= rank(b).
 ``LikelihoodOrdering.ranks`` holds them, or None for any other relation.
 An ordering built from ranks keeps them and holds no n x n array; a
-matrix given from outside is ranked once by an O(n^2) test.  When the
-ranks exist every check reads them: Transitivity and Totality are
-satisfied at once, null events compare ranks with the empty event's,
-Dominance tests covering pairs only, and Equivalence compares ranks
-within each weight group.  Only a relation without ranks reads the
-matrix.
+matrix given from outside is ranked once by an O(n^2) test.  Every
+check, replay and writer reads the relation through one primitive,
+:func:`_ge`, which compares ranks when they exist and reads the matrix
+otherwise.  On ranks, Transitivity and Totality are satisfied at once,
+Dominance enumerates only the measurements that fail a covering pair,
+and Equivalence passes at once when ranks are constant on every weight
+group.  Only the non-preorder paths of Transitivity and Totality read
+the matrix whole.
 
 Exact weights are ranked (:func:`weight_ranks`) on integer numerators
 over each measurement's own denominator.  Witnesses stay an array of
@@ -50,7 +52,7 @@ import operator
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -325,8 +327,9 @@ class LikelihoodOrdering:
     array, or a view.
 
     An ordering built from ranks (:func:`induced_ordering`, the v2
-    reader) holds only ``family`` and ``ranks``: its ``matrix`` is built
-    on first read, and ``refs`` reads ``family.refs``.
+    reader) holds only ``family`` and ``ranks``, and ``refs`` reads
+    ``family.refs``.  The kernel reads it through :func:`_ge`, so its
+    ``matrix`` is built, and kept, only when a caller reads it directly.
     """
 
     def __init__(self, family: MeasurementFamily, refs: Sequence[EventRef], matrix: np.ndarray):
@@ -539,14 +542,24 @@ def _report(ordering: LikelihoodOrdering, axiom: str, positions: np.ndarray) -> 
     return AxiomReport(axiom, satisfied=not len(rows), witnesses=Witnesses(rows, ordering.family))
 
 
+def _ge(ordering: LikelihoodOrdering, a, b) -> np.ndarray:
+    """Whether a >= b, for canonical positions a and b broadcast together.
+
+    The one read of the relation: ``ranks[a] >= ranks[b]`` on a total
+    preorder, ``matrix[a, b]`` on any other relation.
+    """
+    ranks = ordering.ranks
+    if ranks is None:
+        return ordering.matrix[a, b]
+    return ranks[a] >= ranks[b]
+
+
 def _null_mask(ordering: LikelihoodOrdering) -> np.ndarray:
     """Per position: is the event judged equal to its measurement's empty event."""
-    slices = ordering.family.slices.values()
-    ranks = ordering.ranks
-    if ranks is not None:
-        return np.concatenate([ranks[sl] == ranks[sl.start] for sl in slices])
-    h = ordering.matrix
-    return np.concatenate([h[sl, sl.start] & h[sl.start, sl] for sl in slices])
+    bounds = np.array(ordering.family._bounds)
+    empty = np.repeat(bounds[:-1], bounds[1:] - bounds[:-1])
+    events = np.arange(bounds[-1])
+    return _ge(ordering, events, empty) & _ge(ordering, empty, events)
 
 
 def check_transitivity(ordering: LikelihoodOrdering) -> AxiomReport:
@@ -579,9 +592,9 @@ def check_separation(ordering: LikelihoodOrdering) -> AxiomReport:
     return _report(ordering, "Separation", np.arange(len(null)).reshape(-1, 1))
 
 
-def _covering_failures(ranks: np.ndarray, family: MeasurementFamily) -> list[slice]:
-    """The measurements of a total preorder with a covering pair that
-    breaks Dominance.
+def _covering_failures(ranks: np.ndarray, starts: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """Per measurement (first position, event count): does the total
+    preorder have a covering pair in it that breaks Dominance.
 
     For each event E and outcome o not in E, rank(E + o) >= rank(E) must
     hold, with equality iff rank({o}) = rank(empty).  Every nested pair
@@ -589,55 +602,45 @@ def _covering_failures(ranks: np.ndarray, family: MeasurementFamily) -> list[sli
     time.  Measurements with k outcomes are tested together, one array
     operation per outcome.
     """
-    by_size: dict[int, list[slice]] = {}
-    for sl in family.slices.values():
-        by_size.setdefault(sl.stop - sl.start, []).append(sl)
-    failing = []
-    for size, group in by_size.items():
+    failing = np.zeros(len(starts), dtype=bool)
+    for size in set(sizes.tolist()):
+        group = sizes == size
         masks = np.arange(size)
-        r = ranks[np.array([sl.start for sl in group])[:, None] + masks]
-        bad = np.zeros(len(group), dtype=bool)
+        r = ranks[starts[group, None] + masks]
+        bad = np.zeros(len(r), dtype=bool)
         for bit in (1 << o for o in range(size.bit_length() - 1)):
             e = masks[(masks & bit) == 0]
             grown, kept = r[:, e | bit], r[:, e]
             null = r[:, [bit]] == r[:, [0]]
             bad |= ((grown < kept) | ((grown == kept) != null)).any(axis=1)
-        failing += [sl for sl, b in zip(group, bad.tolist()) if b]
+        failing[group] = bad
     return failing
 
 
 def check_dominance(ordering: LikelihoodOrdering) -> AxiomReport:
     """Check E subset-of F implies F >= E, with equality iff F minus E is null.
 
-    Runs over every nested event pair of a measurement (submask
-    enumeration).  A witness is the offending (E, F) pair.  A total
-    preorder first tests its covering pairs (:func:`_covering_failures`),
-    and enumerates, on its ranks, only the measurements that fail there.
+    Tests every nested event pair of a measurement, the 3**k pairs of
+    all measurements with k outcomes in one array operation.  A witness
+    is the offending (E, F) pair.  A total preorder tests only the
+    measurements that fail on a covering pair (:func:`_covering_failures`).
     """
     null = _null_mask(ordering)
-    ranks = ordering.ranks
-    if ranks is None:
-        h = ordering.matrix
-        blocks = [(sl, h[sl, sl]) for sl in ordering.family.slices.values()]
-    else:
-        blocks = [
-            (sl, ranks[sl][:, None] >= ranks[sl])
-            for sl in _covering_failures(ranks, ordering.family)
-        ]
-    witnesses = []
-    for sl, h_local in blocks:
-        null_by_mask = null[sl].tolist()
-        for f_mask in range(sl.stop - sl.start):
-            row = h_local[f_mask]
-            col = h_local[:, f_mask]
-            e_mask = f_mask
-            while True:
-                if not row[e_mask] or bool(col[e_mask]) != null_by_mask[f_mask & ~e_mask]:
-                    witnesses.append((sl.start + e_mask, sl.start + f_mask))
-                if e_mask == 0:
-                    break
-                e_mask = (e_mask - 1) & f_mask
-    return _report(ordering, "Dominance", np.array(witnesses, np.int64).reshape(-1, 2))
+    bounds = np.array(ordering.family._bounds)
+    starts, sizes = bounds[:-1], bounds[1:] - bounds[:-1]
+    if ordering.ranks is not None:
+        failing = _covering_failures(ordering.ranks, starts, sizes)
+        starts, sizes = starts[failing], sizes[failing]
+    witnesses = [np.empty((0, 2), np.int64)]
+    for size in set(sizes.tolist()):
+        # Each outcome, one at a time, is out of F, in F only, or in both.
+        empty = e = f = starts[sizes == size, None]
+        for bit in (1 << o for o in range(size.bit_length() - 1)):
+            e, f = np.hstack((e, e, e + bit)), np.hstack((f, f + bit, f + bit))
+        # F minus E sits at empty + f - e, as E's mask is a submask of F's.
+        bad = ~_ge(ordering, f, e) | (_ge(ordering, e, f) != null[empty + f - e])
+        witnesses.append(np.stack((e[bad], f[bad]), axis=1))
+    return _report(ordering, "Dominance", np.concatenate(witnesses))
 
 
 def check_equivalence(ordering: LikelihoodOrdering) -> AxiomReport:
@@ -646,10 +649,10 @@ def check_equivalence(ordering: LikelihoodOrdering) -> AxiomReport:
     Positions are grouped by the dense ranks of their exact weights
     (:func:`weight_ranks`), and every pair in a group, an event with
     itself included, must be related both ways.  A total preorder passes
-    at once when its ``ranks`` are constant on every group; otherwise a
-    pair (a, b) of a group fails where ranks[a] < ranks[b].  Any other
-    relation reads each group of two or more as one block of the matrix,
-    and the groups of one as one read of the diagonal.
+    at once when its ``ranks`` are constant on every group.  Otherwise
+    each group of two or more is read as one block of the relation, and
+    the groups of one as one read of its diagonal; a pair (a, b) fails
+    where a >= b does not hold.
     """
     group = weight_ranks(ordering.family)
     order = np.argsort(group, kind="stable")  # positions ascend within a group
@@ -661,14 +664,9 @@ def check_equivalence(ordering: LikelihoodOrdering) -> AxiomReport:
     sizes = np.bincount(group)
     starts = np.cumsum(sizes) - sizes
     alone = order[starts[sizes == 1]]
+    alone = alone[~_ge(ordering, alone, alone)]
     groups = [order[a:a + k] for a, k in zip(starts[sizes > 1].tolist(), sizes[sizes > 1].tolist())]
-    if ranks is None:
-        h = ordering.matrix
-        alone = alone[~h[alone, alone]]
-        missing = (~h[np.ix_(g, g)] for g in groups)
-    else:
-        alone = alone[:0]  # ranks relate every event to itself
-        missing = (ranks[g][:, None] < ranks[g] for g in groups)
+    missing = (~_ge(ordering, g[:, None], g) for g in groups)
     hits = [(g[a], g[b]) for g, (a, b) in zip(groups, map(np.nonzero, missing))]
     firsts, seconds = zip((alone, alone), *hits)
     pairs = np.stack((np.concatenate(firsts), np.concatenate(seconds)), axis=1)
@@ -719,7 +717,7 @@ def replay_witness(
     ref is resolved once to its canonical position; a ref outside the
     family raises ValueError.
     """
-    family, h = ordering.family, ordering.matrix
+    family, ge = ordering.family, partial(_ge, ordering)
     pos, start = [], []
     for ref in witness:
         try:
@@ -729,21 +727,21 @@ def replay_witness(
         start.append(family.slices[ref.measurement_id].start)
     if axiom == "Transitivity":
         a, b, c = pos
-        return bool(h[a, b] and h[b, c] and not h[a, c])
+        return bool(ge(a, b) and ge(b, c) and not ge(a, c))
     if axiom == "Separation":
         (a,), (s,) = pos, start
-        return bool(h[a, s] and h[s, a])
+        return bool(ge(a, s) and ge(s, a))
     if axiom == "Dominance":
         (e, f), (s, t) = pos, start
         if s != t or (e - s) & ~(f - s):
             return False
         d = s + f - e  # F minus E, as E's mask is a submask of F's
-        return bool(not h[f, e] or h[e, f] != (h[d, s] and h[s, d]))
+        return bool(not ge(f, e) or ge(e, f) != (ge(d, s) and ge(s, d)))
     if axiom == "Equivalence":
         a, b = pos
         w = [family.by_id[r.measurement_id].event_weight(r.event) for r in witness]
-        return w[0] == w[1] and not (h[a, b] and h[b, a])
+        return w[0] == w[1] and not (ge(a, b) and ge(b, a))
     if axiom == "Totality":
         a, b = pos
-        return bool(not h[a, b] and not h[b, a])
+        return bool(not ge(a, b) and not ge(b, a))
     raise ValueError(f"unknown axiom {axiom!r}")

@@ -315,19 +315,24 @@ def weight(model: MeasurementModel, event: Iterable[str]) -> float:
 def spectral_weight(
     state: StateVector, observable: Observable, eigenvalues: Iterable[float]
 ) -> float:
-    """Sum of <psi|P(x)|psi> over the given eigenvalues, clamped to [0, 1].
+    """Sum of <psi|P(x)|psi> over the given eigenvalues, clamped to [0, 1]."""
+    per_cluster = _cluster_weights(state, observable)
+    total = sum((float(per_cluster[observable.index(x)]) for x in eigenvalues), 0.0)
+    return min(1.0, max(0.0, total))
+
+
+def _cluster_weights(state: StateVector, observable: Observable) -> np.ndarray:
+    """<psi|P(x)|psi> for each eigenvalue x, in the order of ``eigenvalues``.
 
     <psi|P(x)|psi> is the squared norm of V_x† psi, so one transform
     V† psi serves every eigenvalue.
     """
     amplitudes = observable.basis.conj().T @ state.components
-    per_cluster = np.bincount(
+    return np.bincount(
         observable.cluster,
         weights=amplitudes.real**2 + amplitudes.imag**2,
         minlength=len(observable.eigenvalues),
     )
-    total = sum((float(per_cluster[observable.index(x)]) for x in eigenvalues), 0.0)
-    return min(1.0, max(0.0, total))
 
 
 def make_rich_measurement(

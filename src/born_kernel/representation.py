@@ -31,6 +31,7 @@ from .ordering import (
     SizeLimitExceeded,
     WeightedMeasurement,
     Witnesses,
+    _ge,
     event_cap_error,
     require_event_count,
     weight_ranks,
@@ -263,7 +264,8 @@ def verify_representation(
     if np.array_equal(ranks, ordering.ranks):
         pairs = np.empty((0, 2), np.int64)
     else:
-        pairs = np.argwhere((ranks[:, None] >= ranks) != ordering.matrix)
+        events = np.arange(len(ranks))
+        pairs = np.argwhere((ranks[:, None] >= ranks) != _ge(ordering, events[:, None], events))
     pairs.setflags(write=False)
     return (not len(pairs), Witnesses(pairs, ordering.family))
 

@@ -21,6 +21,7 @@ from born_kernel import (
     spectral_decompose,
     unitary_transform,
 )
+from born_kernel.quantum import spectral_weight
 
 LOOSE_EIGENVALUES = NumericPolicy(eigenvalue_tol=1e-6)
 
@@ -251,6 +252,27 @@ class TestCanonicalForm:
     def test_validation(self):
         with pytest.raises(ValueError):
             CanonicalForm(0.5, 0.9, 0.1)  # c^2 != weight
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 5, 8])
+    def test_matches_the_relabel_route(self, dim):
+        """The paper's route: relabel the results to 0 on the event and 1
+        off it, then weigh the two merged eigenspaces.  Eigenvalues are
+        drawn from three levels, so eigenspaces are often degenerate."""
+        rng = np.random.default_rng(dim)
+        for _ in range(30):
+            eigs = rng.choice([-1.0, 0.5, 2.0], size=dim)
+            u = haar_unitary(rng, dim)
+            obs = spectral_decompose(u @ np.diag(eigs) @ u.conj().T, LOOSE_EIGENVALUES)
+            v = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+            size = int(rng.integers(0, len(obs.eigenvalues) + 1))
+            event = rng.choice(obs.eigenvalues, size=size, replace=False).tolist()
+            q = MeasurementQuadruple(StateVector(v / np.linalg.norm(v)), obs, frozenset(event))
+            r = relabel(q, {x: 0.0 if x in q.event else 1.0 for x in obs.eigenvalues})
+            rest = set(r.observable.eigenvalues) - r.event
+            on, off = (spectral_weight(r.state, r.observable, e) for e in (r.event, rest))
+            form = canonical_form(q)
+            assert abs(form.c ** 2 - on / (on + off)) <= 1e-12
+            assert abs(form.d ** 2 - off / (on + off)) <= 1e-12
 
 
 class TestSameEquivalenceClass:

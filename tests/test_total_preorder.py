@@ -17,12 +17,15 @@ the tuple of ref tuples those witnesses stand for, as the checks did
 before.  The Separation oracle is the check's old code, and the
 Dominance oracle tests every pair of nested events directly.
 """
+import ast
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import born_kernel
 from born_kernel import (
     AxiomReport,
     EventRef,
@@ -40,13 +43,14 @@ from born_kernel import (
     induced_ordering,
     null_events,
     outcome_count_ordering,
+    replay_witness,
     run_all_checks,
     uniqueness_search,
     verify_representation,
 )
-from born_kernel.formats import ordering_from_json, tiers_to_json
-from born_kernel.ordering import _ordering_from_ranks, dense_ranks, weight_vector
-from conftest import order_matrix, random_family, whole_matrix_verify
+from born_kernel.formats import ordering_from_json, ordering_to_json, tiers_to_json
+from born_kernel.ordering import _ordering_from_ranks, dense_ranks, weight_ranks, weight_vector
+from conftest import order_matrix, own_weights, random_family, whole_matrix_verify
 
 
 def cube_transitivity(ordering) -> AxiomReport:
@@ -235,6 +239,81 @@ def test_rank_chain_builds_no_matrix_and_no_ref_list():
     assert uniqueness_search(ordering, 6) == [assignment]
     assert "matrix" not in vars(ordering)
     assert "refs" not in vars(family)
+
+
+def test_replay_failed_verify_and_v1_writer_build_no_matrix():
+    """Replaying a witness of each axiom, a failing `verify_representation`
+    and the v1 writer read a rank ordering through its ranks too; each of
+    them used to build its n x n matrix and leave it on the ordering."""
+    family = generate_rich_family(4, 2)
+    ordering = induced_ordering(family)
+    m = family.canonical[0]
+    empty, full = EventRef(m.id, ()), EventRef(m.id, m.outcomes)
+    replays = {
+        "Transitivity": (full, empty, full),
+        "Separation": (empty,),
+        "Dominance": (empty, full),
+        "Equivalence": (empty, full),
+        "Totality": (empty, full),
+    }
+    for axiom, witness in replays.items():
+        assert replay_witness(ordering, axiom, witness) == (axiom == "Separation")
+        assert "matrix" not in vars(ordering), axiom
+    values = dict(own_weights(family).singletons)
+    values[("k1-3", "o1")] = values[("k1-3", "o2")] = Fraction(1, 2)
+    wrong = ProbabilityAssignment(family, values)
+    ok, witnesses = verify_representation(wrong, ordering)
+    assert not ok and "matrix" not in vars(ordering)
+    doc = ordering_to_json(ordering)
+    assert "matrix" not in vars(ordering)
+    twin = _ordering(family, ordering.ranks[:, None] >= ordering.ranks)
+    assert doc == ordering_to_json(twin)
+    assert witnesses == whole_matrix_verify(wrong, twin)[1]
+
+
+def test_matrix_is_read_only_where_the_relation_is_decided():
+    """Outside `LikelihoodOrdering` itself, only `_ge` and the paths of
+    Transitivity and Totality that run on a relation with no ranks read
+    `.matrix`: every other read of the relation asks `_ge`, which picks
+    ranks or matrix in one place."""
+    readers = set()
+    for path in sorted(Path(born_kernel.__file__).parent.glob("*.py")):
+        for top in ast.parse(path.read_text(encoding="utf-8")).body:
+            for node in ast.walk(top):
+                if isinstance(node, ast.Attribute) and node.attr == "matrix":
+                    readers.add((path.name, getattr(top, "name", None)))
+    assert readers == {
+        ("ordering.py", "LikelihoodOrdering"),
+        ("ordering.py", "_ge"),
+        ("ordering.py", "check_transitivity"),
+        ("ordering.py", "check_totality"),
+    }
+
+
+def test_dominance_matches_the_oracle_on_six_outcomes():
+    """The nested-pair generator against the listed oracle past the three
+    outcomes the hypothesis draws reach: two 6-outcome measurements and a
+    2-outcome one, under a random relation and under ranks where only
+    one 6-outcome measurement breaks a covering pair."""
+    family = MeasurementFamily(tuple(
+        WeightedMeasurement(mid, tuple(f"o{j}" for j in range(k)), (Fraction(1, k),) * k)
+        for mid, k in (("a", 6), ("b", 2), ("c", 6))
+    ))
+    n = family.event_count()
+    rng = np.random.default_rng(20)
+    scores = weight_ranks(family).tolist()
+    a = family.slices["a"]
+    scores[a] = rng.permutation(scores[a]).tolist()
+    relations = [
+        _ordering(family, rng.random((n, n)) < 0.7),
+        _ordering_from_ranks(family, dense_ranks(scores)),
+    ]
+    for ordering in relations:
+        report = check_dominance(ordering)
+        expected = listed_dominance(ordering)
+        assert not report.satisfied and report == expected
+    witnesses = {w[0].measurement_id for w in check_dominance(relations[1]).witnesses}
+    assert witnesses == {"a"}
 
 
 def test_reading_one_witness_builds_only_its_refs():
