@@ -33,10 +33,10 @@ matrix given from outside is ranked once by an O(n^2) test.  Every
 check, replay and writer reads the relation through one primitive,
 :func:`_ge`, which compares ranks when they exist and reads the matrix
 otherwise.  On ranks, Transitivity and Totality are satisfied at once,
-Dominance enumerates only the measurements that fail a covering pair,
-and Equivalence passes at once when ranks are constant on every weight
-group.  Only the non-preorder paths of Transitivity and Totality read
-the matrix whole.
+Dominance's one pair predicate reaches past the covering pairs only in
+measurements that fail one, and Equivalence passes at once when ranks
+are constant on every weight group.  Only the non-preorder paths of
+Transitivity and Totality read the matrix whole.
 
 Exact weights are ranked (:func:`weight_ranks`) on integer numerators
 over each measurement's own denominator.  Witnesses stay an array of
@@ -384,7 +384,7 @@ class LikelihoodOrdering:
         for s in range(0, len(h), _BLOCK):
             if not np.array_equal(rowsums[s:s + _BLOCK, None] >= rowsums, h[s:s + _BLOCK]):
                 return None
-        ranks = np.unique(rowsums, return_inverse=True)[1]
+        ranks = dense_ranks(rowsums.tolist())
         ranks.setflags(write=False)
         return ranks
 
@@ -491,7 +491,7 @@ class Witnesses(Sequence):
             yield from self._read(self._rows[start:start + _CHUNK], ref)
 
     def _read(self, rows: np.ndarray, ref: dict[int, EventRef]) -> tuple:
-        new = [p for p in np.unique(rows).tolist() if p not in ref]
+        new = set(rows.ravel().tolist()).difference(ref)
         ref.update(zip(new, map(self._family.ref_at, new)))
         return tuple(tuple(ref[p] for p in row) for row in rows.tolist())
 
@@ -533,8 +533,8 @@ def _report(ordering: LikelihoodOrdering, axiom: str, positions: np.ndarray) -> 
     Position order is (measurement id, event bitmask) order, so sorting
     the rows lexicographically sorts the witnesses canonically.  A row's
     flat index into the (n,) * arity cube has the same order, and one
-    argsort of it is cheaper than a lexsort of the columns.  n**3 fits
-    in int64 for every n whose n x n matrix fits in memory.
+    argsort of it is cheaper than a lexsort of the columns.  The event
+    cap keeps n**arity within int64.
     """
     cube = (ordering.family.event_count(),) * positions.shape[1]
     rows = positions[np.argsort(np.ravel_multi_index(positions.T, cube), kind="stable")]
@@ -592,53 +592,40 @@ def check_separation(ordering: LikelihoodOrdering) -> AxiomReport:
     return _report(ordering, "Separation", np.arange(len(null)).reshape(-1, 1))
 
 
-def _covering_failures(ranks: np.ndarray, starts: np.ndarray, sizes: np.ndarray) -> np.ndarray:
-    """Per measurement (first position, event count): does the total
-    preorder have a covering pair in it that breaks Dominance.
-
-    For each event E and outcome o not in E, rank(E + o) >= rank(E) must
-    hold, with equality iff rank({o}) = rank(empty).  Every nested pair
-    E of F passes exactly when these do: add F minus E one outcome at a
-    time.  Measurements with k outcomes are tested together, one array
-    operation per outcome.
-    """
-    failing = np.zeros(len(starts), dtype=bool)
-    for size in set(sizes.tolist()):
-        group = sizes == size
-        masks = np.arange(size)
-        r = ranks[starts[group, None] + masks]
-        bad = np.zeros(len(r), dtype=bool)
-        for bit in (1 << o for o in range(size.bit_length() - 1)):
-            e = masks[(masks & bit) == 0]
-            grown, kept = r[:, e | bit], r[:, e]
-            null = r[:, [bit]] == r[:, [0]]
-            bad |= ((grown < kept) | ((grown == kept) != null)).any(axis=1)
-        failing[group] = bad
-    return failing
-
-
 def check_dominance(ordering: LikelihoodOrdering) -> AxiomReport:
     """Check E subset-of F implies F >= E, with equality iff F minus E is null.
 
-    Tests every nested event pair of a measurement, the 3**k pairs of
-    all measurements with k outcomes in one array operation.  A witness
-    is the offending (E, F) pair.  A total preorder tests only the
-    measurements that fail on a covering pair (:func:`_covering_failures`).
+    One predicate, ``fails``, decides a nested pair (E, F); a witness is
+    a pair it fails.  It runs on the 3**k nested pairs of all
+    measurements with k outcomes in one array operation.  A total
+    preorder passes them exactly when it passes the covering pairs, F =
+    E plus one outcome (add F minus E one outcome at a time), so there it
+    first runs on those and keeps only the measurements that fail one.
     """
     null = _null_mask(ordering)
+
+    def fails(empty, e, f):
+        # F minus E sits at empty + f - e, as E's mask is a submask of F's.
+        return ~_ge(ordering, f, e) | (_ge(ordering, e, f) != null[empty + f - e])
+
     bounds = np.array(ordering.family._bounds)
     starts, sizes = bounds[:-1], bounds[1:] - bounds[:-1]
-    if ordering.ranks is not None:
-        failing = _covering_failures(ordering.ranks, starts, sizes)
-        starts, sizes = starts[failing], sizes[failing]
     witnesses = [np.empty((0, 2), np.int64)]
     for size in set(sizes.tolist()):
+        bits = 1 << np.arange(size.bit_length() - 1)
+        empty = starts[sizes == size, None]
+        if ordering.ranks is not None:
+            # Covering pairs: E is a mask without outcome o, F = E + o.
+            o, mask = np.nonzero((np.arange(size) & bits[:, None]) == 0)
+            e = empty + mask
+            empty = empty[fails(empty, e, e + bits[o]).any(axis=1)]
+            if not len(empty):
+                continue
         # Each outcome, one at a time, is out of F, in F only, or in both.
-        empty = e = f = starts[sizes == size, None]
-        for bit in (1 << o for o in range(size.bit_length() - 1)):
+        e = f = empty
+        for bit in bits.tolist():
             e, f = np.hstack((e, e, e + bit)), np.hstack((f, f + bit, f + bit))
-        # F minus E sits at empty + f - e, as E's mask is a submask of F's.
-        bad = ~_ge(ordering, f, e) | (_ge(ordering, e, f) != null[empty + f - e])
+        bad = fails(empty, e, f)
         witnesses.append(np.stack((e[bad], f[bad]), axis=1))
     return _report(ordering, "Dominance", np.concatenate(witnesses))
 

@@ -31,6 +31,7 @@ from .ordering import (
     SizeLimitExceeded,
     WeightedMeasurement,
     Witnesses,
+    _BLOCK,
     _ge,
     event_cap_error,
     require_event_count,
@@ -256,7 +257,8 @@ def verify_representation(
     The values are the weights of ``assignment.measure``, compared by
     their dense ranks (:func:`weight_ranks`), so they agree with the
     ordering exactly when those equal ``ordering.ranks``.  Only when they
-    do not is the n x n comparison built to list the witnesses.
+    do not are the witnesses listed, comparing ``_BLOCK`` rows at a time
+    so that only the witness array is held whole.
     """
     if assignment.family != ordering.family:
         raise FamilyMismatch("assignment and ordering have different families")
@@ -265,7 +267,14 @@ def verify_representation(
         pairs = np.empty((0, 2), np.int64)
     else:
         events = np.arange(len(ranks))
-        pairs = np.argwhere((ranks[:, None] >= ranks) != _ge(ordering, events[:, None], events))
+        blocks = (
+            np.argwhere(
+                (ranks[s:s + _BLOCK, None] >= ranks)
+                != _ge(ordering, events[s:s + _BLOCK, None], events)
+            ) + (s, 0)
+            for s in range(0, len(ranks), _BLOCK)
+        )
+        pairs = np.concatenate([np.empty((0, 2), np.int64), *blocks])
     pairs.setflags(write=False)
     return (not len(pairs), Witnesses(pairs, ordering.family))
 

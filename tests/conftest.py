@@ -84,9 +84,13 @@ def order_matrix(scores) -> np.ndarray:
 
 
 def whole_matrix_verify(assignment, ordering):
-    """`verify_representation` as every pair of `Fraction` values compared:
-    (ok, the (E, F) pairs whose comparison disagrees with the ordering)."""
-    values = np.array(assignment.vector, dtype=object)
+    """`verify_representation` as every pair of exact values compared:
+    (ok, the (E, F) pairs whose comparison disagrees with the ordering).
+    The values are compared as Python-int numerators over their least
+    common denominator, which orders them as the `Fraction`s do."""
+    vector = assignment.vector
+    den = math.lcm(*(v.denominator for v in vector))
+    values = np.array([v.numerator * (den // v.denominator) for v in vector], dtype=object)
     mismatch = (values[:, None] >= values[None, :]).astype(bool) != ordering.matrix
     refs = ordering.refs
     witnesses = tuple((refs[i], refs[j]) for i, j in zip(*np.nonzero(mismatch)))

@@ -14,6 +14,7 @@ from born_kernel import (
     WeightedMeasurement,
     check_equivalence,
     generate_rich_family,
+    induced_ordering,
     outcome_count_ordering,
     spectral_decompose,
     uniform_measurement,
@@ -578,3 +579,36 @@ class TestDeterministicReports:
                 == 0
             )
         assert out1.read_bytes() == out2.read_bytes()
+
+
+@pytest.mark.parametrize("case", ["check-v2", "check-control", "check-v1", "derive"])
+def test_cli_runs_without_numpy_ma(tmp_path, case):
+    """numpy.ma is about 1 MB and 8-13 ms of import, and `np.unique`
+    imports it on its first call: no command, passing or failing, reads
+    its witnesses or ranks through it."""
+    family = generate_rich_family(4, 4)
+    fam_path = tmp_path / "family.json"
+    fam_path.write_text(canonical_dumps(family_to_json(family)))
+    ordering = induced_ordering(family)
+    docs = {
+        "check-v2": tiers_to_json(ordering),
+        "check-control": tiers_to_json(outcome_count_ordering(family)),
+        "check-v1": ordering_to_json(ordering),
+        "derive": tiers_to_json(ordering),
+    }
+    ord_path = tmp_path / "ordering.json"
+    ord_path.write_text(canonical_dumps(docs[case]))
+    argv = [case.split("-")[0], "--family", str(fam_path), "--ordering", str(ord_path)]
+    if case == "derive":
+        argv += ["-K", "4", "--out", str(tmp_path / "pr.json")]
+    script = (
+        "import sys\n"
+        "from born_kernel import cli\n"
+        f"rc = cli.main({argv!r})\n"
+        "print(rc, 'numpy.ma' in sys.modules, file=sys.stderr)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script], text=True, capture_output=True, check=False
+    )
+    rc = 1 if case == "check-control" else 0
+    assert proc.stderr.splitlines()[-1] == f"{rc} False"

@@ -290,30 +290,74 @@ def test_matrix_is_read_only_where_the_relation_is_decided():
     }
 
 
-def test_dominance_matches_the_oracle_on_six_outcomes():
-    """The nested-pair generator against the listed oracle past the three
-    outcomes the hypothesis draws reach: two 6-outcome measurements and a
-    2-outcome one, under a random relation and under ranks where only
-    one 6-outcome measurement breaks a covering pair."""
+def test_no_module_calls_np_unique():
+    """`np.unique` imports numpy.ma, about 1 MB and 8-13 ms, on its first
+    call in a process; no command needs it."""
+    calls = [
+        (path.name, node.lineno)
+        for path in sorted(Path(born_kernel.__file__).parent.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Attribute) and node.attr == "unique"
+        and isinstance(node.value, ast.Name) and node.value.id in ("np", "numpy")
+    ]
+    assert calls == []
+
+
+def _random_relation(family):
+    n = family.event_count()
+    return _ordering(family, np.random.default_rng(20).random((n, n)) < 0.7)
+
+
+def _permuted_ranks(family):
+    scores = weight_ranks(family).tolist()
+    a = family.slices["a"]
+    scores[a] = np.random.default_rng(20).permutation(scores[a]).tolist()
+    return _ordering_from_ranks(family, dense_ranks(scores))
+
+
+def _broken_cover(weights_by_mask):
+    """Ranks of the weights with some events of measurement a given new
+    weights, which break its covering pair E = {o0}, F = {o0, o1}."""
+    def build(family):
+        weights = weight_vector(family)
+        for mask, w in weights_by_mask.items():
+            weights[family.slices["a"].start + mask] = w
+        return _ordering_from_ranks(family, dense_ranks(weights))
+    return build
+
+
+DOMINANCE_CASES = {
+    "random-relation": _random_relation,
+    "permuted-ranks": _permuted_ranks,
+    # F ranked below E.
+    "below": _broken_cover({0b11: Fraction(1, 6) - Fraction(1, 100)}),
+    # F tied with E while the added outcome is not null.
+    "tied-not-null": _broken_cover({0b11: Fraction(1, 6)}),
+    # F above E while the added outcome is null.
+    "above-null": _broken_cover({0b10: Fraction(0)}),
+}
+
+
+@pytest.mark.parametrize("case", DOMINANCE_CASES)
+def test_dominance_matches_the_oracle_on_six_outcomes(case):
+    """The covering-pair pass and the nested-pair generator against the
+    listed oracle past the three outcomes the hypothesis draws reach: two
+    6-outcome measurements and a 2-outcome one, under a random relation,
+    and under ranks where only measurement a breaks covering pairs: its
+    events permuted, or one covering pair broken in each of the three
+    ways Dominance fails."""
     family = MeasurementFamily(tuple(
         WeightedMeasurement(mid, tuple(f"o{j}" for j in range(k)), (Fraction(1, k),) * k)
         for mid, k in (("a", 6), ("b", 2), ("c", 6))
     ))
-    n = family.event_count()
-    rng = np.random.default_rng(20)
-    scores = weight_ranks(family).tolist()
-    a = family.slices["a"]
-    scores[a] = rng.permutation(scores[a]).tolist()
-    relations = [
-        _ordering(family, rng.random((n, n)) < 0.7),
-        _ordering_from_ranks(family, dense_ranks(scores)),
-    ]
-    for ordering in relations:
-        report = check_dominance(ordering)
-        expected = listed_dominance(ordering)
-        assert not report.satisfied and report == expected
-    witnesses = {w[0].measurement_id for w in check_dominance(relations[1]).witnesses}
-    assert witnesses == {"a"}
+    ordering = DOMINANCE_CASES[case](family)
+    report = check_dominance(ordering)
+    assert not report.satisfied and report == listed_dominance(ordering)
+    if ordering.ranks is not None:
+        assert {w[0].measurement_id for w in report.witnesses} == {"a"}
+    if case in ("below", "tied-not-null", "above-null"):
+        cover = tuple(EventRef("a", frozenset(e)) for e in (("o0",), ("o0", "o1")))
+        assert cover in report.witnesses
 
 
 def test_reading_one_witness_builds_only_its_refs():
