@@ -134,13 +134,8 @@ def cmd_derive(args) -> int:
     try:
         assignment = derive_representation(ordering, args.K)
     except PreconditionViolated as exc:
-        witnesses = next(
-            (r.witnesses for r in ordering.reports if r.axiom == exc.axiom and not r.satisfied), ()
-        )
-        raise DomainFailure(
-            f"precondition failed: {exc.axiom}",
-            _report("derive", digest, [_verdict(f"precondition:{exc.axiom}", False, witnesses)]),
-        )
+        verdict = _verdict(f"precondition:{exc.axiom}", False, exc.report.witnesses)
+        raise DomainFailure(f"precondition failed: {exc.axiom}", _report("derive", digest, [verdict]))
     except (MissingUniformMeasurement, NonconformingDenominator) as exc:
         name = type(exc).__name__
         raise DomainFailure(

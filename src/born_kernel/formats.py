@@ -410,10 +410,8 @@ def assignment_from_json(doc: Any, family: MeasurementFamily) -> ProbabilityAssi
         for k, vdoc in enumerate(_get(doc, "values", list, "assignment"))
         for ctx in [f"assignment.values[{k}]"]
     ))
-    assignment = ProbabilityAssignment(family, {
-        (m.id, o): values[family.position(m.id, (o,))]
-        for m in family.measurements for o in m.outcomes
-    })
+    singles = family._singletons
+    assignment = ProbabilityAssignment(family, {k: values[p] for k, p in singles.items()})
     for i, (read, summed) in enumerate(zip(values, assignment.vector)):
         if read != summed:
             raise FormatError(f"assignment: {family.ref_at(i).label()} is {read}, "

@@ -184,6 +184,16 @@ class MeasurementFamily:
         b = self._bounds
         return {m.id: slice(b[i], b[i + 1]) for i, m in enumerate(self.canonical)}
 
+    @cached_property
+    def _singletons(self) -> dict[tuple[str, str], int]:
+        """Each (measurement id, outcome), in canonical order, to the
+        position of its singleton event: outcome i at ``start + (1 << i)``."""
+        return {
+            (m.id, o): sl.start + (1 << i)
+            for m, sl in zip(self.canonical, self.slices.values())
+            for i, o in enumerate(m.outcomes)
+        }
+
     def position(self, measurement_id: str, event: Iterable[str]) -> int:
         """Canonical position of an event; ValueError if it is not in the family."""
         m = self.by_id.get(measurement_id)

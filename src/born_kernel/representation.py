@@ -6,10 +6,11 @@ to every event.  It represents an ordering when its values agree with
 the ordering on every pair of events.  The constructive derivation
 reproduces the uniqueness argument: the uniform K-outcome measurement
 pins 1/K on each of its outcomes, blocks of uniform outcomes pin k/K,
-and equal-likelihood judgments transfer those values to every event of
-matching weight.  The exhaustive search then confirms, one value per
-tier of equally likely events, that no other assignment on the 1/K grid
-represents the ordering.
+and an outcome judged equally likely to a block of k uniform outcomes
+is worth k/K.  Every outcome's value is read off the uniform blocks'
+ranks in the ordering, never off its weight.  The exhaustive search
+then confirms, one value per tier of equally likely events, that no
+other assignment on the 1/K grid represents the ordering.
 
 Everything in this module is exact rational arithmetic.
 """
@@ -25,6 +26,7 @@ import numpy as np
 
 from .ordering import (
     MAX_EXTENSIONAL_EVENTS,
+    AxiomReport,
     EventRef,
     LikelihoodOrdering,
     MeasurementFamily,
@@ -41,11 +43,16 @@ from .ordering import (
 
 
 class PreconditionViolated(ValueError):
-    """A named axiom check failed before the derivation could start."""
+    """An axiom check failed before the derivation could start.
 
-    def __init__(self, axiom: str, message: str | None = None):
-        self.axiom = axiom
-        super().__init__(message or f"ordering violates {axiom}")
+    ``report`` is the failing check's report, witnesses included, and
+    ``axiom`` its name.
+    """
+
+    def __init__(self, report: AxiomReport):
+        self.report = report
+        self.axiom = report.axiom
+        super().__init__(f"ordering violates {report.axiom}")
 
 
 class MissingUniformMeasurement(ValueError):
@@ -104,7 +111,9 @@ class ProbabilityAssignment:
     def from_singletons(
         cls, family: MeasurementFamily, singleton_values: dict[tuple[str, str], Fraction]
     ) -> "ProbabilityAssignment":
-        """The assignment with the given per-outcome values."""
+        """The assignment with the given per-outcome values: the
+        constructor under a second name, kept for its caller in
+        ``perfbench/workloads.py`` until ROADMAP item R folds it in."""
         return cls(family, singleton_values)
 
     @cached_property
@@ -203,17 +212,18 @@ def derive_representation(
 
     Preconditions, checked in this order: every weight's denominator
     divides K, the ordering passes all five axiom checks, and its family
-    contains a uniform K-outcome measurement.  The construction assigns
-    1/K to each uniform outcome (forced: they are judged equally likely
-    and must sum to 1), forms blocks of uniform outcomes worth k/K, and
-    transfers k/K to each outcome of matching weight through the
-    ordering's own equal-likelihood judgments.
+    contains a uniform K-outcome measurement.  Its outcomes are judged
+    equally likely and must sum to 1, so each is worth 1/K and the block
+    of its first k outcomes k/K.  Those K + 1 blocks' ranks strictly
+    increase, as every uniform outcome is non-null, and an outcome judged
+    equally likely to the block of k outcomes is worth k/K: its value is
+    read off the blocks' ranks alone, one search for every outcome.
     """
     family = ordering.family
     _require_grid(family, K)
     for report in ordering.reports:
         if not report.satisfied:
-            raise PreconditionViolated(report.axiom)
+            raise PreconditionViolated(report)
     uniform = _find_uniform(family, K)
     if uniform is None:
         raise MissingUniformMeasurement(
@@ -221,26 +231,10 @@ def derive_representation(
         )
 
     ranks = ordering.ranks  # a total preorder: Transitivity and Totality passed
-    uniform_start = family.slices[uniform.id].start
-    singleton_values: dict[tuple[str, str], Fraction] = {}
-    for m, sl in zip(family.canonical, family.slices.values()):
-        offset = 0
-        for i, (o, w) in enumerate(zip(m.outcomes, m.weights)):
-            k = w.numerator * (K // w.denominator)
-            block = uniform_start + (((1 << k) - 1) << offset)
-            target = sl.start + (1 << i)
-            # Equal weight guarantees the ordering judged them alike; the
-            # equivalence check above already certified this, so a failure
-            # here means the ordering mutated underneath us.
-            if ranks[block] != ranks[target]:
-                raise PreconditionViolated(
-                    "Equivalence",
-                    f"{family.ref_at(target).label()} is not judged equal to "
-                    "its uniform block",
-                )
-            singleton_values[(m.id, o)] = Fraction(k, K)
-            offset += k
-    return ProbabilityAssignment.from_singletons(family, singleton_values)
+    blocks = ranks[family.slices[uniform.id].start + (1 << np.arange(K + 1)) - 1]
+    singles = family._singletons
+    k = np.searchsorted(blocks, ranks[list(singles.values())]).tolist()
+    return ProbabilityAssignment(family, {o: Fraction(v, K) for o, v in zip(singles, k)})
 
 
 def verify_representation(
@@ -323,8 +317,8 @@ def uniqueness_search(ordering: LikelihoodOrdering, K: int) -> list[ProbabilityA
             v = sum(f[u] for u in forced[t])
         return range(lo, hi + 1) if v is None else range(max(lo, v), min(hi, v) + 1)
 
-    outcomes = [(m.id, o) for m in family.canonical for o in m.outcomes]
-    singles = [rank[family.position(mid, (o,))] for mid, o in outcomes]
+    outcomes = family._singletons
+    singles = [rank[p] for p in outcomes.values()]
     solutions = []
     stack, steps = [iter(candidates(0))], 0
     while stack:

@@ -105,6 +105,15 @@ class TestInducedOrdering:
             assert ordering.matrix[0, 1] and not ordering.matrix.flags.writeable
             writable[0, 1] = True
 
+    @pytest.mark.parametrize("attribute", ["matrix", "ranks", "family", "extra"])
+    def test_setting_an_attribute_is_refused_by_name(self, attribute):
+        """A matrix ordering and a rank ordering alike are read-only."""
+        family = coin_family()
+        matrix = LikelihoodOrdering(family, family.refs, np.ones((4, 4), dtype=bool))
+        for ordering in (matrix, induced_ordering(family)):
+            with pytest.raises(AttributeError, match=f"cannot set '{attribute}'"):
+                setattr(ordering, attribute, None)
+            assert ordering.family is family and ordering.ranks is not None
 
     def test_weights_stay_on_each_measurement_denominator(self):
         """500 two-outcome measurements on nearly coprime 200-bit
@@ -275,6 +284,16 @@ class TestDominance:
         assert all(report.satisfied for report in run_all_checks(ordering))
         pair = (EventRef("m1", frozenset({"o1"})), EventRef("m2", frozenset({"o1"})))
         assert not replay_witness(ordering, "Dominance", pair)
+
+
+def test_families_equal_up_to_measurement_order_hash_alike():
+    """Equal families are one dict key, whatever order their measurements
+    were given in."""
+    a, b = count_trap_family().measurements
+    first, second = MeasurementFamily((a, b)), MeasurementFamily((b, a))
+    assert first == second and first.measurements != second.measurements
+    assert hash(first) == hash(second)
+    assert {first: "first"}[second] == "first" and {second: "second"}[first] == "second"
 
 
 class TestWeightRanks:

@@ -210,9 +210,12 @@ class TestDeriveRepresentation:
                 ),
             )
         )
+        ordering = outcome_count_ordering(family)
         with pytest.raises(PreconditionViolated) as err:
-            derive_representation(outcome_count_ordering(family), 4)
+            derive_representation(ordering, 4)
         assert err.value.axiom == "Equivalence"
+        assert err.value.report is {r.axiom: r for r in ordering.reports}["Equivalence"]
+        assert not err.value.report.satisfied and err.value.report.witnesses
 
     def test_derive_after_run_all_checks_runs_no_check(self):
         ordering = induced_ordering(generate_rich_family(4, 4))
@@ -666,6 +669,51 @@ def test_search_matches_the_naive_oracle(drawn):
     found = uniqueness_search(ordering, K)
     oracle = naive_uniqueness_oracle(ordering.family, ordering, K)
     assert [{r: a.value(r) for r in ordering.refs} for a in found] == oracle
+
+
+@st.composite
+def renamed_grid_families(draw):
+    """(family, renamed, rename, K): at most 2 measurements of at most 4
+    outcomes on the 1/K grid, K <= 4, with the uniform K-outcome
+    measurement; and the same family with its ids renamed so that their
+    canonical order reverses, each measurement's outcomes permuted under
+    fresh labels.  ``rename`` maps each (id, outcome) to its new name."""
+    K = draw(st.integers(1, 4))
+    measurements = [uniform_measurement(K)]
+    for i in range(draw(st.integers(0, 2))):
+        n = draw(st.integers(1, 4))
+        cuts = sorted(draw(st.lists(st.integers(0, K), min_size=n - 1, max_size=n - 1)))
+        parts = [b - a for a, b in zip([0] + cuts, cuts + [K])]
+        measurements.append(WeightedMeasurement(
+            f"m{i}", tuple(f"o{j}" for j in range(n)), tuple(Fraction(p, K) for p in parts)
+        ))
+    family = MeasurementFamily(tuple(measurements))
+    renamed, rename = [], {}
+    for j, m in enumerate(reversed(family.canonical)):
+        order = draw(st.permutations(range(len(m.outcomes))))
+        labels = tuple(f"q{i}" for i in range(len(order)))
+        renamed.append(WeightedMeasurement(
+            f"x{j}", labels, tuple(m.weights[i] for i in order)
+        ))
+        rename.update({(m.id, m.outcomes[i]): (f"x{j}", q) for q, i in zip(labels, order)})
+    return family, MeasurementFamily(tuple(renamed)), rename, K
+
+
+@settings(max_examples=100, deadline=None)
+@given(renamed_grid_families())
+def test_derive_and_search_map_across_a_renaming(drawn):
+    """Neither the measurement ids' order nor the outcomes' order or
+    labels change a derived value or the one representing measure."""
+    family, renamed, rename, K = drawn
+    ids = {old[0]: new[0] for old, new in rename.items()}
+    assert [ids[m.id] for m in family.canonical] == [m.id for m in reversed(renamed.canonical)]
+    ordering, other = induced_ordering(family), induced_ordering(renamed)
+    derived = derive_representation(ordering, K).singletons
+    mapped = {rename[k]: v for k, v in derived.items()}
+    assert derive_representation(other, K).singletons == mapped
+    [found], [found_renamed] = uniqueness_search(ordering, K), uniqueness_search(other, K)
+    assert found.singletons == derived
+    assert found_renamed.singletons == mapped
 
 
 class TestWeightAgreementBothDirections:

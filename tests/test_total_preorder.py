@@ -303,6 +303,27 @@ def test_no_module_calls_np_unique():
     assert calls == []
 
 
+def test_derive_reads_values_off_ranks_not_weights():
+    """`derive_representation` reads each outcome's value off the uniform
+    blocks' ranks: its body reads no weight, numerator or denominator.
+    The grid and uniform preconditions stay in `_require_grid` and
+    `_find_uniform`."""
+    path = Path(born_kernel.__file__).parent / "representation.py"
+    derive = next(
+        node for node in ast.parse(path.read_text(encoding="utf-8")).body
+        if isinstance(node, ast.FunctionDef) and node.name == "derive_representation"
+    )
+    reads = [
+        (node.attr, node.lineno) for node in ast.walk(derive)
+        if isinstance(node, ast.Attribute)
+        and node.attr in ("weights", "numerator", "denominator")
+    ]
+    assert reads == []
+    called = {node.func.id for node in ast.walk(derive)
+              if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)}
+    assert {"_require_grid", "_find_uniform"} <= called
+
+
 def _random_relation(family):
     n = family.event_count()
     return _ordering(family, np.random.default_rng(20).random((n, n)) < 0.7)
