@@ -278,11 +278,7 @@ def cmd_gen_rich(args) -> int:
         )
     ordering = induced_ordering(family)
     out = Path(args.out)
-    ordering_out = (
-        Path(args.ordering_out)
-        if args.ordering_out
-        else out.with_suffix(".ordering.json")
-    )
+    ordering_out = out.with_suffix(".ordering.json")
     out.write_text(canonical_dumps(family_to_json(family)), encoding="utf-8")
     ordering_out.write_text(canonical_dumps(tiers_to_json(ordering)), encoding="utf-8")
     report = _report(
@@ -317,16 +313,10 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_output_flags(p):
-        mode = p.add_mutually_exclusive_group()
-        mode.add_argument(
-            "--json", dest="text", action="store_false",
-            help="emit a JSON report (default)",
+        p.add_argument(
+            "--text", action="store_true",
+            help="emit a plain-text report (default: a JSON report)",
         )
-        mode.add_argument(
-            "--text", dest="text", action="store_true",
-            help="emit a plain-text report",
-        )
-        p.set_defaults(text=False)
 
     p = sub.add_parser("check", help="run the five axiom checks")
     p.add_argument("--family", required=True, help="family JSON path")
@@ -364,11 +354,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gen-rich", help="emit a rich family and its induced ordering")
     p.add_argument("-K", type=int, required=True, help="grid constant")
     p.add_argument("--max-outcomes", type=int, required=True)
-    p.add_argument("--out", required=True, help="family JSON output path")
-    p.add_argument(
-        "--ordering-out", default=None,
-        help="ordering JSON output path (default: <out>.ordering.json)",
-    )
+    p.add_argument("--out", required=True, help="family JSON path; ordering: <out>.ordering.json")
     add_output_flags(p)
     p.set_defaults(func=cmd_gen_rich)
 

@@ -39,7 +39,8 @@ are constant on every weight group.  Only the non-preorder paths of
 Transitivity and Totality read the matrix whole.
 
 Exact weights are ranked (:func:`weight_ranks`) on integer numerators
-over each measurement's own denominator.  Witnesses stay an array of
+over the family's common denominator while it fits in 64 bits, and as
+``Fraction``s past that.  Witnesses stay an array of
 canonical positions, sorted once, until a caller reads them
 (:class:`Witnesses`).
 """
@@ -263,36 +264,28 @@ def scaled_subset_sums(values: Sequence[Fraction]) -> tuple[list[int], int]:
     return subset_sums([v.numerator * (den // v.denominator) for v in values]), den
 
 
+# Common denominators up to this many bits keep every numerator about
+# one machine word wide.
+_MAX_DENOMINATOR_BITS = 64
+
+
 def subset_sum_ranks(rows: Iterable[Sequence[Fraction]]) -> np.ndarray:
     """:func:`dense_ranks` of the :func:`subset_sums` of each row of exact
     rationals, concatenated.
 
     Each row's sums are integer numerators over that row's own
-    denominator (:func:`scaled_subset_sums`), so no numerator grows with
-    the number of rows.  When all rows share a denominator the numerators
-    are ranked as they are; otherwise only the distinct values are
-    sorted, each once.  The sums must lie within float range.
+    denominator (:func:`scaled_subset_sums`).  While the rows' common
+    denominator fits in 64 bits the sums are ranked as integer numerators
+    over it; past that, as ``Fraction``s, so no number grows with the
+    count of rows.
     """
     scaled = [scaled_subset_sums(row) for row in rows]
-    if len({den for _, den in scaled}) == 1:
-        return dense_ranks([n for nums, _ in scaled for n in nums])
-    # Equal values have equal reduced (numerator, denominator) pairs.
-    # Rounding to float keeps order (x < y implies float(x) <= float(y)),
-    # so the sort compares Fractions only on float ties.
-    reduced = [
-        {n: (n // g, den // g) for n in set(nums) for g in (math.gcd(n, den),)}
-        for nums, den in scaled
-    ]
-    distinct = sorted(
-        {p for pairs in reduced for p in pairs.values()},
-        key=lambda p: (p[0] / p[1], Fraction(*p)),
-    )
-    rank_of = {p: r for r, p in enumerate(distinct)}
-    ranks: list[int] = []
-    for (nums, _), pairs in zip(scaled, reduced):
-        local = {n: rank_of[p] for n, p in pairs.items()}
-        ranks += [local[n] for n in nums]
-    return np.array(ranks, dtype=np.int64)
+    common = 1
+    for _, den in scaled:
+        common = math.lcm(common, den)
+        if common.bit_length() > _MAX_DENOMINATOR_BITS:
+            return dense_ranks([Fraction(n, den) for nums, den in scaled for n in nums])
+    return dense_ranks([n * (common // den) for nums, den in scaled for n in nums])
 
 
 def weight_ranks(family: MeasurementFamily) -> np.ndarray:
@@ -543,11 +536,14 @@ def _report(ordering: LikelihoodOrdering, axiom: str, positions: np.ndarray) -> 
     Position order is (measurement id, event bitmask) order, so sorting
     the rows lexicographically sorts the witnesses canonically.  A row's
     flat index into the (n,) * arity cube has the same order, and one
-    argsort of it is cheaper than a lexsort of the columns.  The event
-    cap keeps n**arity within int64.
+    argsort of it is cheaper than a lexsort of the columns.  Fewer than
+    two rows are not sorted: past 2,097,151 events n**3 overflows int64,
+    and there only a rank ordering exists, whose Transitivity has no rows.
     """
-    cube = (ordering.family.event_count(),) * positions.shape[1]
-    rows = positions[np.argsort(np.ravel_multi_index(positions.T, cube), kind="stable")]
+    rows = positions
+    if len(rows) > 1:
+        cube = (ordering.family.event_count(),) * positions.shape[1]
+        rows = positions[np.argsort(np.ravel_multi_index(positions.T, cube), kind="stable")]
     rows.setflags(write=False)
     return AxiomReport(axiom, satisfied=not len(rows), witnesses=Witnesses(rows, ordering.family))
 

@@ -7,12 +7,25 @@ and the decision kernel stays exact end to end.
 from __future__ import annotations
 
 import math
+import os
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 
 from born_kernel import MeasurementFamily, ProbabilityAssignment, WeightedMeasurement
 from born_kernel.ordering import dense_ranks
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def subprocess_env() -> dict[str, str]:
+    """This environment with ``src`` first on PYTHONPATH, so that a Python
+    subprocess imports this checkout's ``born_kernel``."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(SRC), env.get("PYTHONPATH")) if p)
+    return env
 
 
 def random_measurement(

@@ -40,7 +40,9 @@ from born_kernel import (
 )
 from born_kernel.erasure import THREE_OUTCOME_RESULTS
 from born_kernel import GameSpec, reachable_set, sets_equal, three_outcome_game
-from conftest import grid_measurement, lcm_of_denominators, own_weights, random_family
+from conftest import (
+    grid_measurement, lcm_of_denominators, own_weights, random_family, subprocess_env,
+)
 
 LOOSE_EIGENVALUES = NumericPolicy(eigenvalue_tol=1e-6)
 
@@ -361,6 +363,7 @@ def test_cli_contract(tmp_path):
             [sys.executable, "-m", "born_kernel", *args],
             text=True,
             capture_output=True,
+            env=subprocess_env(),
         )
 
     family = tmp_path / "family.json"

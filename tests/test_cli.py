@@ -28,6 +28,7 @@ from born_kernel.formats import (
     quadruple_to_json,
     tiers_to_json,
 )
+from conftest import subprocess_env
 
 
 def run_cli(*args: str) -> subprocess.CompletedProcess:
@@ -36,6 +37,7 @@ def run_cli(*args: str) -> subprocess.CompletedProcess:
         text=True,
         capture_output=True,
         check=False,
+        env=subprocess_env(),
     )
 
 
@@ -608,7 +610,8 @@ def test_cli_runs_without_numpy_ma(tmp_path, case):
         "print(rc, 'numpy.ma' in sys.modules, file=sys.stderr)\n"
     )
     proc = subprocess.run(
-        [sys.executable, "-c", script], text=True, capture_output=True, check=False
+        [sys.executable, "-c", script], text=True, capture_output=True, check=False,
+        env=subprocess_env(),
     )
     rc = 1 if case == "check-control" else 0
     assert proc.stderr.splitlines()[-1] == f"{rc} False"

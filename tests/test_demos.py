@@ -1,10 +1,11 @@
 """Smoke test: every script under demos/ runs to completion."""
-import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+
+from conftest import subprocess_env
 
 ROOT = Path(__file__).resolve().parents[1]
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
@@ -12,11 +13,8 @@ DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.name)
 def test_demo_exits_0(demo):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
-    )
     proc = subprocess.run(
-        [sys.executable, str(demo)], capture_output=True, text=True, env=env, timeout=300
+        [sys.executable, str(demo)], capture_output=True, text=True, env=subprocess_env(),
+        timeout=300,
     )
     assert proc.returncode == 0, proc.stderr

@@ -87,15 +87,15 @@ def test_cli_options_per_subcommand():
         )
         for name, sub in subcommands.choices.items()
     }
-    output = ["--json", "--text"]
+    output = ["--text"]
     assert options == {
         "check": sorted(["--family", "--ordering", *output]),
         "derive": sorted(["--family", "--ordering", "-K", "--out", *output]),
         "demo-erasure": sorted(["--p-num", "--p-den", "--index-range", *output]),
         "canon": sorted(["--quad", "--numeric-policy", *output]),
-        "gen-rich": sorted(["-K", "--max-outcomes", "--out", "--ordering-out", *output]),
+        "gen-rich": sorted(["-K", "--max-outcomes", "--out", *output]),
     }
-    assert sum(len(v) for v in options.values()) == 25
+    assert sum(len(v) for v in options.values()) == 19
 
 
 def test_numeric_policy_fields():

@@ -1,4 +1,5 @@
 """Likelihood orderings: induced relation, axiom checkers, witnesses."""
+import math
 import tracemalloc
 from fractions import Fraction
 
@@ -24,7 +25,14 @@ from born_kernel import (
     run_all_checks,
 )
 from born_kernel import ordering as ordering_module
-from born_kernel.ordering import dense_ranks, subset_sum_ranks, weight_ranks, weight_vector
+from born_kernel.ordering import (
+    _ordering_from_ranks,
+    dense_ranks,
+    scaled_subset_sums,
+    subset_sum_ranks,
+    weight_ranks,
+    weight_vector,
+)
 from conftest import own_weights, random_family
 
 
@@ -143,12 +151,81 @@ class TestInducedOrdering:
 ))
 def test_subset_sum_ranks_rank_the_rational_sums(rows):
     """Rows on their own denominators rank as the concatenated sums do."""
-    sums = [
+    assert subset_sum_ranks(rows).tolist() == dense_ranks(exact_subset_sums(rows)).tolist()
+
+
+def exact_subset_sums(rows):
+    return [
         sum((v for i, v in enumerate(row) if mask >> i & 1), Fraction(0))
         for row in rows
         for mask in range(2 ** len(row))
     ]
-    assert subset_sum_ranks(rows).tolist() == dense_ranks(sums).tolist()
+
+
+def test_subset_sum_ranks_past_64_bits_at_a_later_row():
+    """Power-of-two rows, then rows on two 33-bit primes p and q: the
+    common denominator is 2**16 * p (49 bits) until the last row takes it
+    past 64 bits, so the sums are ranked as Fractions.  Values tie across
+    rows (0, 1/2, 1) and differ by as little as 1/(p * q)."""
+    half = Fraction(1, 2)
+    rows = [(half, half), (Fraction(1, 2**8), Fraction(127, 2**8), half)]
+    rows.append((Fraction(1, 2**16), half - Fraction(1, 2**16)))
+    for prime in (4294967311, 4294967357):
+        rows.append((Fraction(1, prime), half - Fraction(1, prime), half))
+    dens = [scaled_subset_sums(row)[1] for row in rows]
+    assert math.lcm(*dens[:-1]).bit_length() <= 64 < math.lcm(*dens).bit_length()
+    assert subset_sum_ranks(rows).tolist() == dense_ranks(exact_subset_sums(rows)).tolist()
+
+
+def test_rank_ordering_past_two_million_events_reports_no_witness():
+    """One 22-outcome measurement: 4,194,304 events, where a three-place
+    flat index passes int64.  Constant ranks are transitive and total."""
+    k = 22
+    m = WeightedMeasurement("big", tuple(f"o{i}" for i in range(k)), (Fraction(1, k),) * k)
+    ordering = _ordering_from_ranks(MeasurementFamily((m,)), np.zeros(2**k, np.int64))
+    for check in (check_transitivity, check_totality):
+        report = check(ordering)
+        assert report.satisfied and len(report.witnesses) == 0, report.axiom
+
+
+@pytest.mark.parametrize("build, message", [
+    pytest.param(
+        lambda: WeightedMeasurement("m", ("a", "b"), (Fraction(1),)),
+        "outcomes and weights must be parallel lists", id="unequal-lists",
+    ),
+    pytest.param(
+        lambda: WeightedMeasurement("m", ("a", "a"), (Fraction(1, 2),) * 2),
+        "duplicate outcome labels in measurement 'm'", id="duplicate-outcomes",
+    ),
+    pytest.param(
+        lambda: skewed_family().by_id["m"].event_weight({"o1", "x"}),
+        "unknown outcome 'x' in measurement 'm'", id="unknown-outcome",
+    ),
+    pytest.param(
+        lambda: MeasurementFamily(()),
+        "family must contain at least one measurement", id="empty-family",
+    ),
+    pytest.param(
+        lambda: MeasurementFamily(skewed_family().measurements * 2),
+        "measurement ids must be unique", id="duplicate-ids",
+    ),
+    pytest.param(
+        lambda: LikelihoodOrdering(coin_family(), coin_family().refs, np.ones((2, 2), bool)),
+        "matrix shape (2, 2) does not match 4 event refs", id="matrix-shape",
+    ),
+    pytest.param(
+        lambda: LikelihoodOrdering(coin_family(), coin_family().refs[::-1], np.ones((4, 4), bool)),
+        "refs must be the family's refs, in canonical order", id="foreign-refs",
+    ),
+    pytest.param(
+        lambda: replay_witness(induced_ordering(coin_family()), "Symmetry", ()),
+        "unknown axiom 'Symmetry'", id="unknown-axiom",
+    ),
+])
+def test_kernel_guard_refuses(build, message):
+    with pytest.raises(ValueError) as refusal:
+        build()
+    assert type(refusal.value) is ValueError and str(refusal.value) == message
 
 
 class TestTransitivity:

@@ -34,7 +34,12 @@ from born_kernel import (
 from born_kernel.ordering import ALL_CHECKS, MAX_EXTENSIONAL_EVENTS
 from born_kernel.representation import MAX_SEARCH_STEPS, compositions
 from conftest import (
-    grid_measurement, order_matrix, own_weights, random_family, whole_matrix_verify,
+    grid_measurement,
+    lcm_of_denominators,
+    order_matrix,
+    own_weights,
+    random_family,
+    whole_matrix_verify,
 )
 
 
@@ -434,9 +439,10 @@ class TestVerifyRepresentation:
 def mixed_denominator_assignments(draw):
     """(assignment, ordering): 2-3 measurements of 2-4 outcomes, each on
     its own denominator with a 1/den weight, so the rows' denominators
-    differ and the values are ranked by reduced pairs.  The ordering is
-    induced by the weights; the assignment is the weights themselves, or
-    them with one measurement's values drawn afresh."""
+    differ and the values are ranked as integer numerators over their
+    common denominator.  The ordering is induced by the weights; the
+    assignment is the weights themselves, or them with one measurement's
+    values drawn afresh."""
     dens = draw(st.lists(st.integers(2, 9), min_size=2, max_size=3, unique=True))
 
     def split(den, n):
@@ -463,6 +469,30 @@ def mixed_denominator_assignments(draw):
 def test_verify_matches_the_whole_matrix_comparison(drawn):
     assignment, ordering = drawn
     assert verify_representation(assignment, ordering) == whole_matrix_verify(assignment, ordering)
+
+
+def test_verify_matches_the_whole_matrix_comparison_past_64_bits():
+    """Measurements on two 33-bit primes: the family's common denominator
+    passes 64 bits, so its weights, and the assignments' values, are
+    ranked as Fractions."""
+    half = Fraction(1, 2)
+    measurements = [WeightedMeasurement("a", ("x", "y"), (half, half))]
+    for prime in (4294967311, 4294967357):
+        weights = (Fraction(1, prime), half - Fraction(1, prime), half)
+        measurements.append(WeightedMeasurement(f"p{prime}", ("x", "y", "z"), weights))
+    family = MeasurementFamily(tuple(measurements))
+    assert lcm_of_denominators(family).bit_length() > 64
+    own = own_weights(family)
+    values = dict(own.singletons)
+    m = measurements[1]
+    values.update(zip([(m.id, o) for o in m.outcomes], m.weights[::-1]))
+    swapped = ProbabilityAssignment(family, values)
+    induced = induced_ordering(family)
+    assert verify_representation(own, induced)[0] and not verify_representation(swapped, induced)[0]
+    for assignment in (own, swapped):
+        for ordering in (induced, outcome_count_ordering(family)):
+            expected = whole_matrix_verify(assignment, ordering)
+            assert verify_representation(assignment, ordering) == expected
 
 
 def naive_uniqueness_oracle(family, ordering, K):

@@ -303,6 +303,19 @@ def test_no_module_calls_np_unique():
     assert calls == []
 
 
+def test_no_true_division_where_weights_are_ranked():
+    """Exact weights and values are compared as integers or `Fraction`s;
+    a float quotient could merge two close weights."""
+    package = Path(born_kernel.__file__).parent
+    divisions = [
+        (name, node.lineno)
+        for name in ("ordering.py", "representation.py")
+        for node in ast.walk(ast.parse((package / name).read_text(encoding="utf-8")))
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Div)
+    ]
+    assert divisions == []
+
+
 def test_derive_reads_values_off_ranks_not_weights():
     """`derive_representation` reads each outcome's value off the uniform
     blocks' ranks: its body reads no weight, numerator or denominator.
