@@ -40,9 +40,10 @@ Transitivity and Totality read the matrix whole.
 
 Exact weights are ranked (:func:`weight_ranks`) on integer numerators
 over the family's common denominator while it fits in 64 bits, and as
-``Fraction``s past that.  Witnesses stay an array of
-canonical positions, sorted once, until a caller reads them
-(:class:`Witnesses`).
+``Fraction``s past that.  Witnesses stay positions until a caller reads
+them (:class:`Witnesses`): an array of canonical positions, sorted once,
+or, for Equivalence on a total preorder, a row source that counts them
+by arithmetic and lists only the rows read.
 """
 from __future__ import annotations
 
@@ -460,23 +461,30 @@ def outcome_count_ordering(family: MeasurementFamily) -> LikelihoodOrdering:
 # Rows per slice when a Witnesses sequence is iterated.
 _CHUNK = 4096
 
+# Rows a Witnesses repr shows before it stops.
+_REPR_ROWS = 3
+
 
 class Witnesses(Sequence):
     """Read-only sequence of witnesses, held as canonical positions.
 
-    Row i of ``rows`` gives the positions of witness i.  The sequence
-    stands for the tuple of event-ref tuples those rows name: ``len``,
-    iteration, indexing, slicing (to a tuple), ``in``, ``==`` and
-    ``hash`` behave exactly as on that tuple, yet a ref tuple is built
-    only when it is read, and a slice reads only its own rows.  Refs are
-    built one position at a time (``MeasurementFamily.ref_at``), never
-    the family's whole list; a slice builds each position it names once,
-    and so does an iteration, reading slice by slice.
+    ``rows`` is any object with ``len`` and numpy-style int and slice
+    indexing whose row i gives the positions of witness i: a sorted
+    position array, or a row source that builds only the rows it is
+    asked for (:class:`_EquivalenceRows`).  The sequence stands for the
+    tuple of event-ref tuples those rows name: ``len``, iteration,
+    indexing, slicing (to a tuple), ``in``, ``==`` and ``hash`` behave
+    exactly as on that tuple, yet a ref tuple is built only when it is
+    read, and a slice reads only its own rows.  Refs are built one
+    position at a time (``MeasurementFamily.ref_at``), never the
+    family's whole list; a slice builds each position it names once, and
+    so does an iteration, reading slice by slice.  The repr shows the
+    count and the first few witnesses only.
     """
 
     __slots__ = ("_rows", "_family")
 
-    def __init__(self, rows: np.ndarray, family: MeasurementFamily):
+    def __init__(self, rows, family: MeasurementFamily):
         self._rows = rows
         self._family = family
 
@@ -507,7 +515,56 @@ class Witnesses(Sequence):
         return hash(tuple(self))
 
     def __repr__(self) -> str:
-        return repr(tuple(self))
+        shown = [repr(w) for w in self[:_REPR_ROWS]]
+        if len(self) > _REPR_ROWS:
+            shown.append("...")
+        return f"Witnesses({len(self)} rows" + (": " + ", ".join(shown) if shown else "") + ")"
+
+
+class _EquivalenceRows:
+    """The Equivalence witnesses of a total preorder, rows built when read.
+
+    A witness is a pair (a, b) of one weight group with rank(a) <
+    rank(b).  One sort by (group, rank) puts a's b's in one run at the
+    end of its group: ``upper[a]`` is where that run starts in ``order``,
+    and a group's end less it is a's count of rows.  Their prefix sums
+    ``first`` give each a's first row, so the count is exact and a read
+    of rows [lo, hi) touches only the a's it spans, sorting their b's by
+    position, which is canonical order.  Indexed as the (m, 2) position
+    array it stands for: an int gives one row, a slice an array of rows.
+    """
+
+    def __init__(self, group: np.ndarray, ranks: np.ndarray):
+        width = int(ranks.max()) + 1
+        key = group * width + ranks
+        order = np.argsort(key)
+        by_key = key[order]
+        upper = np.searchsorted(by_key, key, side="right")
+        counts = np.searchsorted(by_key, (group + 1) * width) - upper
+        self._n, self._order, self._upper = len(ranks), order, upper
+        self._first = np.concatenate(([0], np.cumsum(counts)))
+
+    def __len__(self) -> int:
+        return int(self._first[-1])
+
+    def __getitem__(self, i) -> np.ndarray:
+        picked = range(len(self))[i]  # IndexError for an int out of range
+        if not isinstance(i, slice):
+            return self._span(picked, picked + 1)[0]
+        if not picked:
+            return np.empty((0, 2), np.int64)
+        return self._span(min(picked), max(picked) + 1)[::picked.step]
+
+    def _span(self, lo: int, hi: int) -> np.ndarray:
+        """Rows lo to hi - 1, for 0 <= lo < hi <= len(self)."""
+        first = self._first
+        a = np.arange(np.searchsorted(first, lo, side="right") - 1, np.searchsorted(first, hi))
+        counts = first[a + 1] - first[a]
+        before = first[a] - first[a[0]]
+        index = np.arange(before[-1] + counts[-1]) + np.repeat(self._upper[a] - before, counts)
+        pairs = np.sort(np.repeat(a, counts) * self._n + self._order[index])
+        skip = lo - int(first[a[0]])
+        return np.stack(np.divmod(pairs[skip:skip + hi - lo], self._n), axis=1)
 
 
 @dataclass(frozen=True)
@@ -516,12 +573,14 @@ class AxiomReport:
 
     ``witnesses`` holds violating tuples of event refs, in canonical
     order, and is empty exactly when the axiom is satisfied.  The checks
-    return it as a :class:`Witnesses` sequence, which holds positions and
+    return it as a :class:`Witnesses` sequence over positions, which
     builds a ref tuple only when one is read, so a check that finds many
-    violations pays for the refs only when its caller reads them.  For
-    the existential Separation axiom, ``evidence`` carries a non-null
-    event when satisfied, and the witnesses on failure are the events
-    (all of them) that replay as null.
+    violations pays for the refs only when its caller reads them; on a
+    total preorder Equivalence does not even list the positions, but
+    counts them and lists a slice when it is read.  For the existential
+    Separation axiom, ``evidence`` carries a non-null event when
+    satisfied, and the witnesses on failure are the events (all of them)
+    that replay as null.
     """
 
     axiom: str
@@ -545,6 +604,11 @@ def _report(ordering: LikelihoodOrdering, axiom: str, positions: np.ndarray) -> 
         cube = (ordering.family.event_count(),) * positions.shape[1]
         rows = positions[np.argsort(np.ravel_multi_index(positions.T, cube), kind="stable")]
     rows.setflags(write=False)
+    return _listed(ordering, axiom, rows)
+
+
+def _listed(ordering: LikelihoodOrdering, axiom: str, rows) -> AxiomReport:
+    """Report from witness rows already in canonical order (see :class:`Witnesses`)."""
     return AxiomReport(axiom, satisfied=not len(rows), witnesses=Witnesses(rows, ordering.family))
 
 
@@ -641,29 +705,33 @@ def check_equivalence(ordering: LikelihoodOrdering) -> AxiomReport:
 
     Positions are grouped by the dense ranks of their exact weights
     (:func:`weight_ranks`), and every pair in a group, an event with
-    itself included, must be related both ways.  A total preorder passes
-    at once when its ``ranks`` are constant on every group.  Otherwise
-    each group of two or more is read as one block of the relation, and
-    the groups of one as one read of its diagonal; a pair (a, b) fails
-    where a >= b does not hold.
+    itself included, must be related both ways; a pair (a, b) fails
+    where a >= b does not hold.  A total preorder passes at once when its
+    ``ranks`` are constant on every group, and otherwise its witnesses
+    are a row source (:class:`_EquivalenceRows`), counted exactly and
+    listed only where read.  Any other relation is read ``_BLOCK`` rows
+    at a time, keeping the pairs of one group where a >= b fails, which
+    come out in canonical order.
     """
     group = weight_ranks(ordering.family)
-    order = np.argsort(group, kind="stable")  # positions ascend within a group
     ranks = ordering.ranks
-    if ranks is not None:
-        same_group = np.diff(group[order]) == 0
-        if not np.any(same_group & (np.diff(ranks[order]) != 0)):
-            return _report(ordering, "Equivalence", np.empty((0, 2), np.int64))
-    sizes = np.bincount(group)
-    starts = np.cumsum(sizes) - sizes
-    alone = order[starts[sizes == 1]]
-    alone = alone[~_ge(ordering, alone, alone)]
-    groups = [order[a:a + k] for a, k in zip(starts[sizes > 1].tolist(), sizes[sizes > 1].tolist())]
-    missing = (~_ge(ordering, g[:, None], g) for g in groups)
-    hits = [(g[a], g[b]) for g, (a, b) in zip(groups, map(np.nonzero, missing))]
-    firsts, seconds = zip((alone, alone), *hits)
-    pairs = np.stack((np.concatenate(firsts), np.concatenate(seconds)), axis=1)
-    return _report(ordering, "Equivalence", pairs)
+    if ranks is None:
+        events = np.arange(len(group))
+        blocks = (
+            np.argwhere(
+                (group[s:s + _BLOCK, None] == group)
+                & ~_ge(ordering, events[s:s + _BLOCK, None], events)
+            ) + (s, 0)
+            for s in range(0, len(group), _BLOCK)
+        )
+        rows = np.concatenate([np.empty((0, 2), np.int64), *blocks])
+        rows.setflags(write=False)
+        return _listed(ordering, "Equivalence", rows)
+    order = np.argsort(group, kind="stable")  # positions ascend within a group
+    same_group = np.diff(group[order]) == 0
+    if np.any(same_group & (np.diff(ranks[order]) != 0)):
+        return _listed(ordering, "Equivalence", _EquivalenceRows(group, ranks))
+    return _report(ordering, "Equivalence", np.empty((0, 2), np.int64))
 
 
 def check_totality(ordering: LikelihoodOrdering) -> AxiomReport:

@@ -12,7 +12,6 @@ from born_kernel import (
     MeasurementQuadruple,
     StateVector,
     WeightedMeasurement,
-    check_equivalence,
     generate_rich_family,
     induced_ordering,
     outcome_count_ordering,
@@ -29,6 +28,7 @@ from born_kernel.formats import (
     tiers_to_json,
 )
 from conftest import subprocess_env
+from test_total_preorder import listed_equivalence
 
 
 def run_cli(*args: str) -> subprocess.CompletedProcess:
@@ -195,7 +195,7 @@ class TestCheck:
         by_name = {v["check"]: v for v in json.loads(proc.stdout)["verdicts"]}
         equivalence = by_name["Equivalence"]
         assert equivalence["witness_count"] == 91276
-        first = check_equivalence(control).witnesses[:WITNESS_LIMIT]
+        first = listed_equivalence(control).witnesses[:WITNESS_LIMIT]
         assert equivalence["witnesses"] == [[event_ref_to_json(r) for r in w] for w in first]
 
     def test_truncated_json_exit_2(self, tmp_path):

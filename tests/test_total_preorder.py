@@ -12,12 +12,15 @@ the whole-matrix comparison of `verify_representation` and the
 Equivalence loop over `Fraction` weight groups.
 
 Every check, and `verify_representation`, reports its witnesses as a
-`Witnesses` sequence over a position array.  The oracle `_report` builds
-the tuple of ref tuples those witnesses stand for, as the checks did
-before.  The Separation oracle is the check's old code, and the
+`Witnesses` sequence over positions: a position array, or for
+Equivalence on a total preorder a row source that counts its rows and
+lists only those read.  The oracle `_report` builds the tuple of ref
+tuples those witnesses stand for, as the checks did before.  The Separation oracle is the check's old code, and the
 Dominance oracle tests every pair of nested events directly.
 """
 import ast
+import tracemalloc
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -49,7 +52,13 @@ from born_kernel import (
     verify_representation,
 )
 from born_kernel.formats import ordering_from_json, ordering_to_json, tiers_to_json
-from born_kernel.ordering import _ordering_from_ranks, dense_ranks, weight_ranks, weight_vector
+from born_kernel.ordering import (
+    _EquivalenceRows,
+    _ordering_from_ranks,
+    dense_ranks,
+    weight_ranks,
+    weight_vector,
+)
 from conftest import order_matrix, own_weights, random_family, whole_matrix_verify
 
 
@@ -400,6 +409,78 @@ def test_reading_one_witness_builds_only_its_refs():
     first = check_equivalence(control).witnesses[0]
     assert "refs" not in vars(family)
     assert first == listed_equivalence(control).witnesses[0]
+
+
+@st.composite
+def rank_orderings(draw):
+    """The outcome-count control or a rank ordering from random scores,
+    on a family `ranked_families` draws."""
+    family = draw(ranked_families())
+    if draw(st.booleans()):
+        return outcome_count_ordering(family)
+    n = family.event_count()
+    scores = draw(st.lists(st.integers(0, 4), min_size=n, max_size=n))
+    return _ordering_from_ranks(family, dense_ranks(scores))
+
+
+@settings(max_examples=150, deadline=None)
+@given(rank_orderings(), st.data())
+def test_equivalence_row_source_is_the_listing(ordering, data):
+    """On a total preorder, held as ranks or as its matrix twin,
+    Equivalence's witnesses come from a row source that builds only the
+    rows read; those rows are the listed oracle's, in its order, under
+    every int and slice index, and they replay as violations."""
+    want = listed_equivalence(ordering).witnesses
+    n = len(want)
+    for twin in (ordering, _ordering(ordering.family, ordering.matrix)):
+        got = check_equivalence(twin).witnesses
+        assert isinstance(got._rows, _EquivalenceRows) == bool(want)
+        assert len(got) == n and tuple(got) == want
+        for i in data.draw(st.lists(st.integers(-n, n - 1), max_size=6)) if n else ():
+            assert got[i] == want[i]
+        for outside in (n, n + 7, -n - 1):
+            with pytest.raises(IndexError):
+                got[outside]
+        for step in (1, 2, -1, 3):
+            a, b = data.draw(st.integers(-n - 2, n + 2)), data.draw(st.integers(-n - 2, n + 2))
+            assert got[a:b:step] == want[a:b:step]
+            assert got[::step] == want[::step]
+        for empty in (slice(n, None), slice(2, 2), slice(1, 0), slice(0, 1, -1)):
+            assert got[empty] == want[empty] == ()
+        assert all(replay_witness(twin, "Equivalence", w) for w in got[:50])
+
+
+def test_k9_control_is_counted_without_listing_its_witnesses():
+    """The K=9 outcome-count control fails Equivalence 7,349,313 times,
+    the sum over weight groups G of (|G|**2 - sum of c**2) / 2, c over the
+    sizes of G's rank classes.  The five checks count them without
+    listing them: a 412 MB tracemalloc peak when they did."""
+    family = generate_rich_family(9, 9)
+    control = outcome_count_ordering(family)
+    weights = weight_vector(family)
+    group_sizes = Counter(weights).values()
+    class_sizes = Counter(zip(weights, control.ranks.tolist())).values()
+    expected = (sum(g * g for g in group_sizes) - sum(c * c for c in class_sizes)) // 2
+    tracemalloc.start()
+    try:
+        reports = {r.axiom: r for r in run_all_checks(control)}
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(reports["Equivalence"].witnesses) == expected == 7_349_313
+    assert peak < 60 * 2**20
+
+
+def test_repr_of_a_long_witness_list_is_short():
+    """The repr shows the count and the first few witnesses: on the K=8
+    control's 822,609 it built every ref, 130 MB in 16 s."""
+    report = check_equivalence(outcome_count_ordering(generate_rich_family(8, 8)))
+    text = repr(report)
+    assert len(text) < 2000
+    assert f"Witnesses(822609 rows: {report.witnesses[0]!r}, " in text and ", ...)" in text
+    assert repr(check_equivalence(induced_ordering(generate_rich_family(3, 3))).witnesses) == (
+        "Witnesses(0 rows)"
+    )
 
 
 def test_iterating_witnesses_builds_each_ref_once(monkeypatch):
