@@ -58,8 +58,9 @@ def digest_bytes(*chunks: bytes) -> str:
 
 
 _FLOAT_MAX = sys.float_info.max
+_DECIMAL = (str, int)  # a rational's num or den: ASCII digits after an optional "-"
 _NAMES = {dict: "an object", list: "a list", str: "a string", int: "an integer",
-          float: "a finite number", (str, int): "a decimal string or an integer"}
+          float: "a finite number", _DECIMAL: "a decimal string or an integer"}
 
 
 def _is(value: Any, kind: Any) -> bool:
@@ -68,6 +69,9 @@ def _is(value: Any, kind: Any) -> bool:
     if kind is float:
         return (isinstance(value, float) or type(value) is int) and (
             -_FLOAT_MAX <= value <= _FLOAT_MAX)
+    if kind is _DECIMAL:
+        return type(value) is int or isinstance(value, str) and value.isascii() and (
+            value.removeprefix("-").isdigit())
     if isinstance(kind, str):
         return value == kind
     return type(value) is not bool and isinstance(value, kind)
@@ -117,7 +121,7 @@ def rational_to_json(value: Fraction) -> dict:
 
 @_reader
 def rational_from_json(doc: Any, context: str = "rational") -> Fraction:
-    num, den = (int(_get(doc, key, (str, int), context)) for key in ("num", "den"))
+    num, den = (int(_get(doc, key, _DECIMAL, context)) for key in ("num", "den"))
     if den == 0:
         raise FormatError(f"{context}: den is 0")
     return Fraction(num, den)

@@ -34,16 +34,16 @@ check, replay and writer reads the relation through one primitive,
 :func:`_ge`, which compares ranks when they exist and reads the matrix
 otherwise.  On ranks, Transitivity and Totality are satisfied at once,
 Dominance's one pair predicate reaches past the covering pairs only in
-measurements that fail one, and Equivalence passes at once when ranks
-are constant on every weight group.  Only the non-preorder paths of
-Transitivity and Totality read the matrix whole.
+measurements that fail one, and Equivalence is counted by one sort.
+Only Transitivity on a relation that is no total preorder reads the
+matrix whole.
 
 Exact weights are ranked (:func:`weight_ranks`) on integer numerators
 over the family's common denominator while it fits in 64 bits, and as
 ``Fraction``s past that.  Witnesses stay positions until a caller reads
 them (:class:`Witnesses`): an array of canonical positions, sorted once,
-or, for Equivalence on a total preorder, a row source that counts them
-by arithmetic and lists only the rows read.
+or, for pairs, a row source that counts them and lists only the rows
+read (:class:`_PairRows`).
 """
 from __future__ import annotations
 
@@ -313,9 +313,16 @@ def dense_ranks(scores: Sequence) -> np.ndarray:
     return np.array([rank_of[s] for s in scores], dtype=np.int64)
 
 
-# Rows per block of the rank test: small enough that a block's
-# temporaries stay in cache.
-_BLOCK = 256
+# Pairs per block of a scan over the relation: a block's temporaries stay
+# in cache, and small enough that the allocator maps no fresh pages.
+_BLOCK = 2**16
+
+
+def _blocks(lo: int, hi: int, n: int) -> Iterable[tuple[int, int]]:
+    """Rows lo to hi - 1 of a scan against n positions, as (s, e) blocks
+    of about ``_BLOCK`` pairs each."""
+    step = max(1, _BLOCK // n)
+    return ((s, min(s + step, hi)) for s in range(lo, hi, step))
 
 
 class LikelihoodOrdering:
@@ -369,8 +376,14 @@ class LikelihoodOrdering:
 
     @cached_property
     def reports(self) -> tuple[AxiomReport, ...]:
-        """The reports of ``ALL_CHECKS``, run once per ordering."""
-        return tuple(check(self) for check in ALL_CHECKS)
+        """The reports of ``ALL_CHECKS``, run once per ordering, on its
+        relation alone: a witness source holds the ordering it reads, and
+        one held here would form a cycle that only the collector frees."""
+        alone = LikelihoodOrdering.__new__(LikelihoodOrdering)
+        vars(alone).update(family=self.family, ranks=self.ranks)
+        if self.ranks is None:
+            vars(alone)["matrix"] = self.matrix
+        return tuple(check(alone) for check in ALL_CHECKS)
 
     @cached_property
     def ranks(self) -> np.ndarray | None:
@@ -385,8 +398,8 @@ class LikelihoodOrdering:
         """
         h = self.matrix
         rowsums = np.count_nonzero(h, axis=1)
-        for s in range(0, len(h), _BLOCK):
-            if not np.array_equal(rowsums[s:s + _BLOCK, None] >= rowsums, h[s:s + _BLOCK]):
+        for s, e in _blocks(0, len(h), len(h)):
+            if not np.array_equal(rowsums[s:e, None] >= rowsums, h[s:e]):
                 return None
         ranks = dense_ranks(rowsums.tolist())
         ranks.setflags(write=False)
@@ -471,7 +484,7 @@ class Witnesses(Sequence):
     ``rows`` is any object with ``len`` and numpy-style int and slice
     indexing whose row i gives the positions of witness i: a sorted
     position array, or a row source that builds only the rows it is
-    asked for (:class:`_EquivalenceRows`).  The sequence stands for the
+    asked for (:class:`_PairRows`).  The sequence stands for the
     tuple of event-ref tuples those rows name: ``len``, iteration,
     indexing, slicing (to a tuple), ``in``, ``==`` and ``hash`` behave
     exactly as on that tuple, yet a ref tuple is built only when it is
@@ -521,28 +534,24 @@ class Witnesses(Sequence):
         return f"Witnesses({len(self)} rows" + (": " + ", ".join(shown) if shown else "") + ")"
 
 
-class _EquivalenceRows:
-    """The Equivalence witnesses of a total preorder, rows built when read.
+class _PairRows:
+    """Witness pairs (a, b) in canonical order, rows built when read.
 
-    A witness is a pair (a, b) of one weight group with rank(a) <
-    rank(b).  One sort by (group, rank) puts a's b's in one run at the
-    end of its group: ``upper[a]`` is where that run starts in ``order``,
-    and a group's end less it is a's count of rows.  Their prefix sums
-    ``first`` give each a's first row, so the count is exact and a read
-    of rows [lo, hi) touches only the a's it spans, sorting their b's by
-    position, which is canonical order.  Indexed as the (m, 2) position
-    array it stands for: an int gives one row, a slice an array of rows.
+    ``counts[a]`` is a's exact number of witnesses, and ``mask(s, e)``
+    the witness mask of positions s to e - 1 against every position.  The
+    counts' prefix sums give ``len`` and each a's first row, so a read of
+    rows [lo, hi) scans only the a's it spans, a block at a time.  Indexed
+    as the (m, 2) position array it stands for (see :class:`Witnesses`).
     """
 
-    def __init__(self, group: np.ndarray, ranks: np.ndarray):
-        width = int(ranks.max()) + 1
-        key = group * width + ranks
-        order = np.argsort(key)
-        by_key = key[order]
-        upper = np.searchsorted(by_key, key, side="right")
-        counts = np.searchsorted(by_key, (group + 1) * width) - upper
-        self._n, self._order, self._upper = len(ranks), order, upper
+    def __init__(self, counts: Sequence[int], mask):
         self._first = np.concatenate(([0], np.cumsum(counts)))
+        self._mask = mask
+
+    @classmethod
+    def scan(cls, n: int, mask) -> _PairRows:
+        """The source over n rows whose counts are one scan of ``mask``."""
+        return cls([np.count_nonzero(r) for s, e in _blocks(0, n, n) for r in mask(s, e)], mask)
 
     def __len__(self) -> int:
         return int(self._first[-1])
@@ -558,13 +567,11 @@ class _EquivalenceRows:
     def _span(self, lo: int, hi: int) -> np.ndarray:
         """Rows lo to hi - 1, for 0 <= lo < hi <= len(self)."""
         first = self._first
-        a = np.arange(np.searchsorted(first, lo, side="right") - 1, np.searchsorted(first, hi))
-        counts = first[a + 1] - first[a]
-        before = first[a] - first[a[0]]
-        index = np.arange(before[-1] + counts[-1]) + np.repeat(self._upper[a] - before, counts)
-        pairs = np.sort(np.repeat(a, counts) * self._n + self._order[index])
-        skip = lo - int(first[a[0]])
-        return np.stack(np.divmod(pairs[skip:skip + hi - lo], self._n), axis=1)
+        a = int(np.searchsorted(first, lo, side="right")) - 1
+        blocks = _blocks(a, int(np.searchsorted(first, hi)), len(first) - 1)
+        rows = np.concatenate([np.argwhere(self._mask(s, e)) + (s, 0) for s, e in blocks])
+        skip = lo - int(first[a])
+        return rows[skip:skip + hi - lo]
 
 
 @dataclass(frozen=True)
@@ -574,10 +581,7 @@ class AxiomReport:
     ``witnesses`` holds violating tuples of event refs, in canonical
     order, and is empty exactly when the axiom is satisfied.  The checks
     return it as a :class:`Witnesses` sequence over positions, which
-    builds a ref tuple only when one is read, so a check that finds many
-    violations pays for the refs only when its caller reads them; on a
-    total preorder Equivalence does not even list the positions, but
-    counts them and lists a slice when it is read.  For the existential
+    builds a ref tuple only when one is read.  For the existential
     Separation axiom, ``evidence`` carries a non-null event when
     satisfied, and the witnesses on failure are the events (all of them)
     that replay as null.
@@ -595,14 +599,11 @@ def _report(ordering: LikelihoodOrdering, axiom: str, positions: np.ndarray) -> 
     Position order is (measurement id, event bitmask) order, so sorting
     the rows lexicographically sorts the witnesses canonically.  A row's
     flat index into the (n,) * arity cube has the same order, and one
-    argsort of it is cheaper than a lexsort of the columns.  Fewer than
-    two rows are not sorted: past 2,097,151 events n**3 overflows int64,
-    and there only a rank ordering exists, whose Transitivity has no rows.
+    argsort of it is cheaper than a lexsort of the columns.  Only a matrix,
+    under the event cap, lists Transitivity rows, so n**3 fits in int64.
     """
-    rows = positions
-    if len(rows) > 1:
-        cube = (ordering.family.event_count(),) * positions.shape[1]
-        rows = positions[np.argsort(np.ravel_multi_index(positions.T, cube), kind="stable")]
+    cube = (ordering.family.event_count(),) * positions.shape[1]
+    rows = positions[np.argsort(np.ravel_multi_index(positions.T, cube), kind="stable")]
     rows.setflags(write=False)
     return _listed(ordering, axiom, rows)
 
@@ -613,14 +614,17 @@ def _listed(ordering: LikelihoodOrdering, axiom: str, rows) -> AxiomReport:
 
 
 def _ge(ordering: LikelihoodOrdering, a, b) -> np.ndarray:
-    """Whether a >= b, for canonical positions a and b broadcast together.
+    """Whether a >= b, for canonical positions a and b broadcast together,
+    or for the block of rows a and columns b, two basic slices.
 
-    The one read of the relation: ``ranks[a] >= ranks[b]`` on a total
-    preorder, ``matrix[a, b]`` on any other relation.
+    The one read of the relation: ranks compared on a total preorder,
+    ``matrix[a, b]`` (for slices, a view) on any other relation.
     """
     ranks = ordering.ranks
     if ranks is None:
         return ordering.matrix[a, b]
+    if isinstance(a, slice):
+        return ranks[a, None] >= ranks[b]
     return ranks[a] >= ranks[b]
 
 
@@ -642,7 +646,7 @@ def check_transitivity(ordering: LikelihoodOrdering) -> AxiomReport:
     (a, b, c) is reported.
     """
     if ordering.ranks is not None:
-        return _report(ordering, "Transitivity", np.empty((0, 3), np.int64))
+        return _listed(ordering, "Transitivity", np.empty((0, 3), np.int64))
     h = ordering.matrix
     reach = (h.astype(np.float32) @ h.astype(np.float32)) > 0
     bad = reach & ~h
@@ -659,7 +663,7 @@ def check_separation(ordering: LikelihoodOrdering) -> AxiomReport:
     if not null.all():
         evidence = ordering.family.ref_at(int(np.argmin(null)))
         return AxiomReport("Separation", True, (), evidence=evidence)
-    return _report(ordering, "Separation", np.arange(len(null)).reshape(-1, 1))
+    return _listed(ordering, "Separation", np.arange(len(null)).reshape(-1, 1))
 
 
 def check_dominance(ordering: LikelihoodOrdering) -> AxiomReport:
@@ -706,46 +710,44 @@ def check_equivalence(ordering: LikelihoodOrdering) -> AxiomReport:
     Positions are grouped by the dense ranks of their exact weights
     (:func:`weight_ranks`), and every pair in a group, an event with
     itself included, must be related both ways; a pair (a, b) fails
-    where a >= b does not hold.  A total preorder passes at once when its
-    ``ranks`` are constant on every group, and otherwise its witnesses
-    are a row source (:class:`_EquivalenceRows`), counted exactly and
-    listed only where read.  Any other relation is read ``_BLOCK`` rows
-    at a time, keeping the pairs of one group where a >= b fails, which
-    come out in canonical order.
+    where a >= b does not hold.  The witnesses (:class:`_PairRows`) of
+    a total preorder, a's being the b of its group ranked above it, are
+    counted by one sort by (group, rank); any other relation's by a scan.
     """
     group = weight_ranks(ordering.family)
+
+    def mask(s, e):
+        return (group[s:e, None] == group) & ~_ge(ordering, slice(s, e), slice(None))
+
     ranks = ordering.ranks
     if ranks is None:
-        events = np.arange(len(group))
-        blocks = (
-            np.argwhere(
-                (group[s:s + _BLOCK, None] == group)
-                & ~_ge(ordering, events[s:s + _BLOCK, None], events)
-            ) + (s, 0)
-            for s in range(0, len(group), _BLOCK)
-        )
-        rows = np.concatenate([np.empty((0, 2), np.int64), *blocks])
-        rows.setflags(write=False)
-        return _listed(ordering, "Equivalence", rows)
-    order = np.argsort(group, kind="stable")  # positions ascend within a group
-    same_group = np.diff(group[order]) == 0
-    if np.any(same_group & (np.diff(ranks[order]) != 0)):
-        return _listed(ordering, "Equivalence", _EquivalenceRows(group, ranks))
-    return _report(ordering, "Equivalence", np.empty((0, 2), np.int64))
+        return _listed(ordering, "Equivalence", _PairRows.scan(len(group), mask))
+    width = int(ranks.max()) + 1
+    key = group * width + ranks
+    by_key = np.sort(key)
+    counts = np.searchsorted(by_key, (group + 1) * width) - np.searchsorted(by_key, key, "right")
+    return _listed(ordering, "Equivalence", _PairRows(counts, mask))
 
 
 def check_totality(ordering: LikelihoodOrdering) -> AxiomReport:
     """Check that every two events are related at least one way.
 
     A total preorder (``ordering.ranks`` is not None) is satisfied at
-    once.  Any other relation is read off the upper triangle.  A witness
-    is a pair (a, b), a at or before b in canonical order, with neither
-    a >= b nor b >= a; a = b is one when a >= a fails.
+    once.  Any other relation is counted by one scan of its rows and
+    columns (:class:`_PairRows`).  A witness is a pair (a, b), a at or
+    before b in canonical order, with neither a >= b nor b >= a; a = b is
+    one when a >= a fails.
     """
     if ordering.ranks is not None:
-        return _report(ordering, "Totality", np.empty((0, 2), np.int64))
-    h = ordering.matrix
-    return _report(ordering, "Totality", np.argwhere(np.triu(~(h | h.T))))
+        return _listed(ordering, "Totality", np.empty((0, 2), np.int64))
+    events = np.arange(ordering.family.event_count())
+
+    def mask(s, e):
+        rows, every = slice(s, e), slice(None)
+        unrelated = ~(_ge(ordering, rows, every) | _ge(ordering, every, rows).T)
+        return unrelated & (events >= events[s:e, None])
+
+    return _listed(ordering, "Totality", _PairRows.scan(len(events), mask))
 
 
 # Last, so derive still names the first of the earlier checks that fails.

@@ -33,7 +33,7 @@ from .ordering import (
     SizeLimitExceeded,
     WeightedMeasurement,
     Witnesses,
-    _BLOCK,
+    _PairRows,
     _ge,
     event_cap_error,
     require_event_count,
@@ -251,26 +251,19 @@ def verify_representation(
     The values are the weights of ``assignment.measure``, compared by
     their dense ranks (:func:`weight_ranks`), so they agree with the
     ordering exactly when those equal ``ordering.ranks``.  Only when they
-    do not are the witnesses listed, comparing ``_BLOCK`` rows at a time
-    so that only the witness array is held whole.
+    do not is the relation scanned to count each row's witnesses, which
+    are listed only where read (:class:`_PairRows`).
     """
     if assignment.family != ordering.family:
         raise FamilyMismatch("assignment and ordering have different families")
     ranks = weight_ranks(assignment.measure)
-    if np.array_equal(ranks, ordering.ranks):
-        pairs = np.empty((0, 2), np.int64)
-    else:
-        events = np.arange(len(ranks))
-        blocks = (
-            np.argwhere(
-                (ranks[s:s + _BLOCK, None] >= ranks)
-                != _ge(ordering, events[s:s + _BLOCK, None], events)
-            ) + (s, 0)
-            for s in range(0, len(ranks), _BLOCK)
-        )
-        pairs = np.concatenate([np.empty((0, 2), np.int64), *blocks])
-    pairs.setflags(write=False)
-    return (not len(pairs), Witnesses(pairs, ordering.family))
+
+    def mask(s, e):
+        return (ranks[s:e, None] >= ranks) != _ge(ordering, slice(s, e), slice(None))
+
+    same = np.array_equal(ranks, ordering.ranks)
+    rows = np.empty((0, 2), np.int64) if same else _PairRows.scan(len(ranks), mask)
+    return (not len(rows), Witnesses(rows, ordering.family))
 
 
 def uniqueness_search(ordering: LikelihoodOrdering, K: int) -> list[ProbabilityAssignment]:

@@ -26,12 +26,19 @@ from born_kernel import (
     generate_rich_family,
     induced_ordering,
     outcome_count_ordering,
+    replay_witness,
     run_all_checks,
     uniform_measurement,
     uniqueness_search,
     verify_representation,
 )
-from born_kernel.ordering import ALL_CHECKS, MAX_EXTENSIONAL_EVENTS
+from born_kernel.ordering import (
+    ALL_CHECKS,
+    MAX_EXTENSIONAL_EVENTS,
+    _ordering_from_ranks,
+    _PairRows,
+    dense_ranks,
+)
 from born_kernel.representation import MAX_SEARCH_STEPS, compositions
 from conftest import (
     grid_measurement,
@@ -434,6 +441,30 @@ class TestVerifyRepresentation:
         assert peak < 16 * 2**20
         assert witnesses == whole_matrix_verify(wrong, ordering)[1]
 
+    def test_failing_verify_at_k9_counts_its_witnesses_without_listing_them(self):
+        """At K=9 (13,122 events) a wrong assignment's 262,962 witnesses
+        are counted by one scan of the relation and held as a row source,
+        not an array; rows are built only when read."""
+        family = generate_rich_family(9, 9)
+        ordering = induced_ordering(family)
+        values = dict(own_weights(family).singletons)
+        m = next(m for m in family.canonical if m.weights[0] != m.weights[1])
+        for o in m.outcomes[:2]:
+            values[(m.id, o)] = (m.weights[0] + m.weights[1]) / 2
+        wrong = ProbabilityAssignment(family, values)
+        tracemalloc.start()
+        try:
+            ok, witnesses = verify_representation(wrong, ordering)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert not ok and len(witnesses) == 262962
+        assert isinstance(witnesses._rows, _PairRows)
+        assert peak < 16 * 2**20
+        weights = own_weights(family)
+        for e, f in witnesses[:3] + witnesses[-3:]:
+            assert (wrong.value(e) >= wrong.value(f)) != (weights.value(e) >= weights.value(f))
+
 
 @st.composite
 def mixed_denominator_assignments(draw):
@@ -744,6 +775,63 @@ def test_derive_and_search_map_across_a_renaming(drawn):
     [found], [found_renamed] = uniqueness_search(ordering, K), uniqueness_search(other, K)
     assert found.singletons == derived
     assert found_renamed.singletons == mapped
+
+
+@st.composite
+def renamed_relations(draw):
+    """(ordering, renamed ordering, mapref): on a `renamed_grid_families`
+    pair, the outcome-count control, a rank ordering of random scores, or
+    those scores' matrix with one entry flipped, and the same relation on
+    the renamed family; ``mapref`` renames an event."""
+    family, renamed, rename, _ = draw(renamed_grid_families())
+    ids = {old[0]: new[0] for old, new in rename.items()}
+
+    def mapref(ref):
+        mid = ref.measurement_id
+        return EventRef(ids[mid], frozenset(rename[(mid, o)][1] for o in ref.event))
+
+    n = family.event_count()
+    moved = (mapref(family.ref_at(p)) for p in range(n))
+    # The old position of each renamed one.
+    back = np.argsort([renamed.position(ref.measurement_id, ref.event) for ref in moved])
+    kind = draw(st.sampled_from(["control", "scores", "flipped"]))
+    if kind == "control":
+        ordering, other = outcome_count_ordering(family), outcome_count_ordering(renamed)
+        assert np.array_equal(other.ranks, ordering.ranks[back])
+        return ordering, other, mapref
+    ranks = dense_ranks(draw(st.lists(st.integers(0, 4), min_size=n, max_size=n)))
+    if kind == "scores":
+        ordering = _ordering_from_ranks(family, ranks)
+        return ordering, _ordering_from_ranks(renamed, ranks[back]), mapref
+    matrix = ranks[:, None] >= ranks
+    i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+    matrix[i, j] = not matrix[i, j]
+    return (LikelihoodOrdering(family, family.refs, matrix),
+            LikelihoodOrdering(renamed, renamed.refs, matrix[np.ix_(back, back)]), mapref)
+
+
+# Totality orients a pair by canonical order and Transitivity names the
+# first middle event in it; both orders change under a renaming.
+_RENAMING_KEYS = {"Totality": frozenset, "Transitivity": lambda w: (w[0], w[2])}
+
+
+@settings(max_examples=100, deadline=None)
+@given(renamed_relations())
+def test_checks_map_across_a_renaming(drawn):
+    """Each check's verdict, witness count and witness set map across a
+    renaming of measurement ids and outcome labels, Totality's pairs
+    compared unordered and Transitivity's by (a, c); Separation's
+    evidence maps to an event that is not null."""
+    ordering, other, mapref = drawn
+    for check in ALL_CHECKS:
+        report, renamed_report = check(ordering), check(other)
+        key = _RENAMING_KEYS.get(report.axiom, tuple)
+        assert report.satisfied == renamed_report.satisfied, report.axiom
+        assert len(report.witnesses) == len(renamed_report.witnesses), report.axiom
+        mapped = {key(tuple(map(mapref, w))) for w in report.witnesses}
+        assert mapped == {key(w) for w in renamed_report.witnesses}, report.axiom
+        if report.evidence is not None:
+            assert not replay_witness(other, "Separation", (mapref(report.evidence),))
 
 
 class TestWeightAgreementBothDirections:

@@ -4,31 +4,35 @@ witness sequences, against the materialized code they replace.
 `LikelihoodOrdering.ranks` decides "is a total preorder".  An ordering
 built from ranks keeps them; any other matrix is ranked by the rank
 test.  Transitivity, Totality and `verify_representation` return at once
-when the ranks settle the verdict, and Equivalence when the ranks are
-constant on every weight group; otherwise they run their
-witness-listing code.  The oracles below are that code as it ran on
+when the ranks settle the verdict; otherwise they list or count their
+witnesses.  The oracles below are the listing code as it ran on
 every relation: the float32 composition cube, the blocked Totality scan,
 the whole-matrix comparison of `verify_representation` and the
 Equivalence loop over `Fraction` weight groups.
 
 Every check, and `verify_representation`, reports its witnesses as a
-`Witnesses` sequence over positions: a position array, or for
-Equivalence on a total preorder a row source that counts its rows and
-lists only those read.  The oracle `_report` builds the tuple of ref
-tuples those witnesses stand for, as the checks did before.  The Separation oracle is the check's old code, and the
+`Witnesses` sequence over positions: a position array, or for the pairs
+of Equivalence, Totality and `verify_representation` a row source that
+counts its rows and lists only those read.  The oracle `_report` builds
+the tuple of ref tuples those witnesses stand for, as the checks did
+before.  The Separation oracle is the check's old code, and the
 Dominance oracle tests every pair of nested events directly.
 """
 import ast
+import gc
 import tracemalloc
+import weakref
 from collections import Counter
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import born_kernel
+import born_kernel.ordering as ordering_module
 from born_kernel import (
     AxiomReport,
     EventRef,
@@ -53,7 +57,7 @@ from born_kernel import (
 )
 from born_kernel.formats import ordering_from_json, ordering_to_json, tiers_to_json
 from born_kernel.ordering import (
-    _EquivalenceRows,
+    _PairRows,
     _ordering_from_ranks,
     dense_ranks,
     weight_ranks,
@@ -281,10 +285,10 @@ def test_replay_failed_verify_and_v1_writer_build_no_matrix():
 
 
 def test_matrix_is_read_only_where_the_relation_is_decided():
-    """Outside `LikelihoodOrdering` itself, only `_ge` and the paths of
-    Transitivity and Totality that run on a relation with no ranks read
-    `.matrix`: every other read of the relation asks `_ge`, which picks
-    ranks or matrix in one place."""
+    """Outside `LikelihoodOrdering` itself, only `_ge` and the path of
+    Transitivity that runs on a relation with no ranks read `.matrix`:
+    every other read of the relation asks `_ge`, which picks ranks or
+    matrix in one place."""
     readers = set()
     for path in sorted(Path(born_kernel.__file__).parent.glob("*.py")):
         for top in ast.parse(path.read_text(encoding="utf-8")).body:
@@ -295,7 +299,6 @@ def test_matrix_is_read_only_where_the_relation_is_decided():
         ("ordering.py", "LikelihoodOrdering"),
         ("ordering.py", "_ge"),
         ("ordering.py", "check_transitivity"),
-        ("ordering.py", "check_totality"),
     }
 
 
@@ -423,18 +426,44 @@ def rank_orderings(draw):
     return _ordering_from_ranks(family, dense_ranks(scores))
 
 
-@settings(max_examples=150, deadline=None)
-@given(rank_orderings(), st.data())
-def test_equivalence_row_source_is_the_listing(ordering, data):
-    """On a total preorder, held as ranks or as its matrix twin,
-    Equivalence's witnesses come from a row source that builds only the
-    rows read; those rows are the listed oracle's, in its order, under
-    every int and slice index, and they replay as violations."""
-    want = listed_equivalence(ordering).witnesses
-    n = len(want)
-    for twin in (ordering, _ordering(ordering.family, ordering.matrix)):
-        got = check_equivalence(twin).witnesses
-        assert isinstance(got._rows, _EquivalenceRows) == bool(want)
+@st.composite
+def pair_cases(draw):
+    """(kind, ordering, assignment): Equivalence on a rank ordering, on
+    its matrix twin, or on any relation `relations` draws; Totality on
+    any such relation; or `verify_representation` of an assignment
+    against a relation (assignment None for the checks)."""
+    kind = draw(st.sampled_from(["equivalence-ranks", "equivalence", "totality", "verify"]))
+    if kind == "verify":
+        return kind, *draw(assignments_and_orderings())[::-1]
+    if kind != "equivalence-ranks":
+        return kind, draw(relations()), None
+    ordering = draw(rank_orderings())
+    if draw(st.booleans()):
+        ordering = _ordering(ordering.family, ordering.matrix)
+    return kind, ordering, None
+
+
+@settings(max_examples=300, deadline=None)
+@given(pair_cases(), st.one_of(st.integers(1, 200), st.just(2**16)), st.data())
+def test_equivalence_row_source_is_the_listing(case, block, data):
+    """Equivalence, Totality on a relation with no ranks, and a failing
+    `verify_representation` take their witnesses from one row source
+    that builds only the rows read; those rows are the listed oracle's,
+    in its order, under every int and slice index, and a check's replay
+    as violations.  The scan's block size is drawn too, so reads cross
+    block bounds on these small families."""
+    kind, ordering, assignment = case
+    with mock.patch.object(ordering_module, "_BLOCK", block):
+        if kind == "verify":
+            got = verify_representation(assignment, ordering)[1]
+            want = whole_matrix_verify(assignment, ordering)[1]
+        elif kind == "totality":
+            got, want = check_totality(ordering).witnesses, blocked_totality(ordering).witnesses
+        else:
+            got = check_equivalence(ordering).witnesses
+            want = listed_equivalence(ordering).witnesses
+        n = len(want)
+        assert isinstance(got._rows, _PairRows) or not want
         assert len(got) == n and tuple(got) == want
         for i in data.draw(st.lists(st.integers(-n, n - 1), max_size=6)) if n else ():
             assert got[i] == want[i]
@@ -447,7 +476,31 @@ def test_equivalence_row_source_is_the_listing(ordering, data):
             assert got[::step] == want[::step]
         for empty in (slice(n, None), slice(2, 2), slice(1, 0), slice(0, 1, -1)):
             assert got[empty] == want[empty] == ()
-        assert all(replay_witness(twin, "Equivalence", w) for w in got[:50])
+    if kind != "verify":
+        axiom = "Totality" if kind == "totality" else "Equivalence"
+        assert all(replay_witness(ordering, axiom, w) for w in got[:50])
+
+
+def test_cached_reports_hold_no_cycle_back_to_their_ordering():
+    """A pair source reads the ordering it came from, so the reports
+    cached on an ordering run on its relation alone: a dropped ordering
+    is freed at once, not by the cycle collector, and its reports stay
+    readable."""
+    family = generate_rich_family(4, 4)
+    flipped = outcome_count_ordering(family).matrix.copy()
+    flipped[3, 5] = not flipped[3, 5]
+    builds = (induced_ordering, outcome_count_ordering, lambda f: _ordering(f, flipped))
+    gc.disable()
+    try:
+        for build in builds:
+            ordering = build(family)
+            reports, gone = run_all_checks(ordering), weakref.ref(ordering)
+            del ordering
+            assert gone() is None
+            for report in reports:
+                assert len(report.witnesses[:3]) == min(3, len(report.witnesses))
+    finally:
+        gc.enable()
 
 
 def test_k9_control_is_counted_without_listing_its_witnesses():
@@ -545,10 +598,10 @@ def test_verify_matches_the_whole_matrix_formula(case, data):
 
 @pytest.mark.parametrize("flip", [None, (480, 3), (3, 480), (300, 300), "outcome-count"])
 def test_rank_test_across_blocks_matches_the_oracles(flip):
-    """486 events: the rank test runs in two blocks, and a flipped entry
-    in either block changes the verdict.  Every check's witnesses, in
-    order, are its oracle's on a family past the hypothesis sizes; the
-    outcome-count control has 9,989 Equivalence witnesses."""
+    """486 events: the rank test runs in four blocks, and a flipped entry
+    in the first, third or last changes the verdict.  Every check's
+    witnesses, in order, are its oracle's on a family past the hypothesis
+    sizes; the outcome-count control has 9,989 Equivalence witnesses."""
     family = generate_rich_family(6, 6)
     build = outcome_count_ordering if flip == "outcome-count" else induced_ordering
     matrix = build(family).matrix.copy()

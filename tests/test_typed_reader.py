@@ -37,6 +37,8 @@ from born_kernel.formats import (
     ordering_to_json,
     policy_from_json,
     quadruple_from_json,
+    rational_from_json,
+    rational_to_json,
     tiers_to_json,
 )
 from conftest import own_weights
@@ -133,6 +135,35 @@ def test_model_convention_list_is_a_format_error():
     doc["convention"] = ["o1"]
     with pytest.raises(FormatError, match="convention"):
         model_from_json(doc)
+
+
+@pytest.mark.parametrize("num, den, field", [
+    ("0_1", "٢", "num"),  # int() reads these as 1 and 2
+    ("1", "٢", "den"),
+    (" 3", "4", "num"),
+    ("3", "4\n", "den"),
+    ("1_000", "1", "num"),
+    ("+3", "4", "num"),
+    ("３", "4", "num"),
+    ("", "4", "num"),
+    ("-", "4", "num"),
+])
+def test_rational_strings_are_ascii_decimals(num, den, field):
+    """A rational's num and den strings are what `rational_to_json`
+    writes: ASCII digits, optionally after one "-"."""
+    with pytest.raises(FormatError, match=f"weights\\[0\\]: field '{field}' must be a decimal"):
+        rational_from_json({"num": num, "den": den}, "weights[0]")
+    doc = family_to_json(generate_rich_family(2, 2))
+    doc["measurements"][0]["weights"][0] = {"num": num, "den": den}
+    with pytest.raises(FormatError, match=f"field '{field}'"):
+        family_from_json(doc)
+
+
+def test_rational_decimals_and_integers_still_read():
+    assert rational_from_json({"num": "-12", "den": "0034"}) == Fraction(-6, 17)
+    assert rational_from_json({"num": 3, "den": 4}) == Fraction(3, 4)
+    big = Fraction(10**40 + 1, 3 * 10**39)
+    assert rational_from_json(rational_to_json(big)) == big
 
 
 @pytest.mark.parametrize(
