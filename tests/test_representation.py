@@ -5,6 +5,7 @@ import re
 import sys
 import time
 import tracemalloc
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -733,12 +734,9 @@ def test_search_matches_the_naive_oracle(drawn):
 
 
 @st.composite
-def renamed_grid_families(draw):
-    """(family, renamed, rename, K): at most 2 measurements of at most 4
-    outcomes on the 1/K grid, K <= 4, with the uniform K-outcome
-    measurement; and the same family with its ids renamed so that their
-    canonical order reverses, each measurement's outcomes permuted under
-    fresh labels.  ``rename`` maps each (id, outcome) to its new name."""
+def grid_families(draw):
+    """(family, K): at most 2 measurements of at most 4 outcomes on the
+    1/K grid, K <= 4, with the uniform K-outcome measurement."""
     K = draw(st.integers(1, 4))
     measurements = [uniform_measurement(K)]
     for i in range(draw(st.integers(0, 2))):
@@ -748,7 +746,16 @@ def renamed_grid_families(draw):
         measurements.append(WeightedMeasurement(
             f"m{i}", tuple(f"o{j}" for j in range(n)), tuple(Fraction(p, K) for p in parts)
         ))
-    family = MeasurementFamily(tuple(measurements))
+    return MeasurementFamily(tuple(measurements)), K
+
+
+@st.composite
+def renamed_grid_families(draw):
+    """(family, renamed, rename, K): a `grid_families` family, and the
+    same family with its ids renamed so that their canonical order
+    reverses, each measurement's outcomes permuted under fresh labels.
+    ``rename`` maps each (id, outcome) to its new name."""
+    family, K = draw(grid_families())
     renamed, rename = [], {}
     for j, m in enumerate(reversed(family.canonical)):
         order = draw(st.permutations(range(len(m.outcomes))))
@@ -775,6 +782,23 @@ def test_derive_and_search_map_across_a_renaming(drawn):
     [found], [found_renamed] = uniqueness_search(ordering, K), uniqueness_search(other, K)
     assert found.singletons == derived
     assert found_renamed.singletons == mapped
+
+
+@settings(max_examples=100, deadline=None)
+@given(grid_families(), st.data())
+def test_a_copied_measurement_changes_no_old_value(drawn, data):
+    """Padding: a copy of one measurement under a fresh id leaves every
+    check of the induced ordering passing, every old event's derived
+    value as it was, and gives the copy the values of its original."""
+    family, K = drawn
+    m = data.draw(st.sampled_from(family.canonical))
+    padded = MeasurementFamily(family.measurements + (replace(m, id="copy"),))
+    ordering = induced_ordering(padded)
+    assert all(report.satisfied for report in run_all_checks(ordering))
+    old = derive_representation(induced_ordering(family), K)
+    new = derive_representation(ordering, K)
+    assert all(new.value(ref) == old.value(ref) for ref in family.refs)
+    assert all(new.singletons[("copy", o)] == old.singletons[(m.id, o)] for o in m.outcomes)
 
 
 @st.composite

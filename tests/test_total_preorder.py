@@ -328,6 +328,24 @@ def test_no_true_division_where_weights_are_ranked():
     assert divisions == []
 
 
+def test_denominators_are_read_by_one_function_per_module():
+    """Exact weights are scaled to integer numerators over their least
+    common denominator by one helper in `ordering.py`, and every other
+    exact-weight computation there reads that form; in
+    `representation.py` only the grid precondition reads a denominator."""
+    package = Path(born_kernel.__file__).parent
+    for name, reader in (("ordering.py", "_scale"), ("representation.py", "_require_grid")):
+        tree = ast.parse((package / name).read_text(encoding="utf-8"))
+        (function,) = (node for node in ast.walk(tree)
+                       if isinstance(node, ast.FunctionDef) and node.name == reader)
+
+        def reads(node):
+            return sum(isinstance(n, ast.Attribute) and n.attr == "denominator"
+                       for n in ast.walk(node))
+
+        assert reads(tree) == reads(function) > 0, name
+
+
 def test_derive_reads_values_off_ranks_not_weights():
     """`derive_representation` reads each outcome's value off the uniform
     blocks' ranks: its body reads no weight, numerator or denominator.
