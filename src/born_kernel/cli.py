@@ -12,6 +12,7 @@ deterministic: identical input bytes produce identical report bytes.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import sys
 from fractions import Fraction
@@ -71,12 +72,18 @@ class DomainFailure(Exception):
 
 
 def _read_json(path: str) -> tuple[bytes, Any]:
-    """The bytes of a JSON file and the document they hold."""
+    """The bytes of a JSON file and the document they hold.  The document
+    is an acyclic tree, so the cyclic collector is paused while it grows."""
     raw = Path(path).read_bytes()
+    enabled = gc.isenabled()
+    gc.disable()
     try:
         return raw, json.loads(raw.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise InputError(f"{path}: not valid UTF-8 JSON: {exc}")
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def _emit(report: dict, text_lines: list[str], as_json: bool) -> None:

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import functools
 import hashlib
+import itertools
 import json
 import sys
 from dataclasses import fields, replace
@@ -129,10 +130,6 @@ def rational_from_json(doc: Any, context: str = "rational") -> Fraction:
 
 # -- complex vectors and matrices ---------------------------------------
 
-def complex_to_json(z: complex) -> list[float]:
-    return [float(z.real), float(z.imag)]
-
-
 def complex_from_json(doc: Any, context: str = "complex") -> complex:
     if not (isinstance(doc, list) and len(doc) == 2
             and _is(doc[0], float) and _is(doc[1], float)):
@@ -140,14 +137,36 @@ def complex_from_json(doc: Any, context: str = "complex") -> complex:
     return complex(*doc)
 
 
+def _complex_pairs(pairs: list) -> np.ndarray | None:
+    """The complex128 vector of [re, im] pairs in one pass, or None if an entry
+    may be bad, for the per-entry reader to name.  The type sets keep out bool,
+    str and null; an int just above the largest float rounds to it."""
+    if set(map(type, pairs)) != {list} or set(map(len, pairs)) != {2}:
+        return None
+    flat = list(itertools.chain.from_iterable(pairs))
+    if not set(map(type, flat)) <= {float, int}:
+        return None
+    try:
+        values = np.array(flat, np.float64)
+    except OverflowError:
+        return None
+    return values.view(np.complex128) if (np.abs(values) < _FLOAT_MAX).all() else None
+
+
 def matrix_to_json(m: np.ndarray) -> list:
-    return [[complex_to_json(complex(z)) for z in row] for row in np.asarray(m)]
+    """A complex matrix, or vector, as nested lists of [re, im] float pairs."""
+    a = np.ascontiguousarray(m, np.complex128)
+    return a.view(np.float64).reshape(a.shape + (2,)).tolist()
 
 
 @_reader
 def matrix_from_json(doc: Any, context: str = "matrix") -> np.ndarray:
     if not isinstance(doc, list) or not doc or not all(isinstance(r, list) for r in doc):
         raise FormatError(f"{context}: matrix must be a nonempty list of row lists")
+    if len(set(map(len, doc))) == 1:
+        vec = _complex_pairs(list(itertools.chain.from_iterable(doc)))
+        if vec is not None:
+            return vec.reshape(len(doc), -1)
     rows = [[complex_from_json(z, context) for z in row] for row in doc]
     return np.array(rows, dtype=np.complex128)
 
@@ -155,10 +174,7 @@ def matrix_from_json(doc: Any, context: str = "matrix") -> np.ndarray:
 # -- quantum layer ------------------------------------------------------
 
 def state_to_json(state: StateVector) -> dict:
-    return {
-        "dim": state.dim,
-        "components": [complex_to_json(complex(z)) for z in state.components],
-    }
+    return {"dim": state.dim, "components": matrix_to_json(state.components)}
 
 
 @_reader
@@ -166,7 +182,9 @@ def state_from_json(
     doc: Any, policy: NumericPolicy = DEFAULT_POLICY, context: str = "state"
 ) -> StateVector:
     components = _get(doc, "components", list, context)
-    vec = np.array([complex_from_json(z, context) for z in components], dtype=np.complex128)
+    vec = _complex_pairs(components)
+    if vec is None:
+        vec = np.array([complex_from_json(z, context) for z in components], dtype=np.complex128)
     _check_dim(doc, len(vec), context)
     return StateVector(vec, policy=policy)
 

@@ -8,13 +8,17 @@ from __future__ import annotations
 
 import math
 import os
+import sys
 from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 
 from born_kernel import MeasurementFamily, ProbabilityAssignment, WeightedMeasurement
+from born_kernel.formats import FormatError, _check_dim, _get, _reader
+from born_kernel.numeric import DEFAULT_POLICY
 from born_kernel.ordering import dense_ranks
+from born_kernel.quantum import StateVector
 
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -131,3 +135,34 @@ def whole_matrix_verify(assignment, ordering):
     refs = ordering.refs
     witnesses = tuple((refs[i], refs[j]) for i, j in zip(*np.nonzero(mismatch)))
     return (not witnesses, witnesses)
+
+
+# -- per-entry complex readers ------------------------------------------
+# `formats.matrix_from_json` and `formats.state_from_json` check a whole
+# document in one array pass.  These read it one entry at a time and are
+# the oracles for the arrays they return and the messages they raise.
+
+def _entry(doc, context):
+    """One [re, im] pair: a bool is not a number, an int is, every part finite."""
+    if not (isinstance(doc, list) and len(doc) == 2 and all(
+        (isinstance(x, float) or type(x) is int) and -sys.float_info.max <= x <= sys.float_info.max
+        for x in doc
+    )):
+        raise FormatError(f"{context}: complex values are [re, im] pairs of finite numbers")
+    return complex(*doc)
+
+
+@_reader
+def matrix_from_json(doc, context="matrix"):
+    if not isinstance(doc, list) or not doc or not all(isinstance(r, list) for r in doc):
+        raise FormatError(f"{context}: matrix must be a nonempty list of row lists")
+    rows = [[_entry(z, context) for z in row] for row in doc]
+    return np.array(rows, dtype=np.complex128)
+
+
+@_reader
+def state_from_json(doc, policy=DEFAULT_POLICY, context="state"):
+    components = _get(doc, "components", list, context)
+    vec = np.array([_entry(z, context) for z in components], dtype=np.complex128)
+    _check_dim(doc, len(vec), context)
+    return StateVector(vec, policy=policy)

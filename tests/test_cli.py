@@ -1,4 +1,5 @@
 """Command-line contract: exit codes 0/1/2 and reproducible reports."""
+import gc
 import json
 import subprocess
 import sys
@@ -18,7 +19,8 @@ from born_kernel import (
     spectral_decompose,
     uniform_measurement,
 )
-from born_kernel.cli import WITNESS_LIMIT
+from born_kernel import cli
+from born_kernel.cli import WITNESS_LIMIT, InputError, _read_json
 from born_kernel.formats import (
     canonical_dumps,
     event_ref_to_json,
@@ -615,3 +617,30 @@ def test_cli_runs_without_numpy_ma(tmp_path, case):
     )
     rc = 1 if case == "check-control" else 0
     assert proc.stderr.splitlines()[-1] == f"{rc} False"
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["collector-on", "collector-off"])
+def test_read_json_pauses_the_collector_and_restores_it(tmp_path, monkeypatch, enabled):
+    """The collector is off while the document is parsed and is left as the
+    caller had it, after a good document and after an invalid one."""
+    good, bad = tmp_path / "good.json", tmp_path / "bad.json"
+    good.write_text('{"a": [[1.0, 0.0]]}')
+    bad.write_text('{"a": [')
+    seen, loads = [], json.loads
+
+    def recording_loads(text):
+        seen.append(gc.isenabled())
+        return loads(text)
+
+    monkeypatch.setattr(cli.json, "loads", recording_loads)
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        assert _read_json(str(good)) == (good.read_bytes(), {"a": [[1.0, 0.0]]})
+        assert gc.isenabled() is enabled
+        with pytest.raises(InputError, match="not valid UTF-8 JSON"):
+            _read_json(str(bad))
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was else gc.disable)()
+    assert seen == [False, False]

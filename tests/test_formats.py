@@ -1,9 +1,11 @@
 """JSON wire formats: round trips, canonical bytes, validation errors."""
+import json
+import sys
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from born_kernel import (
     LikelihoodOrdering,
@@ -26,6 +28,7 @@ from born_kernel.formats import (
     family_digest,
     family_from_json,
     family_to_json,
+    matrix_from_json,
     matrix_to_json,
     model_from_json,
     model_to_json,
@@ -36,8 +39,12 @@ from born_kernel.formats import (
     quadruple_to_json,
     rational_from_json,
     rational_to_json,
+    state_from_json,
+    state_to_json,
     tiers_to_json,
 )
+from born_kernel.numeric import NumericPolicy
+import conftest
 from conftest import order_matrix, own_weights
 
 
@@ -428,3 +435,90 @@ def test_zero_projector_is_accepted():
     state = StateVector(np.array([0.6, 0.0, 0.8], dtype=complex))
     assert MeasurementQuadruple(state, obs, frozenset({2.0})).event_weight() == 0.0
     np.testing.assert_allclose(obs.dense(), np.diag([0.0, 1.0, 1.0]))
+
+
+# -- the one-pass complex readers against the per-entry oracles ---------
+
+class FloatSubclass(float):
+    """A float that is not of type float: JSON never makes one, `_is` takes it."""
+
+
+_BIG = sys.float_info.max
+edge_ints = st.sampled_from([2**53, 2**63, 2**64]).flatmap(
+    lambda b: st.integers(b - 2, b + 2)
+) | st.sampled_from([10**400, int(_BIG), int(_BIG) + 1, 2**1024 - 2**970])
+numbers = st.floats() | st.integers(-3, 3) | edge_ints | edge_ints.map(lambda n: -n)
+bad_leaves = (
+    st.booleans() | st.none() | st.text(max_size=2) | st.lists(numbers, max_size=2)
+    | st.floats().map(FloatSubclass) | st.sampled_from([float("nan"), float("inf"), -float("inf")])
+)
+good_pairs = st.lists(numbers, min_size=2, max_size=2)
+bad_pairs = (
+    st.lists(numbers, min_size=1, max_size=3) | st.tuples(numbers, numbers) | bad_leaves
+)
+
+
+@st.composite
+def complex_rows(draw):
+    """A rows x cols list of [re, im] pairs with up to three edits: a bad
+    leaf, a bad pair, a row made longer, shorter or empty."""
+    rows, cols = draw(st.integers(1, 4)), draw(st.integers(0, 4))
+    doc = [[draw(good_pairs) for _ in range(cols)] for _ in range(rows)]
+    for _ in range(draw(st.integers(0, 3))):
+        row = doc[draw(st.integers(0, rows - 1))]
+        edit = draw(st.sampled_from(["leaf", "pair", "append", "pop", "clear"]))
+        if edit in ("leaf", "pair") and row:
+            j = draw(st.integers(0, len(row) - 1))
+            if edit == "pair" or not isinstance(row[j], list) or not row[j]:
+                row[j] = draw(bad_pairs)
+            else:
+                row[j][draw(st.integers(0, len(row[j]) - 1))] = draw(bad_leaves)
+        elif edit == "append":
+            row.append(draw(good_pairs | bad_pairs))
+        elif edit == "pop" and row:
+            row.pop()
+        elif edit == "clear":
+            row.clear()
+    return doc
+
+
+def read_outcome(read, *args):
+    """What a reader makes of a document: its array's dtype, shape and
+    bytes, or its FormatError message."""
+    try:
+        value = read(*args)
+    except FormatError as exc:
+        return str(exc)
+    array = value.components if isinstance(value, StateVector) else value
+    return array.dtype.str, array.shape, array.tobytes()
+
+
+ANY_NORM = NumericPolicy(norm_tol=_BIG)
+
+
+class TestComplexReader:
+    @settings(max_examples=400)
+    @given(complex_rows())
+    def test_matrix_reads_as_the_per_entry_reader(self, doc):
+        assert read_outcome(matrix_from_json, doc) == read_outcome(conftest.matrix_from_json, doc)
+
+    @settings(max_examples=400)
+    @given(complex_rows())
+    def test_state_reads_as_the_per_entry_reader(self, rows):
+        doc = {"components": [z for row in rows for z in row]}
+        assert read_outcome(state_from_json, doc, ANY_NORM) == read_outcome(
+            conftest.state_from_json, doc, ANY_NORM)
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 64])
+    def test_writers_match_the_per_entry_writer(self, d):
+        rng = np.random.default_rng(d)
+        m = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+        m[0, 0] = complex(-0.0, -0.0)
+        per_entry = [[[float(z.real), float(z.imag)] for z in row] for row in m]
+        assert json.dumps(matrix_to_json(m)) == json.dumps(per_entry)
+        v = rng.normal(size=d + 1) + 1j * rng.normal(size=d + 1)
+        v /= np.linalg.norm(v)
+        v[0] = complex(-0.0, abs(v[0]))
+        state = StateVector(v)
+        assert json.dumps(state_to_json(state)["components"]) == json.dumps(
+            [[float(z.real), float(z.imag)] for z in state.components])
