@@ -19,7 +19,6 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Any
 
-from .erasure import DEFAULT_INDEX_RANGE, GameSpec, reachable_set, sets_equal
 from .formats import (
     FormatError,
     assignment_to_json,
@@ -34,8 +33,7 @@ from .formats import (
     quadruple_to_json,
     tiers_to_json,
 )
-from .neutrality import canonical_quadruple
-from .numeric import DEFAULT_POLICY
+from .numeric import DEFAULT_INDEX_RANGE, DEFAULT_POLICY
 from .ordering import induced_ordering, run_all_checks
 from .representation import (
     MissingUniformMeasurement,
@@ -180,6 +178,7 @@ def _canonical_state_json(key: tuple) -> list[dict]:
 
 
 def cmd_demo_erasure(args) -> int:
+    from .erasure import GameSpec, reachable_set, sets_equal
     if args.p_den < 1 or not (0 < args.p_num < args.p_den):
         raise InputError(
             f"p = {args.p_num}/{args.p_den} is not a probability strictly "
@@ -247,6 +246,7 @@ def _round12(doc):
 
 
 def cmd_canon(args) -> int:
+    from .neutrality import canonical_quadruple
     quad_raw, quad_doc = _read_json(args.quad)
     policy = DEFAULT_POLICY
     if args.numeric_policy is not None:

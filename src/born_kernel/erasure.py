@@ -18,6 +18,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
+from .numeric import DEFAULT_INDEX_RANGE
 from .ordering import (
     EventRef,
     MeasurementFamily,
@@ -51,8 +52,6 @@ class UnknownOutcome(ValueError):
 class ZeroWeightRefinement(ValueError):
     """Refinement target has zero weight."""
 
-
-DEFAULT_INDEX_RANGE = 4
 
 # Amplitude-squared bookkeeping is floating point; canonical comparison
 # quantizes to this many decimals, far below any weight gap on the

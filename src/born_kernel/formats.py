@@ -26,7 +26,6 @@ from typing import Any
 import numpy as np
 
 from .numeric import DEFAULT_POLICY, NumericPolicy
-from .neutrality import MeasurementQuadruple
 from .ordering import (
     EventRef,
     LikelihoodOrdering,
@@ -36,7 +35,6 @@ from .ordering import (
     _ordering_from_ranks,
     require_event_count,
 )
-from .quantum import MeasurementModel, Observable, StateVector
 from .representation import ProbabilityAssignment
 
 SCHEMA = "v1"
@@ -163,10 +161,13 @@ def matrix_to_json(m: np.ndarray) -> list:
 def matrix_from_json(doc: Any, context: str = "matrix") -> np.ndarray:
     if not isinstance(doc, list) or not doc or not all(isinstance(r, list) for r in doc):
         raise FormatError(f"{context}: matrix must be a nonempty list of row lists")
-    if len(set(map(len, doc))) == 1:
-        vec = _complex_pairs(list(itertools.chain.from_iterable(doc)))
-        if vec is not None:
-            return vec.reshape(len(doc), -1)
+    lengths = sorted(set(map(len, doc)))
+    if len(lengths) > 1:
+        raise FormatError(f"{context}: rows have {lengths[0]} and {lengths[-1]} entries; "
+                          "a matrix is rectangular")
+    vec = _complex_pairs(list(itertools.chain.from_iterable(doc)))
+    if vec is not None:
+        return vec.reshape(len(doc), -1)
     rows = [[complex_from_json(z, context) for z in row] for row in doc]
     return np.array(rows, dtype=np.complex128)
 
@@ -181,6 +182,7 @@ def state_to_json(state: StateVector) -> dict:
 def state_from_json(
     doc: Any, policy: NumericPolicy = DEFAULT_POLICY, context: str = "state"
 ) -> StateVector:
+    from .quantum import StateVector
     components = _get(doc, "components", list, context)
     vec = _complex_pairs(components)
     if vec is None:
@@ -203,6 +205,7 @@ def observable_to_json(obs: Observable) -> dict:
 def observable_from_json(
     doc: Any, policy: NumericPolicy = DEFAULT_POLICY, context: str = "observable"
 ) -> Observable:
+    from .quantum import Observable
     pairs = []
     for i, pair in enumerate(_get(doc, "spectral_pairs", list, context)):
         ctx = f"{context}.spectral_pairs[{i}]"
@@ -228,6 +231,7 @@ def model_to_json(model: MeasurementModel) -> dict:
 def model_from_json(
     doc: Any, policy: NumericPolicy = DEFAULT_POLICY
 ) -> MeasurementModel:
+    from .quantum import MeasurementModel
     _get(doc, "schema", SCHEMA, "model")
     return MeasurementModel(
         label=_get(doc, "label", str, "model"),
@@ -252,6 +256,7 @@ def quadruple_to_json(q: MeasurementQuadruple) -> dict:
 def quadruple_from_json(
     doc: Any, policy: NumericPolicy = DEFAULT_POLICY
 ) -> MeasurementQuadruple:
+    from .neutrality import MeasurementQuadruple
     _get(doc, "schema", SCHEMA, "quadruple")
     quadruple = MeasurementQuadruple(
         state=state_from_json(_get(doc, "state", dict, "quadruple"), policy),

@@ -1,4 +1,5 @@
-"""Shared tolerance policy for the floating-point layer.
+"""Shared tolerance policy for the floating-point layer, and the erasure
+games' default index range, which the CLI reads without importing erasure.
 
 All Hilbert-space computations (states, projectors, weights) run in
 floating point against these tolerances.  The decision kernel never
@@ -42,6 +43,9 @@ class NumericPolicy:
 
 
 DEFAULT_POLICY = NumericPolicy()
+
+# Erasure microstates per branch when a caller names no index range.
+DEFAULT_INDEX_RANGE = 4
 
 
 def max_abs(m: np.ndarray) -> float:

@@ -558,7 +558,17 @@ class _PairRows:
             return self._span(picked, picked + 1)[0]
         if not picked:
             return np.empty((0, 2), np.int64)
-        return self._span(min(picked), max(picked) + 1)[::picked.step]
+        if picked.step < 0:
+            return self[picked[-1]:picked[0] + 1:-picked.step][::-1]
+        if picked.step == 1:
+            return self._span(picked.start, picked.stop)
+        # One span per run of picked rows whose a's are adjacent, so a
+        # sparse slice scans only the a's it reads.
+        want = np.arange(picked.start, picked.stop, picked.step)
+        a = np.searchsorted(self._first, want, side="right")  # each row's a, plus 1
+        runs = [0, *(np.flatnonzero(np.diff(a) > 1) + 1).tolist(), len(want)]
+        return np.concatenate([self._span(int(want[s]), int(want[e - 1]) + 1)[want[s:e] - want[s]]
+                               for s, e in zip(runs, runs[1:])])
 
     def _span(self, lo: int, hi: int) -> np.ndarray:
         """Rows lo to hi - 1, for 0 <= lo < hi <= len(self)."""

@@ -156,6 +156,10 @@ def _entry(doc, context):
 def matrix_from_json(doc, context="matrix"):
     if not isinstance(doc, list) or not doc or not all(isinstance(r, list) for r in doc):
         raise FormatError(f"{context}: matrix must be a nonempty list of row lists")
+    lengths = {len(row) for row in doc}
+    if len(lengths) > 1:
+        raise FormatError(f"{context}: rows have {min(lengths)} and {max(lengths)} entries; "
+                          "a matrix is rectangular")
     rows = [[_entry(z, context) for z in row] for row in doc]
     return np.array(rows, dtype=np.complex128)
 

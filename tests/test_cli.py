@@ -585,11 +585,26 @@ class TestDeterministicReports:
         assert out1.read_bytes() == out2.read_bytes()
 
 
-@pytest.mark.parametrize("case", ["check-v2", "check-control", "check-v1", "derive"])
+QUANTUM_HALF = ("born_kernel.quantum", "born_kernel.neutrality", "born_kernel.erasure")
+
+
+def run_fresh(script: str) -> list[str]:
+    """The stderr lines of ``script`` run in a new interpreter."""
+    proc = subprocess.run(
+        [sys.executable, "-c", script], text=True, capture_output=True, check=False,
+        env=subprocess_env(),
+    )
+    return proc.stderr.splitlines()
+
+
+@pytest.mark.parametrize(
+    "case", ["check-v2", "check-control", "check-v1", "derive", "gen-rich", "gen-rich-cap"]
+)
 def test_cli_runs_without_numpy_ma(tmp_path, case):
     """numpy.ma is about 1 MB and 8-13 ms of import, and `np.unique`
     imports it on its first call: no command, passing or failing, reads
-    its witnesses or ranks through it."""
+    its witnesses or ranks through it.  Nor does `check`, `derive` or
+    `gen-rich` load the quantum half of the package."""
     family = generate_rich_family(4, 4)
     fam_path = tmp_path / "family.json"
     fam_path.write_text(canonical_dumps(family_to_json(family)))
@@ -601,8 +616,12 @@ def test_cli_runs_without_numpy_ma(tmp_path, case):
         "derive": tiers_to_json(ordering),
     }
     ord_path = tmp_path / "ordering.json"
-    ord_path.write_text(canonical_dumps(docs[case]))
-    argv = [case.split("-")[0], "--family", str(fam_path), "--ordering", str(ord_path)]
+    if case.startswith("gen-rich"):
+        K = "12" if case == "gen-rich-cap" else "4"
+        argv = ["gen-rich", "-K", K, "--max-outcomes", K, "--out", str(tmp_path / "gen.json")]
+    else:
+        ord_path.write_text(canonical_dumps(docs[case]))
+        argv = [case.split("-")[0], "--family", str(fam_path), "--ordering", str(ord_path)]
     if case == "derive":
         argv += ["-K", "4", "--out", str(tmp_path / "pr.json")]
     script = (
@@ -610,13 +629,20 @@ def test_cli_runs_without_numpy_ma(tmp_path, case):
         "from born_kernel import cli\n"
         f"rc = cli.main({argv!r})\n"
         "print(rc, 'numpy.ma' in sys.modules, file=sys.stderr)\n"
+        f"print([m for m in {QUANTUM_HALF!r} if m in sys.modules], file=sys.stderr)\n"
     )
-    proc = subprocess.run(
-        [sys.executable, "-c", script], text=True, capture_output=True, check=False,
-        env=subprocess_env(),
+    rc = 1 if case in ("check-control", "gen-rich-cap") else 0
+    assert run_fresh(script)[-2:] == [f"{rc} False", "[]"]
+
+
+def test_bare_import_loads_no_submodule():
+    """Exports resolve on first use, so the package alone loads none of its modules."""
+    script = (
+        "import sys\n"
+        "import born_kernel\n"
+        "print(sorted(m for m in sys.modules if m.startswith('born_kernel.')), file=sys.stderr)\n"
     )
-    rc = 1 if case == "check-control" else 0
-    assert proc.stderr.splitlines()[-1] == f"{rc} False"
+    assert run_fresh(script)[-1:] == ["[]"]
 
 
 @pytest.mark.parametrize("enabled", [True, False], ids=["collector-on", "collector-off"])

@@ -426,6 +426,18 @@ def test_invalid_projector_sets_are_rejected(pairs):
         observable_from_json(_observable_doc(pairs))
 
 
+def test_ragged_projector_is_refused_with_its_field_path():
+    """A row shorter than the others is named by its field path and the
+    row lengths, not by NumPy's text about inhomogeneous shapes."""
+    doc = _observable_doc([(0.0, E0), (1.0, E1 + E2)])
+    doc["spectral_pairs"][0]["projector"][0].pop()
+    with pytest.raises(FormatError) as exc:
+        observable_from_json(doc)
+    assert str(exc.value) == (
+        "observable.spectral_pairs[0].projector: rows have 2 and 3 entries; "
+        "a matrix is rectangular")
+
+
 def test_zero_projector_is_accepted():
     obs = observable_from_json(
         _observable_doc([(0.0, E0), (1.0, E1 + E2), (2.0, np.zeros((3, 3)))])

@@ -14,6 +14,8 @@ import pkgutil
 from dataclasses import fields
 from pathlib import Path
 
+import pytest
+
 import born_kernel
 from born_kernel import (
     LikelihoodOrdering,
@@ -111,11 +113,7 @@ def test_numeric_policy_fields():
 
 
 def test_package_exports():
-    exported = {
-        name for name, obj in vars(born_kernel).items()
-        if not name.startswith("_") and not inspect.ismodule(obj)
-    }
-    assert exported == {
+    assert set(born_kernel.__all__) == {
         # numeric
         "DEFAULT_POLICY", "NumericPolicy",
         # quantum
@@ -146,6 +144,18 @@ def test_package_exports():
         "reachable_set", "refine", "refine_family", "sets_equal",
         "suboutcome_image", "three_outcome_game",
     }
+
+
+def test_exports_resolve_to_their_defining_modules():
+    """Each export is its defining module's object, listed by ``dir``;
+    any other name is an AttributeError, so submodules still import."""
+    listed = dir(born_kernel)
+    for name in born_kernel.__all__:
+        obj = getattr(born_kernel, name)
+        assert obj is getattr(importlib.import_module(obj.__module__), name), name
+        assert name in listed, name
+    with pytest.raises(AttributeError, match="no_such_export"):
+        born_kernel.no_such_export
 
 
 def test_likelihood_ordering_surface():

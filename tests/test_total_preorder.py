@@ -488,7 +488,7 @@ def test_equivalence_row_source_is_the_listing(case, block, data):
         for outside in (n, n + 7, -n - 1):
             with pytest.raises(IndexError):
                 got[outside]
-        for step in (1, 2, -1, 3):
+        for step in (1, 2, -1, 3, -5, 17, -64, data.draw(st.integers(2, n + 2))):
             a, b = data.draw(st.integers(-n - 2, n + 2)), data.draw(st.integers(-n - 2, n + 2))
             assert got[a:b:step] == want[a:b:step]
             assert got[::step] == want[::step]
