@@ -77,7 +77,7 @@ def _read_json(path: str) -> tuple[bytes, Any]:
     gc.disable()
     try:
         return raw, json.loads(raw.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (ValueError, RecursionError) as exc:  # undecodable, too deep, or an int too long
         raise InputError(f"{path}: not valid UTF-8 JSON: {exc}")
     finally:
         if enabled:

@@ -31,8 +31,8 @@ from .ordering import (
     LikelihoodOrdering,
     MeasurementFamily,
     WeightedMeasurement,
+    _from_relation,
     _ge,
-    _ordering_from_ranks,
     require_event_count,
 )
 from .representation import ProbabilityAssignment
@@ -128,27 +128,25 @@ def rational_from_json(doc: Any, context: str = "rational") -> Fraction:
 
 # -- complex vectors and matrices ---------------------------------------
 
-def complex_from_json(doc: Any, context: str = "complex") -> complex:
-    if not (isinstance(doc, list) and len(doc) == 2
-            and _is(doc[0], float) and _is(doc[1], float)):
-        raise FormatError(f"{context}: complex values are [re, im] pairs of finite numbers")
-    return complex(*doc)
-
-
-def _complex_pairs(pairs: list) -> np.ndarray | None:
-    """The complex128 vector of [re, im] pairs in one pass, or None if an entry
-    may be bad, for the per-entry reader to name.  The type sets keep out bool,
-    str and null; an int just above the largest float rounds to it."""
-    if set(map(type, pairs)) != {list} or set(map(len, pairs)) != {2}:
-        return None
+def _complex_pairs(pairs: list, context: str) -> np.ndarray:
+    """The complex128 vector of [re, im] pairs, read in one pass.  Type sets
+    keep bool, str and null from ``len`` and ``np.array``; :func:`_is` types
+    an entry alone only where they cannot (a float subclass, or an entry at
+    or past the largest float: an int that just rounds onto it is refused)."""
+    bad = FormatError(f"{context}: complex values are [re, im] pairs of finite numbers")
+    if not (set(map(type, pairs)) <= {list} and set(map(len, pairs)) <= {2}):
+        raise bad
     flat = list(itertools.chain.from_iterable(pairs))
-    if not set(map(type, flat)) <= {float, int}:
-        return None
+    if not (set(map(type, flat)) <= {float, int} or all(_is(x, float) for x in flat)):
+        raise bad
     try:
         values = np.array(flat, np.float64)
     except OverflowError:
-        return None
-    return values.view(np.complex128) if (np.abs(values) < _FLOAT_MAX).all() else None
+        raise bad from None
+    edge = np.flatnonzero(~(np.abs(values) < _FLOAT_MAX))  # NaN, ±inf and ±max
+    if not all(_is(flat[i], float) for i in edge.tolist()):
+        raise bad
+    return values.view(np.complex128)
 
 
 def matrix_to_json(m: np.ndarray) -> list:
@@ -165,11 +163,7 @@ def matrix_from_json(doc: Any, context: str = "matrix") -> np.ndarray:
     if len(lengths) > 1:
         raise FormatError(f"{context}: rows have {lengths[0]} and {lengths[-1]} entries; "
                           "a matrix is rectangular")
-    vec = _complex_pairs(list(itertools.chain.from_iterable(doc)))
-    if vec is not None:
-        return vec.reshape(len(doc), -1)
-    rows = [[complex_from_json(z, context) for z in row] for row in doc]
-    return np.array(rows, dtype=np.complex128)
+    return _complex_pairs(list(itertools.chain.from_iterable(doc)), context).reshape(len(doc), -1)
 
 
 # -- quantum layer ------------------------------------------------------
@@ -184,9 +178,7 @@ def state_from_json(
 ) -> StateVector:
     from .quantum import StateVector
     components = _get(doc, "components", list, context)
-    vec = _complex_pairs(components)
-    if vec is None:
-        vec = np.array([complex_from_json(z, context) for z in components], dtype=np.complex128)
+    vec = _complex_pairs(components, context)
     _check_dim(doc, len(vec), context)
     return StateVector(vec, policy=policy)
 
@@ -347,12 +339,12 @@ def ordering_to_json(ordering: LikelihoodOrdering) -> dict:
     (measurement id, event bitmask) order, which is the row-major order
     of the relation over the ordering's canonical refs, read row by row.
     """
-    refs = ordering.refs
+    refs, ge = ordering.refs, _ge(ordering)
     events = np.arange(len(refs))
     pairs = [
         [event_ref_to_json(refs[i]), event_ref_to_json(refs[j])]
         for i in events.tolist()
-        for j in np.flatnonzero(_ge(ordering, i, events))
+        for j in np.flatnonzero(ge(i, events))
     ]
     return {
         "schema": SCHEMA,
@@ -395,10 +387,10 @@ def ordering_from_json(doc: Any, family: MeasurementFamily) -> LikelihoodOrderin
         tiers = _get(doc, "tiers", list[list], "ordering")
         if [] in tiers:
             raise FormatError(f"ordering.tiers[{tiers.index([])}]: a tier is never empty")
-        return _ordering_from_ranks(family, _each_event_once(family, "ordering", (
+        return _from_relation(family, np.array(_each_event_once(family, "ordering", (
             (f"ordering.tiers[{t}][{k}]", ref, t)
             for t, tier in enumerate(tiers) for k, ref in enumerate(tier)
-        )))
+        )), np.int64))
     rows, cols = [], []
     for k, pair in enumerate(_get(doc, "pairs", list, "ordering")):
         if not isinstance(pair, list) or len(pair) != 2:
@@ -407,8 +399,7 @@ def ordering_from_json(doc: Any, family: MeasurementFamily) -> LikelihoodOrderin
         cols.append(_position(pair[1], family, f"ordering.pairs[{k}][1]"))
     matrix = np.zeros((family.event_count(),) * 2, dtype=bool)
     matrix[rows, cols] = True
-    matrix.setflags(write=False)  # handed over, so the ordering need not copy it
-    return LikelihoodOrdering(family, family.refs, matrix)
+    return _from_relation(family, matrix)
 
 
 def assignment_to_json(assignment: ProbabilityAssignment) -> dict:

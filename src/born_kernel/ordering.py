@@ -28,23 +28,21 @@ Axioms checked:
 
 A total preorder is its dense ranks: a >= b iff rank(a) >= rank(b).
 ``LikelihoodOrdering.ranks`` holds them, or None for any other relation.
-An ordering built from ranks keeps them and holds no n x n array; a
-matrix given from outside is ranked once by an O(n^2) test.  Every
-check, replay and writer reads the relation through one primitive,
-:func:`_ge`, which compares ranks when they exist and reads the matrix
-otherwise.  On ranks, Transitivity and Totality are satisfied at once,
-Dominance's one pair predicate reaches past the covering pairs only in
-measurements that fail one, and Equivalence is counted by one sort.
-Only Transitivity on a relation that is no total preorder reads the
-matrix whole.
+One private constructor, :func:`_from_relation`, builds every ordering
+from its family and a matrix or ranks; ranks hold no n x n array, and a
+matrix given from outside is ranked once by an O(n^2) test.  Every check,
+replay and writer reads the relation through :func:`_ge`, a comparison
+over the ranks when they exist and the matrix otherwise.  On ranks,
+Transitivity and Totality are satisfied at once, Dominance's one pair
+predicate reaches past the covering pairs only in measurements that fail
+one, and Equivalence is counted by one sort.  Only Transitivity on a
+relation that is no total preorder reads the matrix whole.
 
 Exact weights follow one integer rule, numerators over their least
 common denominator (:func:`_scale`): a measurement is validated, and its
 event weights summed, on them; ranks (:func:`weight_ranks`) compare them
 over the family's common denominator while it fits in 64 bits, and
-``Fraction``s past that.  ``derive_representation`` at K=8 takes 0.74 ms,
-against 1.48 ms when validation pooled ``Fraction``s (best of 30, one
-BLAS thread, 2-CPU Xeon).  Witnesses stay positions until a caller reads
+``Fraction``s past that.  Witnesses stay positions until a caller reads
 them (:class:`Witnesses`): an array of canonical positions, sorted once,
 or, for pairs, a row source that counts them and lists only the rows
 read (:class:`_PairRows`).
@@ -58,7 +56,7 @@ import operator
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, partial
+from functools import cached_property
 
 import numpy as np
 
@@ -333,10 +331,12 @@ class LikelihoodOrdering:
     is copied only when its owner could still write it: a writable
     array, or a view.
 
-    An ordering built from ranks (:func:`induced_ordering`, the v2
-    reader) holds only ``family`` and ``ranks``, and ``refs`` reads
-    ``family.refs``.  The kernel reads it through :func:`_ge`, so its
-    ``matrix`` is built, and kept, only when a caller reads it directly.
+    After its checks this constructor stores through
+    :func:`_from_relation`, as every ordering is built.  One built from
+    ranks (:func:`induced_ordering`, the v2 reader) holds only ``family``
+    and ``ranks``, and ``refs`` reads ``family.refs``.  The kernel reads
+    it through :func:`_ge`, so its ``matrix`` is built, and kept, only
+    when a caller reads it directly.
     """
 
     def __init__(self, family: MeasurementFamily, refs: Sequence[EventRef], matrix: np.ndarray):
@@ -348,8 +348,7 @@ class LikelihoodOrdering:
             raise ValueError("refs must be the family's refs, in canonical order")
         if m is matrix and (m.flags.writeable or m.base is not None):
             m = m.copy()
-        m.setflags(write=False)
-        vars(self).update(family=family, matrix=m)  # matrix where cached_property keeps it
+        _from_relation(family, m, self)
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError(f"a LikelihoodOrdering is read-only; cannot set {name!r}")
@@ -372,14 +371,10 @@ class LikelihoodOrdering:
 
     @cached_property
     def reports(self) -> tuple[AxiomReport, ...]:
-        """The reports of ``ALL_CHECKS``, run once per ordering, on its
-        relation alone: a witness source holds the ordering it reads, and
-        one held here would form a cycle that only the collector frees."""
-        alone = LikelihoodOrdering.__new__(LikelihoodOrdering)
-        vars(alone).update(family=self.family, ranks=self.ranks)
-        if self.ranks is None:
-            vars(alone)["matrix"] = self.matrix
-        return tuple(check(alone) for check in ALL_CHECKS)
+        """The reports of ``ALL_CHECKS``, run once per ordering.  Their
+        witness sources hold the relation's arrays (:func:`_ge`), never
+        the ordering, so caching them here forms no reference cycle."""
+        return tuple(check(self) for check in ALL_CHECKS)
 
     @cached_property
     def ranks(self) -> np.ndarray | None:
@@ -431,16 +426,17 @@ def event_cap_error(count: str) -> SizeLimitExceeded:
     )
 
 
-def _ordering_from_ranks(family: MeasurementFamily, ranks: np.ndarray) -> LikelihoodOrdering:
-    """Total preorder from dense ranks: a >= b iff rank(a) >= rank(b).
-
-    The ordering holds only the family and the ranks, so the rank test
-    never runs on it and no n x n array exists until ``matrix`` is read.
-    """
-    ranks = np.array(ranks, dtype=np.int64)
-    ranks.setflags(write=False)
-    ordering = LikelihoodOrdering.__new__(LikelihoodOrdering)
-    vars(ordering).update(family=family, ranks=ranks)  # ranks where cached_property keeps it
+def _from_relation(
+    family: MeasurementFamily, relation: np.ndarray, ordering: LikelihoodOrdering | None = None
+) -> LikelihoodOrdering:
+    """The one constructor of an ordering: ``family`` and its relation,
+    an n x n boolean matrix or the int64 dense ranks of a total preorder,
+    handed over, made read-only and kept where ``matrix`` or ``ranks``
+    caches it.  ``ordering`` is the one ``__init__`` fills, else a new one."""
+    if ordering is None:
+        ordering = LikelihoodOrdering.__new__(LikelihoodOrdering)
+    relation.setflags(write=False)
+    vars(ordering).update({"family": family, "ranks" if relation.ndim == 1 else "matrix": relation})
     return ordering
 
 
@@ -451,7 +447,7 @@ def induced_ordering(family: MeasurementFamily) -> LikelihoodOrdering:
     equal-weight events equally likely.
     """
     require_event_count(family.event_count())
-    return _ordering_from_ranks(family, weight_ranks(family))
+    return _from_relation(family, weight_ranks(family))
 
 
 def outcome_count_ordering(family: MeasurementFamily) -> LikelihoodOrdering:
@@ -464,7 +460,7 @@ def outcome_count_ordering(family: MeasurementFamily) -> LikelihoodOrdering:
     counts: list[int] = []
     for m in family.canonical:
         counts += subset_sums([int(n > 0) for n in m._scaled[0]])
-    return _ordering_from_ranks(family, dense_ranks(counts))
+    return _from_relation(family, dense_ranks(counts))
 
 
 # Rows per slice when a Witnesses sequence is iterated.
@@ -619,27 +615,31 @@ def _listed(ordering: LikelihoodOrdering, axiom: str, rows) -> AxiomReport:
     return AxiomReport(axiom, satisfied=not len(rows), witnesses=Witnesses(rows, ordering.family))
 
 
-def _ge(ordering: LikelihoodOrdering, a, b) -> np.ndarray:
-    """Whether a >= b, for canonical positions a and b broadcast together,
-    or for the block of rows a and columns b, two basic slices.
+def _ge(ordering: LikelihoodOrdering):
+    """The relation as ``ge(a, b)``: whether a >= b, for canonical
+    positions a and b broadcast together, or for the block of rows a and
+    columns b, two basic slices.
 
     The one read of the relation: ranks compared on a total preorder,
-    ``matrix[a, b]`` (for slices, a view) on any other relation.
+    ``matrix[a, b]`` (for slices, a view) on any other relation.  ``ge``
+    holds that array, not the ordering.
     """
     ranks = ordering.ranks
     if ranks is None:
-        return ordering.matrix[a, b]
-    if isinstance(a, slice):
-        return ranks[a, None] >= ranks[b]
-    return ranks[a] >= ranks[b]
+        matrix = ordering.matrix
+        return lambda a, b: matrix[a, b]
+
+    def ge(a, b):
+        return ranks[a, None] >= ranks[b] if isinstance(a, slice) else ranks[a] >= ranks[b]
+    return ge
 
 
 def _null_mask(ordering: LikelihoodOrdering) -> np.ndarray:
     """Per position: is the event judged equal to its measurement's empty event."""
     bounds = np.array(ordering.family._bounds)
     empty = np.repeat(bounds[:-1], bounds[1:] - bounds[:-1])
-    events = np.arange(bounds[-1])
-    return _ge(ordering, events, empty) & _ge(ordering, empty, events)
+    events, ge = np.arange(bounds[-1]), _ge(ordering)
+    return ge(events, empty) & ge(empty, events)
 
 
 def check_transitivity(ordering: LikelihoodOrdering) -> AxiomReport:
@@ -682,11 +682,11 @@ def check_dominance(ordering: LikelihoodOrdering) -> AxiomReport:
     E plus one outcome (add F minus E one outcome at a time), so there it
     first runs on those and keeps only the measurements that fail one.
     """
-    null = _null_mask(ordering)
+    null, ge = _null_mask(ordering), _ge(ordering)
 
     def fails(empty, e, f):
         # F minus E sits at empty + f - e, as E's mask is a submask of F's.
-        return ~_ge(ordering, f, e) | (_ge(ordering, e, f) != null[empty + f - e])
+        return ~ge(f, e) | (ge(e, f) != null[empty + f - e])
 
     bounds = np.array(ordering.family._bounds)
     starts, sizes = bounds[:-1], bounds[1:] - bounds[:-1]
@@ -720,10 +720,10 @@ def check_equivalence(ordering: LikelihoodOrdering) -> AxiomReport:
     a total preorder, a's being the b of its group ranked above it, are
     counted by one sort by (group, rank); any other relation's by a scan.
     """
-    group = weight_ranks(ordering.family)
+    group, ge = weight_ranks(ordering.family), _ge(ordering)
 
     def mask(s, e):
-        return (group[s:e, None] == group) & ~_ge(ordering, slice(s, e), slice(None))
+        return (group[s:e, None] == group) & ~ge(slice(s, e), slice(None))
 
     ranks = ordering.ranks
     if ranks is None:
@@ -746,11 +746,11 @@ def check_totality(ordering: LikelihoodOrdering) -> AxiomReport:
     """
     if ordering.ranks is not None:
         return _listed(ordering, "Totality", np.empty((0, 2), np.int64))
-    events = np.arange(ordering.family.event_count())
+    events, ge = np.arange(ordering.family.event_count()), _ge(ordering)
 
     def mask(s, e):
         rows, every = slice(s, e), slice(None)
-        unrelated = ~(_ge(ordering, rows, every) | _ge(ordering, every, rows).T)
+        unrelated = ~(ge(rows, every) | ge(every, rows).T)
         return unrelated & (events >= events[s:e, None])
 
     return _listed(ordering, "Totality", _PairRows.scan(len(events), mask))
@@ -788,7 +788,7 @@ def replay_witness(
     ref is resolved once to its canonical position; a ref outside the
     family raises ValueError.
     """
-    family, ge = ordering.family, partial(_ge, ordering)
+    family, ge = ordering.family, _ge(ordering)
     pos, start = [], []
     for ref in witness:
         try:

@@ -259,10 +259,10 @@ def verify_representation(
     """
     if assignment.family != ordering.family:
         raise FamilyMismatch("assignment and ordering have different families")
-    ranks = weight_ranks(assignment.measure)
+    ranks, ge = weight_ranks(assignment.measure), _ge(ordering)
 
     def mask(s, e):
-        return (ranks[s:e, None] >= ranks) != _ge(ordering, slice(s, e), slice(None))
+        return (ranks[s:e, None] >= ranks) != ge(slice(s, e), slice(None))
 
     same = np.array_equal(ranks, ordering.ranks)
     rows = np.empty((0, 2), np.int64) if same else _PairRows.scan(len(ranks), mask)

@@ -670,3 +670,27 @@ def test_read_json_pauses_the_collector_and_restores_it(tmp_path, monkeypatch, e
     finally:
         (gc.enable if was else gc.disable)()
     assert seen == [False, False]
+
+
+@pytest.mark.parametrize("text", ["[" * 100_000 + "]" * 100_000, "1" * 5_000],
+                         ids=["nested-100000-deep", "int-of-5000-digits"])
+@pytest.mark.parametrize("command", ["check", "derive", "canon --quad", "canon --numeric-policy"])
+def test_unparsable_json_exits_2_with_one_error_line(tmp_path, capsys, command, text):
+    """A document too deep for the parser, or an integer literal past
+    Python's 4,300-digit conversion limit, is bad input: exit 2, not a
+    traceback."""
+    bad, family = tmp_path / "bad.json", tmp_path / "family.json"
+    bad.write_text(text)
+    family.write_text(canonical_dumps(family_to_json(generate_rich_family(2, 2))))
+    quad = TestCanon().make_quad_file(tmp_path, [0.6, 0.8], frozenset({1.0}))
+    argv = {
+        "check": ["check", "--family", str(bad), "--ordering", str(bad)],
+        "derive": ["derive", "-K", "2", "--family", str(family), "--ordering", str(bad),
+                   "--out", str(tmp_path / "assignment.json")],
+        "canon --quad": ["canon", "--quad", str(bad)],
+        "canon --numeric-policy": ["canon", "--quad", str(quad), "--numeric-policy", str(bad)],
+    }[command]
+    assert cli.main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith(f"error: {bad}: not valid UTF-8 JSON")
+    assert len(err.splitlines()) == 1

@@ -155,6 +155,18 @@ class TestOrderingFormat:
         ordering = ordering_from_json(doc, family)
         assert not ordering.matrix.any()
 
+    @pytest.mark.parametrize("control", [False, True])
+    def test_reading_and_checking_build_no_ref_list(self, control):
+        """A v1 pair list's matrix goes to the ordering as it is built: no
+        list of every event's ref is made only to be compared with itself."""
+        source = generate_rich_family(3, 3)
+        build = outcome_count_ordering if control else induced_ordering
+        doc = ordering_to_json(build(source))
+        family = family_from_json(family_to_json(source))
+        reports = run_all_checks(ordering_from_json(doc, family))
+        assert all(r.satisfied for r in reports) != control
+        assert "refs" not in vars(family)
+
 
 small_families = st.lists(st.integers(1, 3), min_size=1, max_size=3).map(
     lambda sizes: MeasurementFamily(tuple(

@@ -26,7 +26,7 @@ from born_kernel import (
 )
 from born_kernel import ordering as ordering_module
 from born_kernel.ordering import (
-    _ordering_from_ranks,
+    _from_relation,
     dense_ranks,
     scaled_subset_sums,
     subset_sum_ranks,
@@ -231,7 +231,7 @@ def test_rank_ordering_past_two_million_events_reports_no_witness():
     flat index passes int64.  Constant ranks are transitive and total."""
     k = 22
     m = WeightedMeasurement("big", tuple(f"o{i}" for i in range(k)), (Fraction(1, k),) * k)
-    ordering = _ordering_from_ranks(MeasurementFamily((m,)), np.zeros(2**k, np.int64))
+    ordering = _from_relation(MeasurementFamily((m,)), np.zeros(2**k, np.int64))
     for check in (check_transitivity, check_totality):
         report = check(ordering)
         assert report.satisfied and len(report.witnesses) == 0, report.axiom

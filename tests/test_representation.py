@@ -36,7 +36,7 @@ from born_kernel import (
 from born_kernel.ordering import (
     ALL_CHECKS,
     MAX_EXTENSIONAL_EVENTS,
-    _ordering_from_ranks,
+    _from_relation,
     _PairRows,
     dense_ranks,
 )
@@ -825,8 +825,8 @@ def renamed_relations(draw):
         return ordering, other, mapref
     ranks = dense_ranks(draw(st.lists(st.integers(0, 4), min_size=n, max_size=n)))
     if kind == "scores":
-        ordering = _ordering_from_ranks(family, ranks)
-        return ordering, _ordering_from_ranks(renamed, ranks[back]), mapref
+        ordering = _from_relation(family, ranks)
+        return ordering, _from_relation(renamed, ranks[back]), mapref
     matrix = ranks[:, None] >= ranks
     i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
     matrix[i, j] = not matrix[i, j]

@@ -58,7 +58,7 @@ from born_kernel import (
 from born_kernel.formats import ordering_from_json, ordering_to_json, tiers_to_json
 from born_kernel.ordering import (
     _PairRows,
-    _ordering_from_ranks,
+    _from_relation,
     dense_ranks,
     weight_ranks,
     weight_vector,
@@ -168,7 +168,7 @@ def relations(draw, family=None):
         return _ordering(family, np.random.default_rng(seed).random((n, n)) < density)
     scores = draw(st.lists(st.integers(0, 4), min_size=n, max_size=n))
     if kind == "ranks":
-        return _ordering_from_ranks(family, dense_ranks(scores))
+        return _from_relation(family, dense_ranks(scores))
     matrix = order_matrix(scores)
     if kind == "flipped":
         i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
@@ -230,7 +230,7 @@ def test_rank_orderings_report_as_their_matrix_twins(family, data):
     agree too, on the value or on the exception raised."""
     n = family.event_count()
     ranks = dense_ranks(data.draw(st.lists(st.integers(0, 4), min_size=n, max_size=n)))
-    ordering = _ordering_from_ranks(family, ranks)
+    ordering = _from_relation(family, ranks)
     twin = _ordering(family, ranks[:, None] >= ranks)
     for check, oracle in ORACLES.items():
         report = check(ordering)
@@ -300,6 +300,27 @@ def test_matrix_is_read_only_where_the_relation_is_decided():
         ("ordering.py", "_ge"),
         ("ordering.py", "check_transitivity"),
     }
+
+
+def test_one_constructor_builds_every_ordering():
+    """Only `_from_relation` stores an ordering's fields, through `vars`,
+    and only it calls `__new__`: an ordering is built one way."""
+    writers, news = set(), set()
+    for path in sorted(Path(born_kernel.__file__).parent.glob("*.py")):
+        for fn in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(fn, ast.FunctionDef):
+                continue
+            for node in ast.walk(fn):
+                if isinstance(node, (ast.Attribute, ast.Subscript)) and isinstance(
+                    node.value, ast.Call
+                ) and getattr(node.value.func, "id", None) == "vars" and (
+                    isinstance(node, ast.Subscript) or node.attr == "update"
+                ):
+                    writers.add((path.name, fn.name))
+                if isinstance(node, ast.Attribute) and node.attr == "__new__":
+                    news.add((path.name, fn.name))
+    assert writers == {("ordering.py", "_from_relation")}
+    assert news == {("ordering.py", "_from_relation")}
 
 
 def test_no_module_calls_np_unique():
@@ -376,7 +397,7 @@ def _permuted_ranks(family):
     scores = weight_ranks(family).tolist()
     a = family.slices["a"]
     scores[a] = np.random.default_rng(20).permutation(scores[a]).tolist()
-    return _ordering_from_ranks(family, dense_ranks(scores))
+    return _from_relation(family, dense_ranks(scores))
 
 
 def _broken_cover(weights_by_mask):
@@ -386,7 +407,7 @@ def _broken_cover(weights_by_mask):
         weights = weight_vector(family)
         for mask, w in weights_by_mask.items():
             weights[family.slices["a"].start + mask] = w
-        return _ordering_from_ranks(family, dense_ranks(weights))
+        return _from_relation(family, dense_ranks(weights))
     return build
 
 
@@ -441,7 +462,7 @@ def rank_orderings(draw):
         return outcome_count_ordering(family)
     n = family.event_count()
     scores = draw(st.lists(st.integers(0, 4), min_size=n, max_size=n))
-    return _ordering_from_ranks(family, dense_ranks(scores))
+    return _from_relation(family, dense_ranks(scores))
 
 
 @st.composite
@@ -500,10 +521,10 @@ def test_equivalence_row_source_is_the_listing(case, block, data):
 
 
 def test_cached_reports_hold_no_cycle_back_to_their_ordering():
-    """A pair source reads the ordering it came from, so the reports
-    cached on an ordering run on its relation alone: a dropped ordering
-    is freed at once, not by the cycle collector, and its reports stay
-    readable."""
+    """A pair source holds the relation's arrays, never the ordering it
+    came from, so the reports cached on an ordering form no cycle: a
+    dropped ordering is freed at once, not by the cycle collector, and
+    its reports stay readable."""
     family = generate_rich_family(4, 4)
     flipped = outcome_count_ordering(family).matrix.copy()
     flipped[3, 5] = not flipped[3, 5]
