@@ -164,17 +164,10 @@ def cmd_derive(args) -> int:
 
 
 def _canonical_state_json(key: tuple) -> list[dict]:
-    out = []
-    for result, no_detail, detail, reward, weight in key:
-        out.append(
-            {
-                "result": result,
-                "detail": None if no_detail else detail,
-                "reward": bool(reward),
-                "weight": weight,
-            }
-        )
-    return out
+    """A reachable state's branches, each exact weight rounded to 12 places."""
+    return [{"result": result, "detail": None if no_detail else detail,
+             "reward": bool(reward), "weight": round(num / den, 12)}
+            for result, no_detail, detail, reward, (num, den) in key]
 
 
 def cmd_demo_erasure(args) -> int:

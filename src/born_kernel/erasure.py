@@ -16,7 +16,7 @@ import itertools
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .numeric import DEFAULT_INDEX_RANGE
 from .ordering import (
@@ -53,9 +53,8 @@ class ZeroWeightRefinement(ValueError):
     """Refinement target has zero weight."""
 
 
-# Amplitude-squared bookkeeping is floating point; canonical comparison
-# quantizes to this many decimals, far below any weight gap on the
-# rational grids in play.
+# A state's amplitudes are floating point; its canonical key quantizes
+# their squares to this many decimals.
 _CANONICAL_DECIMALS = 12
 
 
@@ -101,22 +100,21 @@ class BranchState:
 
         Zero-amplitude branches are dropped and per-branch phase is
         discarded, so physically indistinguishable states compare equal.
+        A state holds float amplitudes, not exact weights, so for the
+        branch-phase check each square is rounded to ``_CANONICAL_DECIMALS``
+        places; reachable sets key by exact weight (:func:`reachable_set`).
         """
-        return _key(_key_item(label.result, label.detail, label.reward, amp)
-                    for label, amp in self.branches)
+        return tuple(sorted(
+            _key_item(label.result, label.detail, label.reward, w)
+            for label, amp in self.branches
+            if (w := round(abs(amp) ** 2, _CANONICAL_DECIMALS)) != 0.0
+        ))
 
 
-def _key_item(result: str, detail: int | None, reward: bool, amp: complex) -> tuple:
-    """A branch's item in a canonical key: (result, detail is None,
-    detail or 0, reward, w), w its squared amplitude rounded to
-    ``_CANONICAL_DECIMALS`` places."""
-    return (result, detail is None, detail or 0, reward,
-            round(abs(amp) ** 2, _CANONICAL_DECIMALS))
-
-
-def _key(items: Iterable[tuple]) -> tuple:
-    """A canonical key from its branches' items: those with w != 0, sorted."""
-    return tuple(sorted(item for item in items if item[4] != 0.0))
+def _key_item(result: str, detail: int | None, reward: bool, w) -> tuple:
+    """A branch's item in a key: (result, detail is None, detail or 0,
+    reward, w), w its weight."""
+    return (result, detail is None, detail or 0, reward, w)
 
 
 @dataclass(frozen=True)
@@ -131,7 +129,7 @@ class GameSpec:
 
 @dataclass(frozen=True)
 class ReachableSet:
-    """Canonicalized set of branch states reachable by erasure."""
+    """Keys of the branch states reachable by erasure (:func:`reachable_set`)."""
 
     states: frozenset[tuple]
 
@@ -199,25 +197,28 @@ def reachable_set(
     game: GameSpec,
     index_range: int = DEFAULT_INDEX_RANGE,
 ) -> ReachableSet:
-    """Canonical keys of the erased states over every admissible choice.
+    """Keys of the erased states over every admissible choice.
 
-    Each branch's key item for each index i (:func:`_key_item`) is built
-    once, and a choice's key is built from its items as ``canonical_key``
-    builds one.  Branches sharing (i, reward) would merge into one label,
+    A state's key is its branches' sorted items (:func:`_key_item`), each
+    weight the exact one :func:`play_game` checks, as its reduced
+    (numerator, denominator) pair; an item is built once per branch and
+    index i.  Branches sharing (i, reward) would merge into one label,
     the choice :func:`erase` refuses: it is skipped."""
     if index_range < 1:
         raise ValueError("index_range must be at least 1")
-    candidates = [[_key_item("erased", i, label.reward, amp) for i in range(1, index_range + 1)]
-                  for label, amp in play_game(prep_weights, game).branches]
+    weights = [Fraction(w).as_integer_ratio() for _, w in prep_weights]
+    candidates = [[_key_item("erased", i, label.reward, w) for i in range(1, index_range + 1)]
+                  for (label, _), w in zip(play_game(prep_weights, game).branches, weights)]
     return ReachableSet(frozenset(
-        _key(choice)
+        tuple(sorted(choice))
         for choice in itertools.product(*candidates)
         if len({item[2:4] for item in choice}) == len(choice)
     ))
 
 
 def sets_equal(a: ReachableSet, b: ReachableSet) -> bool:
-    """Set equality under canonical (phase-free, zero-pruned) state equality."""
+    """Whether two sets hold the same erased states, each keyed by its
+    branches' labels and exact weights."""
     return a.states == b.states
 
 
@@ -366,5 +367,5 @@ def coarse_event_probability_invariance(
 
     return all(
         pr_before.value(ref) == pr_after.value(suboutcome_image(family, spec, ref))
-        for ref in family.refs
+        for ref in map(family.ref_at, range(family.event_count()))
     )

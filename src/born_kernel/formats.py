@@ -307,6 +307,11 @@ def event_ref_to_json(ref: EventRef) -> dict:
     return {"measurement": ref.measurement_id, "event": sorted(ref.event)}
 
 
+def _event_docs(family: MeasurementFamily) -> list[dict]:
+    """Every event's :func:`event_ref_to_json`, by canonical position."""
+    return [event_ref_to_json(family.ref_at(i)) for i in range(family.event_count())]
+
+
 def _position(doc: Any, family: MeasurementFamily, context: str) -> int:
     """Canonical position ``slices[mid].start + event mask`` of an event ref."""
     mid = _get(doc, "measurement", str, context)
@@ -337,15 +342,12 @@ def ordering_to_json(ordering: LikelihoodOrdering) -> dict:
 
     Unlisted pairs are false.  Pairs are emitted in canonical
     (measurement id, event bitmask) order, which is the row-major order
-    of the relation over the ordering's canonical refs, read row by row.
+    of the relation over canonical positions, read row by row.  Each
+    event's document is built once and shared by every pair naming it.
     """
-    refs, ge = ordering.refs, _ge(ordering)
-    events = np.arange(len(refs))
-    pairs = [
-        [event_ref_to_json(refs[i]), event_ref_to_json(refs[j])]
-        for i in events.tolist()
-        for j in np.flatnonzero(ge(i, events))
-    ]
+    docs, ge = _event_docs(ordering.family), _ge(ordering)
+    events = np.arange(len(docs))
+    pairs = [[docs[i], docs[j]] for i in events.tolist() for j in np.flatnonzero(ge(i, events))]
     return {
         "schema": SCHEMA,
         "family_digest": family_digest(ordering.family),
@@ -364,8 +366,8 @@ def tiers_to_json(ordering: LikelihoodOrdering) -> dict:
     if ranks is None:
         raise ValueError("ordering is not a total preorder, so it has no tiers form")
     tiers: list[list] = [[] for _ in range(int(ranks.max()) + 1)]
-    for ref, t in zip(ordering.refs, ranks.tolist()):
-        tiers[t].append(event_ref_to_json(ref))
+    for doc, t in zip(_event_docs(ordering.family), ranks.tolist()):
+        tiers[t].append(doc)
     return {
         "schema": TIERS_SCHEMA,
         "family_digest": family_digest(ordering.family),
@@ -408,12 +410,8 @@ def assignment_to_json(assignment: ProbabilityAssignment) -> dict:
         "schema": SCHEMA,
         "family_digest": family_digest(family),
         "values": [
-            {
-                "measurement": r.measurement_id,
-                "event": sorted(r.event),
-                "probability": rational_to_json(value),
-            }
-            for r, value in zip(family.refs, assignment.vector)
+            {**doc, "probability": rational_to_json(value)}
+            for doc, value in zip(_event_docs(family), assignment.vector)
         ],
     }
 

@@ -8,10 +8,9 @@ is built only when a caller reads it.  Every axiom verdict is
 replayable.  An event's one address is its canonical position
 (``MeasurementFamily.slices``); an :class:`EventRef` names it only in
 reports and documents, built from its position
-(``MeasurementFamily.ref_at``), and ``MeasurementFamily.refs`` lists
-those names by position.  The checkers make no assumption that the
-relation came from weights: they accept arbitrary relations and report
-witnesses.
+(``MeasurementFamily.ref_at``), one position at a time.  The checkers
+make no assumption that the relation came from weights: they accept
+arbitrary relations and report witnesses.
 
 Axioms checked:
 
@@ -39,9 +38,10 @@ one, and Equivalence is counted by one sort.  Only Transitivity on a
 relation that is no total preorder reads the matrix whole.
 
 Exact weights follow one integer rule, numerators over their least
-common denominator (:func:`_scale`): a measurement is validated, and its
-event weights summed, on them; ranks (:func:`weight_ranks`) compare them
-over the family's common denominator while it fits in 64 bits, and
+common denominator (:func:`_scale`), computed once per measurement and
+kept as its ``_scaled``: a measurement is validated, and its event
+weights summed, on them; ranks (:func:`weight_ranks`) compare them over
+the family's common denominator while it fits in 64 bits, and
 ``Fraction``s past that.  Witnesses stay positions until a caller reads
 them (:class:`Witnesses`): an array of canonical positions, sorted once,
 or, for pairs, a row source that counts them and lists only the rows
@@ -162,12 +162,12 @@ class MeasurementFamily:
 
     @cached_property
     def refs(self) -> tuple[EventRef, ...]:
-        """Every (event, measurement) pair, in canonical position order."""
-        return tuple(
-            EventRef(m.id, m.mask_event(mask))
-            for m in self.canonical
-            for mask in range(2 ** len(m.outcomes))
-        )
+        """Every event's :meth:`ref_at`, in canonical position order.
+
+        The kernel never builds this list: it names an event from its
+        position alone.  It stays for callers that want every name at once.
+        """
+        return tuple(map(self.ref_at, range(self.event_count())))
 
     @cached_property
     def slices(self) -> dict[str, slice]:
@@ -203,8 +203,8 @@ class MeasurementFamily:
         return [0, *itertools.accumulate(2 ** len(m.outcomes) for m in self.canonical)]
 
     def ref_at(self, position: int) -> EventRef:
-        """The event at a canonical position, built alone: ``refs[position]``
-        without building ``refs``.  IndexError outside the event space."""
+        """The event at a canonical position: the one rule that turns a
+        position into a name.  IndexError outside the event space."""
         bounds = self._bounds
         if not 0 <= position < bounds[-1]:
             raise IndexError(f"position {position} is outside {bounds[-1]} events")
@@ -217,7 +217,7 @@ class MeasurementFamily:
 
     @cached_property
     def _weight_ranks(self) -> np.ndarray:
-        ranks = subset_sum_ranks(m.weights for m in self.canonical)
+        ranks = subset_sum_ranks(m._scaled for m in self.canonical)
         ranks.setflags(write=False)
         return ranks
 
@@ -248,33 +248,21 @@ def subset_sums(values: Sequence[int]) -> list[int]:
     return out
 
 
-def scaled_subset_sums(values: Sequence[Fraction]) -> tuple[list[int], int]:
-    """:func:`subset_sums` of exact rationals, as integer numerators over
-    the values' least common denominator.
-
-    Returns (numerators, denominator).  The numerators compare exactly as
-    the sums do, with no ``Fraction`` arithmetic.
-    """
-    nums, den = _scale(values)
-    return subset_sums(nums), den
-
-
 # Common denominators up to this many bits keep every numerator about
 # one machine word wide.
 _MAX_DENOMINATOR_BITS = 64
 
 
-def subset_sum_ranks(rows: Iterable[Sequence[Fraction]]) -> np.ndarray:
-    """:func:`dense_ranks` of the :func:`subset_sums` of each row of exact
-    rationals, concatenated.
+def subset_sum_ranks(rows: Iterable[tuple[Sequence[int], int]]) -> np.ndarray:
+    """:func:`dense_ranks` of the :func:`subset_sums` of each row, concatenated.
 
-    Each row's sums are integer numerators over that row's own
-    denominator (:func:`scaled_subset_sums`).  While the rows' common
-    denominator fits in 64 bits the sums are ranked as integer numerators
-    over it; past that, as ``Fraction``s, so no number grows with the
-    count of rows.
+    A row is exact rationals as integer numerators over their own
+    denominator, (numerators, denominator), as a measurement's
+    ``_scaled`` holds them.  While the rows' common denominator fits in
+    64 bits the sums are ranked as integer numerators over it; past that,
+    as ``Fraction``s, so no number grows with the count of rows.
     """
-    scaled = [scaled_subset_sums(row) for row in rows]
+    scaled = [(subset_sums(nums), den) for nums, den in rows]
     common = 1
     for _, den in scaled:
         common = math.lcm(common, den)
@@ -406,13 +394,16 @@ class SizeLimitExceeded(ValueError):
 MAX_EXTENSIONAL_EVENTS = 20_000
 
 
+# Python prints no int past 4,300 digits: a larger count is named as a power of 2.
+_MAX_PRINTED_BITS = 10_000
+
+
 def require_event_count(n: int) -> None:
     """Raise :class:`SizeLimitExceeded` unless an extensional ordering
     over n events is within the cap."""
     if n > MAX_EXTENSIONAL_EVENTS:
-        # Python prints no int of more than 4,300 digits (sys.int_info).
         bits = n.bit_length()
-        count = f"{n:,}" if bits <= 10_000 else f"at least 2**{bits - 1:,}"
+        count = f"{n:,}" if bits <= _MAX_PRINTED_BITS else f"at least 2**{bits - 1:,}"
         raise event_cap_error(count)
 
 

@@ -17,6 +17,7 @@ Everything in this module is exact rational arithmetic.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -33,6 +34,7 @@ from .ordering import (
     SizeLimitExceeded,
     WeightedMeasurement,
     Witnesses,
+    _MAX_PRINTED_BITS,
     _PairRows,
     _ge,
     event_cap_error,
@@ -73,6 +75,10 @@ class SearchSpaceTooLarge(ValueError):
 
 # Values the uniqueness search may try, over all tiers, before it refuses.
 MAX_SEARCH_STEPS = 100_000
+
+# log2(3) rounded down to 30 places: (K - 1) times it bounds the bit
+# length of 3**(K - 1) from below, exactly at every K a caller can pass.
+_LOG2_3 = Fraction("1.584962500721156181453738943947")
 
 
 @dataclass(frozen=True, eq=False)
@@ -148,14 +154,19 @@ def generate_rich_family(K: int, max_outcomes: int) -> MeasurementFamily:
     and in time that does not grow with K, when the family has more than
     ``MAX_EXTENSIONAL_EVENTS`` events, the cap on the ordering every use
     of it builds.  The family has C(K - 1, n - 1) measurements of 2**n
-    events each; over every n up to K that sums to 2 * 3**(K - 1).  A
-    partial sum takes one big-integer step per n, so it stops once its
-    running total passes the cap; only then is the count a lower bound,
-    and the message says "at least".
+    events each; over every n up to K that sums to 2 * 3**(K - 1).  That
+    count is at least 2**b for b = 1 + floor((K - 1) log2 3); where it has
+    too many bits to print, the message names 2**b and no power of 3 is
+    built.  A partial sum takes one big-integer step per n, so it stops
+    once its running total passes the cap; only then is the count a lower
+    bound, and the message says "at least".
     """
     if K < 1 or max_outcomes < 1:
         raise ValueError("K and max_outcomes must be positive")
     if max_outcomes >= K:
+        b = 1 + math.floor((K - 1) * _LOG2_3)
+        if b >= _MAX_PRINTED_BITS:
+            raise event_cap_error(f"at least 2**{b:,}")
         require_event_count(2 * 3 ** (K - 1))
     else:
         total, term = 0, 2  # term for n = 1; each next one is exact in integers

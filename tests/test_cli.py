@@ -33,13 +33,14 @@ from conftest import subprocess_env
 from test_total_preorder import listed_equivalence
 
 
-def run_cli(*args: str) -> subprocess.CompletedProcess:
+def run_cli(*args: str, timeout: float | None = None) -> subprocess.CompletedProcess:
     return subprocess.run(
         [sys.executable, "-m", "born_kernel", *args],
         text=True,
         capture_output=True,
         check=False,
         env=subprocess_env(),
+        timeout=timeout,
     )
 
 
@@ -113,6 +114,16 @@ class TestGenRich:
             {"check": "size-cap", "result": "fail", "witness_count": 0, "witnesses": []}
         ]
         assert f"family has {count} events" in stderr and "20,000" in stderr
+        assert not out.exists()
+
+    def test_event_cap_refusal_at_K_10_8_builds_no_power_of_3(self, tmp_path):
+        """2 * 3**(10**8 - 1) would take past a minute to build; the
+        refusal names its bit length alone, well inside the timeout."""
+        out = tmp_path / "big.json"
+        K = str(10**8)
+        proc = run_cli("gen-rich", "-K", K, "--max-outcomes", K, "--out", str(out), timeout=5)
+        assert proc.returncode == 1
+        assert "family has at least 2**158,496,249 events" in proc.stderr
         assert not out.exists()
 
     @pytest.mark.parametrize(
@@ -375,6 +386,18 @@ class TestDemoErasure:
         assert cli.main(argv + [str(index_range)]) == rc
         verdict = json.loads(capsys.readouterr().out)["verdicts"][0]["check"]
         assert verdict == ("size-cap" if rc else "reachable-sets-equal")
+
+    def test_weights_equal_to_12_places_are_told_apart(self, capsys):
+        """p = 1/2 + 10**-15: the listed weights round to 0.5, and the
+        verdict compares the exact weights, which differ."""
+        rc = cli.main(["demo-erasure", "--p-num", "500000000000001",
+                       "--p-den", "1000000000000000", "--index-range", "2"])
+        report = json.loads(capsys.readouterr().out)
+        assert rc == 0
+        assert report["verdicts"][0]["result"] == "fail"
+        artifacts = report["artifacts"]
+        states = artifacts["game1_states"] + artifacts["game2_states"]
+        assert len(states) == 8 and {b["weight"] for s in states for b in s} == {0.5}
 
     def test_degenerate_p_exit_2(self):
         for num, den in [(1, 1), (0, 2), (3, 2)]:

@@ -139,21 +139,35 @@ class TestReachableSets:
         )
 
 
+def exact_key(state, weights):
+    """An erased state's key: its branches' (result, detail is None,
+    detail, reward, (numerator, denominator)) items, sorted, each weight
+    the exact one its branch was prepared with."""
+    return tuple(sorted(
+        (label.result, label.detail is None, label.detail, label.reward,
+         (w.numerator, w.denominator))
+        for (label, _), w in zip(state.branches, weights)
+    ))
+
+
 def per_choice_reachable_set(prep, game, index_range):
     """The oracle: erase the played state for every microstate choice,
-    skip the choices that collide, and key each erased state."""
+    skip the choices that collide, and key each erased state by exact
+    weight."""
     state = play_game(prep, game)
     labels = [label for label, _ in state.branches]
+    weights = [Fraction(w) for _, w in prep]
     keys = set()
     for assignment in itertools.product(range(1, index_range + 1), repeat=len(labels)):
         try:
-            keys.add(erase(state, dict(zip(labels, assignment)), index_range).canonical_key())
+            erased = erase(state, dict(zip(labels, assignment)), index_range)
         except BranchCollision:
             continue
+        keys.add(exact_key(erased, weights))
     return ReachableSet(frozenset(keys))
 
 
-# Below 5e-13, so the squared amplitude rounds to 0 and the branch is pruned.
+# Below 5e-13, so the squared amplitude rounds to 0 in a float key.
 TINY = Fraction(1, 10**13)
 
 
@@ -176,7 +190,7 @@ def erasure_games(draw):
 # Two no-reward branches collide on every shared index.
 @example(([("a", Fraction(1, 3)), ("b", Fraction(1, 3)), ("c", Fraction(1, 3))],
           GameSpec(frozenset({"a"})), 2))
-# The TINY branch is pruned from every key, yet still collides.
+# The TINY branch keeps its exact weight in every key, and collides.
 @example(([("a", 1 - TINY), ("b", TINY)], GameSpec(frozenset()), 2))
 def test_reachable_set_matches_the_per_choice_oracle(game):
     prep, spec, index_range = game
@@ -185,9 +199,30 @@ def test_reachable_set_matches_the_per_choice_oracle(game):
     )
 
 
-def test_tiny_branch_is_pruned_but_still_collides():
+def test_tiny_branch_keeps_its_exact_weight_and_still_collides():
+    """A float key would round TINY to 0 and drop its branch; the exact
+    key keeps it, and the two no-reward branches never share an index."""
     keys = reachable_set([("a", 1 - TINY), ("b", TINY)], GameSpec(frozenset()), 2).states
-    assert keys == {(("erased", False, 1, False, 1.0),), (("erased", False, 2, False, 1.0),)}
+    big, tiny = (10**13 - 1, 10**13), (1, 10**13)
+    assert keys == {
+        (("erased", False, 1, False, big), ("erased", False, 2, False, tiny)),
+        (("erased", False, 1, False, tiny), ("erased", False, 2, False, big)),
+    }
+
+
+# p = 1/2 + 10**-15: both reward weights round to 0.5 at 12 places.
+NEAR_HALF = Fraction(500000000000001, 10**15)
+
+
+def test_weights_equal_to_12_places_give_different_sets():
+    """The reward branches weigh 1/2 + 10**-15 and 1/2 - 10**-15, so the
+    two games reach different states; a float key rounded to 12 places
+    would call them equal."""
+    prep = [("up", NEAR_HALF), ("down", 1 - NEAR_HALF)]
+    s1, s2 = (reachable_set(prep, game, 2) for game in (GAME1, GAME2))
+    assert len(s1) == len(s2) == 4
+    assert not sets_equal(s1, s2)
+    assert not (s1.states & s2.states)
 
 
 class TestThreeOutcomeGame:
@@ -213,10 +248,10 @@ class TestThreeOutcomeGame:
         a = three_outcome_game(Fraction(1, 3), self.g1, 2)
         b = three_outcome_game(Fraction(1, 3), self.g2, 2)
         assert sets_equal(a, b)
-        # Oracle: expected canonical keys built by hand.  Branch weights
-        # all 1/3; the two no-reward indices must differ; reward index is
-        # free.  Canonical keys sort their items.
-        w = round(1 / 3, 12)
+        # Oracle: expected keys built by hand.  Branch weights all exactly
+        # 1/3; the two no-reward indices must differ; reward index is
+        # free.  Keys sort their items.
+        w = (1, 3)
         expected = set()
         for i in (1, 2):
             for j, k in [(1, 2), (2, 1)]:

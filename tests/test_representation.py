@@ -33,6 +33,8 @@ from born_kernel import (
     uniqueness_search,
     verify_representation,
 )
+from born_kernel import ordering as ordering_module
+from born_kernel import representation as representation_module
 from born_kernel.ordering import (
     ALL_CHECKS,
     MAX_EXTENSIONAL_EVENTS,
@@ -128,6 +130,37 @@ class TestGenerateRichFamily:
             assert count == partial and next(terms, None) is not None
         else:
             assert count == sum(terms)
+
+    @pytest.mark.parametrize("cap, count", [(18, "66"), (17, "at least 18")])
+    def test_partial_sum_stops_only_past_the_cap(self, monkeypatch, cap, count):
+        """K = 5 with up to 3 outcomes sums 2, 18, 66.  At a cap of 18 the
+        sum of 18 is not past it, so the sum runs to its last term and the
+        refusal names the exact count; at 17 it stops there."""
+        for module in (ordering_module, representation_module):
+            monkeypatch.setattr(module, "MAX_EXTENSIONAL_EVENTS", cap)
+        with pytest.raises(SizeLimitExceeded, match=f"family has {count} events"):
+            generate_rich_family(5, 3)
+
+    @pytest.mark.parametrize("K", [6308, 6309, 6310, 10_001, 100_000])
+    def test_closed_form_refusal_names_the_count_or_its_bit_length(self, K):
+        """2 * 3**(K - 1) prints exactly up to 10,000 bits (to K = 6309), and
+        past that as 2**b, b the count's bit length less one."""
+        n = 2 * 3 ** (K - 1)
+        count = f"{n:,}" if n.bit_length() <= 10_000 else f"at least 2**{n.bit_length() - 1:,}"
+        with pytest.raises(SizeLimitExceeded) as info:
+            generate_rich_family(K, K)
+        assert f"family has {count} events;" in str(info.value)
+
+    @pytest.mark.parametrize("K", [10**6, 10**9])
+    def test_closed_form_refusal_builds_no_power_of_3(self, K):
+        """3**(10**9 - 1) would take hundreds of MB and minutes."""
+        start = time.perf_counter()
+        with pytest.raises(SizeLimitExceeded) as info:
+            generate_rich_family(K, K)
+        assert time.perf_counter() - start < 0.5
+        # (K - 1) log2 3 lies at least 0.08 from an integer at both K.
+        b = 1 + int((K - 1) * math.log2(3))
+        assert f"family has at least 2**{b:,} events;" in str(info.value)
 
     def test_cap_enforced(self):
         with pytest.raises(SizeLimitExceeded):
@@ -628,6 +661,22 @@ class TestUniquenessSearch:
         with pytest.raises(SearchSpaceTooLarge, match=f"{MAX_SEARCH_STEPS:,}.*MAX_SEARCH_STEPS"):
             uniqueness_search(ordering, 4 * 10**6)
         assert time.perf_counter() - start < 1.0
+
+    @pytest.mark.parametrize("cap", [19, 18])
+    def test_step_cap_boundary(self, monkeypatch, cap):
+        """(1/2, 1/2) at K = 10 tries exactly 19 values: 0 for the empty
+        event's tier, then each of 1..9 for the singletons' tier, each
+        followed by 10 for the full event's tier.  A cap of 19 passes."""
+        monkeypatch.setattr(representation_module, "MAX_SEARCH_STEPS", cap)
+        half = MeasurementFamily(
+            (WeightedMeasurement("h", ("a", "b"), (Fraction(1, 2), Fraction(1, 2))),)
+        )
+        ordering = induced_ordering(half)
+        if cap == 19:
+            assert uniqueness_search(ordering, 10) == [own_weights(half)]
+        else:
+            with pytest.raises(SearchSpaceTooLarge, match="more than 18 values"):
+                uniqueness_search(ordering, 10)
 
     @pytest.mark.parametrize("K", range(2, 9))
     def test_full_rich_family_has_exactly_its_own_weights(self, K):
