@@ -3,19 +3,21 @@
 Models the two payoff games on a branching measurement (reward on one
 result versus reward on the other), the erasure step that destroys the
 result record while keeping the reward, and the sets of global states
-reachable by erasure.  The reachable sets of the two games coincide
-exactly when the reward branches carry equal weight, which is the
-executable core of the equal-weight indifference argument.  Refinement
-splits one outcome into equally weighted suboutcomes and the derived
-probability of every coarse event must not move.
+reachable by erasure, each held as the description that decides it.
+The reachable sets of the two games coincide exactly when the reward
+branches carry equal weight, which is the executable core of the
+equal-weight indifference argument.  Refinement splits one outcome into
+equally weighted suboutcomes and the derived probability of every
+coarse event must not move.
 """
 from __future__ import annotations
 
 import cmath
 import itertools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from functools import cached_property
 from typing import Mapping, Sequence
 
 from .numeric import DEFAULT_INDEX_RANGE
@@ -129,12 +131,41 @@ class GameSpec:
 
 @dataclass(frozen=True)
 class ReachableSet:
-    """Keys of the branch states reachable by erasure (:func:`reachable_set`)."""
+    """Erased states held as their description: the index range R and each
+    reward flag's sorted exact branch weights, as reduced (numerator,
+    denominator) pairs.  A flag's branches take distinct indices, so
+    ``len`` is the product over the flags of P(R, m) / prod c_w! (m
+    branches, c_w of weight w), and two sets are equal when both are empty
+    or the descriptions are.  ``states`` lists the keys on first read."""
 
-    states: frozenset[tuple]
+    index_range: int = field(compare=False)
+    rewarded: tuple[tuple[int, int], ...] = field(compare=False)
+    unrewarded: tuple[tuple[int, int], ...] = field(compare=False)
+    # All that == and hash read: None for an empty set, else the description.
+    _identity: tuple | None = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        R = self.index_range
+        if isinstance(R, bool) or not isinstance(R, int) or R < 1:
+            raise ValueError(f"index_range must be an integer of at least 1, got {R!r}")
+        flags = tuple(sorted(self.rewarded)), tuple(sorted(self.unrewarded))
+        object.__setattr__(self, "rewarded", flags[0])
+        object.__setattr__(self, "unrewarded", flags[1])
+        object.__setattr__(self, "_identity", None if max(map(len, flags)) > R else (R, *flags))
 
     def __len__(self) -> int:
-        return len(self.states)
+        return math.prod(math.perm(self.index_range, len(flag)) // math.prod(
+            math.factorial(len(list(run))) for _, run in itertools.groupby(flag))
+            for flag in (self.rewarded, self.unrewarded))
+
+    @cached_property
+    def states(self) -> frozenset[tuple]:
+        """Each state's key: its branches' sorted items (:func:`_key_item`)."""
+        indices = range(1, self.index_range + 1)
+        per_flag = [[[_key_item("erased", i, reward, w) for i, w in zip(choice, flag)]
+                     for choice in itertools.permutations(indices, len(flag))]
+                    for reward, flag in ((True, self.rewarded), (False, self.unrewarded))]
+        return frozenset(tuple(sorted(a + b)) for a, b in itertools.product(*per_flag))
 
 
 def play_game(
@@ -150,6 +181,8 @@ def play_game(
     results = [r for r, _ in prep_weights]
     if len(set(results)) != len(results):
         raise ValueError("result ids must be unique")
+    if "erased" in results:
+        raise ValueError("result id 'erased' is reserved for erased branches")
     weights = [Fraction(w) for _, w in prep_weights]
     if any(w <= 0 for w in weights):
         raise ValueError("preparation weights must be strictly positive")
@@ -197,29 +230,21 @@ def reachable_set(
     game: GameSpec,
     index_range: int = DEFAULT_INDEX_RANGE,
 ) -> ReachableSet:
-    """Keys of the erased states over every admissible choice.
-
-    A state's key is its branches' sorted items (:func:`_key_item`), each
-    weight the exact one :func:`play_game` checks, as its reduced
-    (numerator, denominator) pair; an item is built once per branch and
-    index i.  Branches sharing (i, reward) would merge into one label,
-    the choice :func:`erase` refuses: it is skipped."""
-    if index_range < 1:
-        raise ValueError("index_range must be at least 1")
-    weights = [Fraction(w).as_integer_ratio() for _, w in prep_weights]
-    candidates = [[_key_item("erased", i, label.reward, w) for i in range(1, index_range + 1)]
-                  for (label, _), w in zip(play_game(prep_weights, game).branches, weights)]
-    return ReachableSet(frozenset(
-        tuple(sorted(choice))
-        for choice in itertools.product(*candidates)
-        if len({item[2:4] for item in choice}) == len(choice)
-    ))
+    """The erased states over every admissible choice, as their
+    description (:class:`ReachableSet`), each branch with the exact weight
+    :func:`play_game` checks; no choice is enumerated.  A choice giving
+    two branches one (index, reward) would merge them, which :func:`erase`
+    refuses, so it reaches nothing."""
+    flags: tuple[list, list] = ([], [])
+    for (label, _), (_, w) in zip(play_game(prep_weights, game).branches, prep_weights):
+        flags[label.reward].append(Fraction(w).as_integer_ratio())
+    return ReachableSet(index_range, tuple(flags[True]), tuple(flags[False]))
 
 
 def sets_equal(a: ReachableSet, b: ReachableSet) -> bool:
     """Whether two sets hold the same erased states, each keyed by its
-    branches' labels and exact weights."""
-    return a.states == b.states
+    branches' labels and exact weights: both empty, or one description."""
+    return a == b
 
 
 # Result ids of the symmetric three-branch construction.

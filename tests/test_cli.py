@@ -399,6 +399,26 @@ class TestDemoErasure:
         states = artifacts["game1_states"] + artifacts["game2_states"]
         assert len(states) == 8 and {b["weight"] for s in states for b in s} == {0.5}
 
+    def test_only_the_listed_sets_build_their_states(self, monkeypatch, capsys):
+        """The verdict and the 15-point sweep read each set's description;
+        only game 1's and game 2's listed sets build their states."""
+        from born_kernel import erasure
+
+        made = []
+        real = erasure.reachable_set
+
+        def recorded(*args):
+            made.append(real(*args))
+            return made[-1]
+
+        monkeypatch.setattr(erasure, "reachable_set", recorded)
+        argv = ["demo-erasure", "--p-num", "1", "--p-den", "2", "--index-range", "2"]
+        assert cli.main(argv) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert len(report["artifacts"]["game1_states"]) == 4
+        assert len(made) == 32
+        assert [i for i, s in enumerate(made) if "states" in vars(s)] == [0, 1]
+
     def test_degenerate_p_exit_2(self):
         for num, den in [(1, 1), (0, 2), (3, 2)]:
             proc = run_cli("demo-erasure", "--p-num", str(num), "--p-den", str(den))

@@ -1,6 +1,7 @@
 """Erasure games, reachable sets, refinement, and coarse invariance."""
 import itertools
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -134,9 +135,19 @@ class TestReachableSets:
                 assert sets_equal(s1, s2) == (p == Fraction(1, 2))
 
     def test_empty_sets_equal(self):
-        assert sets_equal(
-            ReachableSet(frozenset()), ReachableSet(frozenset())
-        )
+        """Two no-reward branches at R = 1, or three at R = 2, reach nothing."""
+        at_one = ReachableSet(1, (), ((1, 2), (1, 2)))
+        at_two = ReachableSet(2, ((1, 6),), ((1, 6), (1, 3), (1, 3)))
+        assert len(at_one) == len(at_two) == 0
+        assert at_one.states == at_two.states == frozenset()
+        assert sets_equal(at_one, at_two) and at_one == at_two
+        assert hash(at_one) == hash(at_two)
+        assert at_one != ReachableSet(2, (), ((1, 2), (1, 2)))
+
+    def test_constructor_sorts_each_flag(self):
+        a = ReachableSet(3, (), ((2, 3), (1, 3)))
+        assert a.unrewarded == ((1, 3), (2, 3))
+        assert a == ReachableSet(3, (), ((1, 3), (2, 3)))
 
 
 def exact_key(state, weights):
@@ -153,7 +164,7 @@ def exact_key(state, weights):
 def per_choice_reachable_set(prep, game, index_range):
     """The oracle: erase the played state for every microstate choice,
     skip the choices that collide, and key each erased state by exact
-    weight."""
+    weight; returns the frozenset of keys."""
     state = play_game(prep, game)
     labels = [label for label, _ in state.branches]
     weights = [Fraction(w) for _, w in prep]
@@ -164,7 +175,7 @@ def per_choice_reachable_set(prep, game, index_range):
         except BranchCollision:
             continue
         keys.add(exact_key(erased, weights))
-    return ReachableSet(frozenset(keys))
+    return frozenset(keys)
 
 
 # Below 5e-13, so the squared amplitude rounds to 0 in a float key.
@@ -194,9 +205,60 @@ def erasure_games(draw):
 @example(([("a", 1 - TINY), ("b", TINY)], GameSpec(frozenset()), 2))
 def test_reachable_set_matches_the_per_choice_oracle(game):
     prep, spec, index_range = game
-    assert reachable_set(prep, spec, index_range) == per_choice_reachable_set(
-        prep, spec, index_range
-    )
+    reached = reachable_set(prep, spec, index_range)
+    keys = per_choice_reachable_set(prep, spec, index_range)
+    assert len(reached) == len(keys)
+    assert "states" not in vars(reached)
+    assert reached.states == keys
+
+
+@st.composite
+def pairs_of_erasure_games(draw):
+    """Two games: the first, then one with another index range, another
+    reward subset, or all of it drawn afresh."""
+    prep, spec, index_range = draw(erasure_games())
+    results = [r for r, _ in prep]
+    other = draw(st.sampled_from(["range", "rewards", "fresh"]))
+    if other == "range":
+        second = prep, spec, draw(st.integers(1, 5))
+    elif other == "rewards":
+        second = prep, GameSpec(frozenset(draw(st.sets(st.sampled_from(results))))), index_range
+    else:
+        second = draw(erasure_games())
+    return (prep, spec, index_range), second
+
+
+@settings(max_examples=150, deadline=None)
+@given(pairs_of_erasure_games())
+# Two empty sets at different index ranges.
+@example(((HALF, GameSpec(frozenset()), 1),
+          ([("a", Fraction(1, 3)), ("b", Fraction(1, 3)), ("c", Fraction(1, 3))],
+           GameSpec(frozenset()), 2)))
+# The reward on the other branch of equal weight reaches the same states.
+@example(((HALF, GAME1, 3), (HALF, GAME2, 3)))
+def test_verdicts_match_the_per_choice_oracle(pair):
+    (a, b), (keys_a, keys_b) = ([reachable_set(*g) for g in pair],
+                                [per_choice_reachable_set(*g) for g in pair])
+    assert sets_equal(a, b) == (a == b) == (b == a) == (keys_a == keys_b)
+    if a == b:
+        assert hash(a) == hash(b)
+    assert (len(a), len(b)) == (len(keys_a), len(keys_b))
+    assert (a.states, b.states) == (keys_a, keys_b)
+
+
+def test_verdicts_at_a_million_indices_list_no_states():
+    """At R = 10**6 the listing would hold about 10**18 states; the
+    count is P(R, 1) * P(R, 2) / 2!, since the no-reward branches weigh
+    the same."""
+    R = 10**6
+    prep = [("a", Fraction(1, 2)), ("b", Fraction(1, 4)), ("c", Fraction(1, 4))]
+    a = reachable_set(prep, GameSpec(frozenset({"a"})), R)
+    b = reachable_set(prep, GameSpec(frozenset({"b"})), R)
+    assert len(a) == R * (R * (R - 1) // 2)
+    assert len(b) == R * R * (R - 1)
+    assert not sets_equal(a, b)
+    assert sets_equal(a, reachable_set(prep[::-1], GameSpec(frozenset({"a"})), R))
+    assert "states" not in vars(a) and "states" not in vars(b)
 
 
 def test_tiny_branch_keeps_its_exact_weight_and_still_collides():
@@ -476,3 +538,15 @@ class TestBranchStateValidation:
             )
             total = sum(abs(a) ** 2 for _, a in erased.branches)
             assert total == pytest.approx(1.0, abs=1e-12)
+
+
+class TestRefusalsNameTheirInput:
+    @pytest.mark.parametrize("index_range", [True, False, 2.0, "2", None, 0])
+    def test_index_range_must_be_an_integer(self, index_range):
+        with pytest.raises(ValueError, match=re.escape(f"got {index_range!r}")):
+            reachable_set(HALF, GAME1, index_range)
+
+    def test_erased_is_a_reserved_result_id(self):
+        prep = [("erased", Fraction(1, 2)), ("down", Fraction(1, 2))]
+        with pytest.raises(ValueError, match="'erased' is reserved"):
+            play_game(prep, GAME2)
