@@ -5,6 +5,9 @@ of the kernel's internals must leave each of them byte-identical.
 `gen-rich` writes the v2 tiers ordering; `check` and `derive` are pinned
 on the v1 pair list of the same relation (the bytes `ordering_to_json`
 writes) and again on the v2 file, where only `inputs_digest` may differ.
+The `--text` reports of the same runs are pinned too, and so is the
+stderr of every run that writes any: `derive -K 2` is refused in text
+mode with an empty stdout and one error line.
 The properties at the end pin the two facts the byte identity rests on:
 the subset-sum helper equals the per-mask sum, and canonical position
 order is (measurement id, event bitmask) order.
@@ -75,6 +78,22 @@ GOLDEN = {
         "67a3338fb0ad7f298f3c6e79b7b01ab32ba87a145216e65c2b3d465f449197ca",
     "demo-erasure-1/3:stdout":
         "00612226ca2561d5f160993a634d1b81219e10a20735509ccca72ad14239dbc6",
+    "gen-rich-text:stdout":
+        "b87ea4cba5534e0cfd88325a085c0048cb771521d6f20765450b0e67bcb2eca7",
+    "check-text:stdout":
+        "dcb301bc9682de414f29fcd694de65f87c1f28957818ca8ad3cf524b497def3b",
+    "check-cut-text:stdout":
+        "5c0c7ff27a0e186b8428a8cd741fe0d1f666790f031e2ec11a018875d8dca8f4",
+    "derive-text:stdout":
+        "370d739f5ec7d66d6a006654a27b51ccb78d64c30f222ee6360a51aa4b2d3b4e",
+    "derive-K2-text:stdout":
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    "derive-K2-text:stderr":
+        "8221b0d3565c5485bd17e793e2a4ae5487b7c2f4315b584e005e3c924bfb8be7",
+    "canon-text:stdout":
+        "d0a53b5fdbd038745828bc572d0d22b47ea85c2d22f0b79c42cacc86f351e978",
+    "demo-erasure-1/2-text:stdout":
+        "1e4d37cbc9862ce7755191f490f1253ea5685ddcea737886daf991563112a656",
 }
 
 
@@ -90,8 +109,11 @@ def golden_digests(tmp_path, monkeypatch, capsysbinary) -> dict:
     def run(name, expected_rc, *argv):
         rc = main(list(argv))
         assert rc == expected_rc, name
-        reports[name] = capsysbinary.readouterr().out
+        reports[name], err = capsysbinary.readouterr()
         out[f"{name}:stdout"] = _sha(reports[name])
+        if err:
+            assert len(err.splitlines()) == 1, name
+            out[f"{name}:stderr"] = _sha(err)
 
     def file(name, path):
         out[f"{name}:{path}"] = _sha((tmp_path / path).read_bytes())
@@ -136,6 +158,17 @@ def golden_digests(tmp_path, monkeypatch, capsysbinary) -> dict:
     run("canon-whole", 0, "canon", "--quad", "whole.json")
     run("demo-erasure-1/2", 0, "demo-erasure", "--p-num", "1", "--p-den", "2")
     run("demo-erasure-1/3", 0, "demo-erasure", "--p-num", "1", "--p-den", "3")
+
+    run("gen-rich-text", 0, "gen-rich", "-K", "3", "--max-outcomes", "3", "--out", "fam.json",
+        "--text")
+    run("check-text", 0, "check", *pair_args, "--text")
+    run("check-cut-text", 1, "check", "--family", "fam.json", "--ordering", "cut.ordering.json",
+        "--text")
+    run("derive-text", 0, "derive", *pair_args, "-K", "3", "--out", "assignment.json", "--text")
+    run("derive-K2-text", 1, "derive", *pair_args, "-K", "2", "--out", "refused.json", "--text")
+    assert out["derive-K2-text:stdout"] == _sha(b"")
+    run("canon-text", 0, "canon", "--quad", "quad.json", "--text")
+    run("demo-erasure-1/2-text", 0, "demo-erasure", "--p-num", "1", "--p-den", "2", "--text")
     return out
 
 
