@@ -49,7 +49,8 @@ EXIT_OK = 0
 EXIT_DOMAIN = 1
 EXIT_INPUT = 2
 
-# demo-erasure plays 32 games over R**2 microstate choices: time and report grow as R**2.
+# demo-erasure lists the R**2 states of each of its two games' reachable sets;
+# its verdict and 15-point sweep read each set's description and list none.
 MAX_ERASURE_CHOICES = 10_000
 
 # Witnesses a verdict lists; its witness_count stays exact.  A failing
@@ -64,7 +65,7 @@ class InputError(Exception):
 class DomainFailure(Exception):
     """Well-formed inputs, failed mathematics: maps to exit 1."""
 
-    def __init__(self, message: str, report: dict | None = None):
+    def __init__(self, message: str, report: dict):
         super().__init__(message)
         self.report = report
 
@@ -82,13 +83,6 @@ def _read_json(path: str) -> tuple[bytes, Any]:
     finally:
         if enabled:
             gc.enable()
-
-
-def _emit(report: dict, text_lines: list[str], as_json: bool) -> None:
-    if as_json:
-        sys.stdout.write(canonical_dumps(report))
-    else:
-        sys.stdout.write("\n".join(text_lines) + "\n")
 
 
 def _verdict(check: str, ok: bool, witnesses=()) -> dict:
@@ -119,20 +113,19 @@ def _load_ordering(args):
     return ordering, digest_bytes(family_raw, ordering_raw)
 
 
-def cmd_check(args) -> int:
+def _verdict_line(verdict: dict) -> str:
+    return f"check {verdict['check']}: {verdict['result']} ({verdict['witness_count']} witnesses)"
+
+
+def cmd_check(args) -> tuple[int, dict, list[str]]:
     ordering, digest = _load_ordering(args)
     reports = run_all_checks(ordering)
     verdicts = [_verdict(r.axiom, r.satisfied, r.witnesses) for r in reports]
-    report = _report("check", digest, verdicts)
-    lines = [
-        f"check {v['check']}: {v['result']} ({v['witness_count']} witnesses)"
-        for v in verdicts
-    ]
-    _emit(report, lines, not args.text)
-    return EXIT_OK if all(r.satisfied for r in reports) else EXIT_DOMAIN
+    code = EXIT_OK if all(r.satisfied for r in reports) else EXIT_DOMAIN
+    return code, _report("check", digest, verdicts), list(map(_verdict_line, verdicts))
 
 
-def cmd_derive(args) -> int:
+def cmd_derive(args) -> tuple[int, dict, list[str]]:
     if args.K < 1:
         raise InputError("K must be positive")
     ordering, digest = _load_ordering(args)
@@ -150,17 +143,10 @@ def cmd_derive(args) -> int:
     ok, witnesses = verify_representation(assignment, ordering)
     doc = assignment_to_json(assignment)
     Path(args.out).write_text(canonical_dumps(doc), encoding="utf-8")
-    report = _report(
-        "derive", digest, [_verdict("representation", ok, witnesses)],
-        assignment_path=str(args.out), K=args.K,
-    )
-    lines = [
-        f"derive: wrote {args.out}",
-        f"check representation: {'pass' if ok else 'fail'} "
-        f"({len(witnesses)} witnesses)",
-    ]
-    _emit(report, lines, not args.text)
-    return EXIT_OK if ok else EXIT_DOMAIN
+    verdict = _verdict("representation", ok, witnesses)
+    report = _report("derive", digest, [verdict], assignment_path=str(args.out), K=args.K)
+    lines = [f"derive: wrote {args.out}", _verdict_line(verdict)]
+    return (EXIT_OK if ok else EXIT_DOMAIN), report, lines
 
 
 def _canonical_state_json(key: tuple) -> list[dict]:
@@ -170,7 +156,7 @@ def _canonical_state_json(key: tuple) -> list[dict]:
             for result, no_detail, detail, reward, (num, den) in key]
 
 
-def cmd_demo_erasure(args) -> int:
+def cmd_demo_erasure(args) -> tuple[int, dict, list[str]]:
     from .erasure import GameSpec, reachable_set, sets_equal
     if args.p_den < 1 or not (0 < args.p_num < args.p_den):
         raise InputError(
@@ -187,19 +173,16 @@ def cmd_demo_erasure(args) -> int:
             f"demo-erasure is capped at {MAX_ERASURE_CHOICES:,}",
             _report("demo-erasure", digest, [_verdict("size-cap", False)]),
         )
-    p = Fraction(args.p_num, args.p_den)
-    prep = [("up", p), ("down", 1 - p)]
-    game1 = GameSpec(frozenset({"up"}))
-    game2 = GameSpec(frozenset({"down"}))
-    set1 = reachable_set(prep, game1, R)
-    set2 = reachable_set(prep, game2, R)
+
+    def game_sets(p: Fraction):
+        """The sets reached when reward is on "up", and when it is on "down"."""
+        prep = [("up", p), ("down", 1 - p)]
+        return [reachable_set(prep, GameSpec(frozenset({r})), R) for r in ("up", "down")]
+
+    set1, set2 = game_sets(Fraction(args.p_num, args.p_den))
     equal = sets_equal(set1, set2)
-    sweep = []
-    for k in range(1, 16):
-        pk = Fraction(k, 16)
-        prep_k = [("up", pk), ("down", 1 - pk)]
-        sets_k = [reachable_set(prep_k, game, R) for game in (game1, game2)]
-        sweep.append({"p": f"{k}/16", "equal": sets_equal(*sets_k)})
+    sweep = [{"p": f"{k}/16", "equal": sets_equal(*game_sets(Fraction(k, 16)))}
+             for k in range(1, 16)]
     report = _report(
         "demo-erasure",
         digest,
@@ -219,8 +202,7 @@ def cmd_demo_erasure(args) -> int:
     ]
     for entry in sweep:
         lines.append(f"  p = {entry['p']:>5}: {'equal' if entry['equal'] else 'different'}")
-    _emit(report, lines, not args.text)
-    return EXIT_OK
+    return EXIT_OK, report, lines
 
 
 def _round12(doc):
@@ -238,7 +220,7 @@ def _round12(doc):
     return doc
 
 
-def cmd_canon(args) -> int:
+def cmd_canon(args) -> tuple[int, dict, list[str]]:
     from .neutrality import canonical_quadruple
     quad_raw, quad_doc = _read_json(args.quad)
     policy = DEFAULT_POLICY
@@ -262,11 +244,10 @@ def cmd_canon(args) -> int:
     )
     lines = [f"{name} = {value}" for name, value in numbers.items()]
     lines.append(canonical_dumps(canon_doc).rstrip("\n"))
-    _emit(report, lines, not args.text)
-    return EXIT_OK
+    return EXIT_OK, report, lines
 
 
-def cmd_gen_rich(args) -> int:
+def cmd_gen_rich(args) -> tuple[int, dict, list[str]]:
     if args.K < 1 or args.max_outcomes < 1:
         raise InputError("K and max outcomes must be positive")
     digest = digest_bytes(f"{args.K}:{args.max_outcomes}".encode())
@@ -297,8 +278,7 @@ def cmd_gen_rich(args) -> int:
         f"wrote family to {out}",
         f"wrote induced ordering to {ordering_out}",
     ]
-    _emit(report, lines, not args.text)
-    return EXIT_OK
+    return EXIT_OK, report, lines
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -312,16 +292,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_output_flags(p):
-        p.add_argument(
-            "--text", action="store_true",
-            help="emit a plain-text report (default: a JSON report)",
-        )
-
     p = sub.add_parser("check", help="run the five axiom checks")
     p.add_argument("--family", required=True, help="family JSON path")
     p.add_argument("--ordering", required=True, help="ordering JSON path")
-    add_output_flags(p)
     p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("derive", help="derive and verify the representing measure")
@@ -329,7 +302,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ordering", required=True, help="ordering JSON path")
     p.add_argument("-K", type=int, required=True, help="grid constant")
     p.add_argument("--out", required=True, help="assignment JSON output path")
-    add_output_flags(p)
     p.set_defaults(func=cmd_derive)
 
     p = sub.add_parser("demo-erasure", help="two-game erasure demonstration")
@@ -339,7 +311,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--index-range", type=int, default=DEFAULT_INDEX_RANGE,
         help="number of erasure microstates per branch (default %(default)s)",
     )
-    add_output_flags(p)
     p.set_defaults(func=cmd_demo_erasure)
 
     p = sub.add_parser("canon", help="two-dimensional normal form of a quadruple")
@@ -348,32 +319,44 @@ def build_parser() -> argparse.ArgumentParser:
         "--numeric-policy", default=None,
         help="JSON file overriding float tolerances",
     )
-    add_output_flags(p)
     p.set_defaults(func=cmd_canon)
 
     p = sub.add_parser("gen-rich", help="emit a rich family and its induced ordering")
     p.add_argument("-K", type=int, required=True, help="grid constant")
     p.add_argument("--max-outcomes", type=int, required=True)
     p.add_argument("--out", required=True, help="family JSON path; ordering: <out>.ordering.json")
-    add_output_flags(p)
     p.set_defaults(func=cmd_gen_rich)
 
+    for p in sub.choices.values():
+        p.add_argument(
+            "--text", action="store_true",
+            help="emit a plain-text report (default: a JSON report)",
+        )
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one subcommand and write its report, the only write to stdout.
+    Each ``cmd_*`` returns its exit code, its v1 report and the lines of its
+    ``--text`` report.  A domain failure's report is written in JSON mode
+    only, and its message goes to stderr after it."""
+    args = build_parser().parse_args(argv)
+    failure = None
     try:
-        return args.func(args)
+        try:
+            code, report, lines = args.func(args)
+        except DomainFailure as exc:
+            code, report, lines, failure = EXIT_DOMAIN, exc.report, [], exc
+        if not args.text:
+            sys.stdout.write(canonical_dumps(report))
+        elif lines:
+            sys.stdout.write("\n".join(lines) + "\n")
     except (InputError, FormatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except DomainFailure as exc:
-        if exc.report is not None and not args.text:
-            sys.stdout.write(canonical_dumps(exc.report))
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DOMAIN
+    if failure is not None:
+        print(f"error: {failure}", file=sys.stderr)
+    return code
 
 
 def entry_point() -> None:

@@ -207,16 +207,20 @@ def erase(
 ) -> BranchState:
     """Destroy result records: every branch becomes erased(i).
 
-    The choice assigns one microstate index (1..index_range) to every
-    branch; reward flags and amplitudes are untouched.  A choice that
-    would merge two branches into one label is rejected, since the
-    erasure step is a unitary process and cannot fuse branches.
+    The choice assigns one integer microstate index (1..index_range, not
+    a bool) to every branch; reward flags and amplitudes are untouched.
+    A choice that would merge two branches into one label is rejected,
+    since the erasure step is a unitary process and cannot fuse branches.
     """
     new_branches = []
     for label, amp in state.branches:
         if label not in microstate_choice:
             raise ValueError(f"microstate choice misses branch {label.label()}")
         i = microstate_choice[label]
+        if isinstance(i, bool) or not isinstance(i, int):
+            raise ValueError(
+                f"microstate index of branch {label.label()} must be an integer, got {i!r}"
+            )
         if not (1 <= i <= index_range):
             raise IndexOutOfRange(
                 f"microstate index {i} outside 1..{index_range}"

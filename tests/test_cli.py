@@ -737,3 +737,50 @@ def test_unparsable_json_exits_2_with_one_error_line(tmp_path, capsys, command, 
     out, err = capsys.readouterr()
     assert out == "" and err.startswith(f"error: {bad}: not valid UTF-8 JSON")
     assert len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["gen-rich", "-K", "0", "--max-outcomes", "3", "--out", "fam.json"],
+         "K and max outcomes must be positive"),
+        (["gen-rich", "-K", "3", "--max-outcomes", "0", "--out", "fam.json"],
+         "K and max outcomes must be positive"),
+        (["demo-erasure", "--p-num", "1", "--p-den", "2", "--index-range", "0"],
+         "index range must be at least 1"),
+    ],
+    ids=["gen-rich-K-0", "gen-rich-max-outcomes-0", "demo-erasure-index-range-0"],
+)
+def test_nonpositive_sizes_exit_2_with_one_error_line(tmp_path, monkeypatch, capsys, argv,
+                                                      message):
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"error: {message}\n"
+    assert not (tmp_path / "fam.json").exists()
+
+
+class BrokenPipeWriter:
+    """A stdout whose reader has gone: every write raises BrokenPipeError."""
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+    def flush(self):
+        pass
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["demo-erasure", "--p-num", "1", "--p-den", "2"],
+        ["demo-erasure", "--p-num", "1", "--p-den", "2", "--text"],
+        ["demo-erasure", "--p-num", "1", "--p-den", "2", "--index-range", "101"],
+    ],
+    ids=["json", "text", "json-domain-failure"],
+)
+def test_a_failing_stdout_write_exits_2_with_one_error_line(monkeypatch, capsys, argv):
+    monkeypatch.setattr(sys, "stdout", BrokenPipeWriter())
+    assert cli.main(argv) == 2
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith("error:") and "Broken pipe" in line

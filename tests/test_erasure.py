@@ -108,6 +108,15 @@ class TestErase:
         with pytest.raises(IndexOutOfRange):
             erase(state, {up: 3, down: 1}, index_range=2)
 
+    @pytest.mark.parametrize("index", [True, 2.0, 1.5, "1", None])
+    def test_non_integer_index_is_refused_naming_value_and_branch(self, index):
+        state = play_game(HALF, GAME1)
+        up, down = (label for label, _ in state.branches)
+        with pytest.raises(ValueError) as info:
+            erase(state, {up: 1, down: index}, index_range=2)
+        assert not isinstance(info.value, IndexOutOfRange)
+        assert f"got {index!r}" in str(info.value) and "down;no reward" in str(info.value)
+
 
 class TestReachableSets:
     def test_half_gives_four_states_each_and_equal(self):
@@ -550,3 +559,27 @@ class TestRefusalsNameTheirInput:
         prep = [("erased", Fraction(1, 2)), ("down", Fraction(1, 2))]
         with pytest.raises(ValueError, match="'erased' is reserved"):
             play_game(prep, GAME2)
+
+    @pytest.mark.parametrize(
+        "build, error, fragment",
+        [
+            (lambda: play_game([], GAME1), ValueError, "at least one result"),
+            (lambda: play_game([("up", Fraction(1, 2))] * 2, GAME1), ValueError,
+             "result ids must be unique"),
+            (lambda: play_game(HALF, GameSpec(frozenset({"sideways"}))), ValueError,
+             "game rewards unknown results ['sideways']"),
+            (lambda: erase(play_game(HALF, GAME1), {BranchLabel("up", True): 1}, 2),
+             ValueError, "microstate choice misses branch down;no reward"),
+            (lambda: refine(WeightedMeasurement("m", ("a", "a_2"), (Fraction(1, 2),) * 2),
+                            "a", 2), ValueError, "suboutcome name 'a_2' collides"),
+            (lambda: refine_family(MeasurementFamily((uniform_measurement(2),)),
+                                   RefinementSpec("nope", "u1", 2)),
+             UnknownOutcome, "no measurement 'nope' in family"),
+        ],
+        ids=["no-result", "repeated-result", "unknown-reward", "missing-branch",
+             "colliding-suboutcome", "unknown-measurement"],
+    )
+    def test_refusal(self, build, error, fragment):
+        with pytest.raises(error) as info:
+            build()
+        assert fragment in str(info.value)

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from born_kernel import (
     LikelihoodOrdering,
@@ -146,6 +146,13 @@ class TestOrderingFormat:
         del doc["family_digest"]
         with pytest.raises(FormatError):
             ordering_from_json(doc, family)
+
+    @pytest.mark.parametrize("schema", ["v3", "V1", "x" * 100])
+    def test_unknown_schema_is_named(self, schema):
+        with pytest.raises(FormatError) as info:
+            ordering_from_json({"schema": schema, "pairs": []}, generate_rich_family(2, 2))
+        assert str(info.value) == (
+            f"ordering: schema must be 'v1' or 'v2', got {repr(schema)[:60]}")
 
     def test_unlisted_pairs_default_false(self):
         family = MeasurementFamily(
@@ -521,12 +528,12 @@ ANY_NORM = NumericPolicy(norm_tol=_BIG)
 
 
 class TestComplexReader:
-    @settings(max_examples=400)
+    @settings(max_examples=400, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     @given(complex_rows())
     def test_matrix_reads_as_the_per_entry_reader(self, doc):
         assert read_outcome(matrix_from_json, doc) == read_outcome(conftest.matrix_from_json, doc)
 
-    @settings(max_examples=400)
+    @settings(max_examples=400, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     @given(complex_rows())
     def test_state_reads_as_the_per_entry_reader(self, rows):
         doc = {"components": [z for row in rows for z in row]}

@@ -347,3 +347,31 @@ class TestOrderingBridge:
         ordering = induced_ordering(family)
         i, j = family.position("bet1", ("in",)), family.position("bet2", ("in",))
         assert ordering.matrix[i, j] and ordering.matrix[j, i]
+
+
+Z_SPIN = spectral_decompose(np.diag([1.0, -1.0]).astype(complex))
+SPIN_UP = MeasurementQuadruple(
+    StateVector(np.array([1.0, 0.0], dtype=complex)), Z_SPIN, frozenset({1.0})
+)
+
+
+@pytest.mark.parametrize(
+    "build, fragment",
+    [
+        (lambda: MeasurementQuadruple(StateVector(np.eye(3)[0]), Z_SPIN, frozenset()),
+         "dimensions differ"),
+        (lambda: CanonicalForm(1.5, 1.0, 0.0), "weight must lie in [0, 1]"),
+        (lambda: CanonicalForm(0.25, -0.5, np.sqrt(0.75)), "amplitudes are nonnegative"),
+        (lambda: CanonicalForm(0.25, 0.6, 0.8), "c^2 must equal the weight"),
+        (lambda: unitary_transform(SPIN_UP, np.eye(3), Z_SPIN),
+         "transform expects dimension 3, quadruple has 2"),
+        (lambda: unitary_transform(SPIN_UP, np.eye(3)[:, :2], Z_SPIN),
+         "output dimension does not match"),
+    ],
+    ids=["quadruple-dimensions", "weight-past-1", "negative-c", "c-squared",
+         "transform-input", "transform-output"],
+)
+def test_refusals_name_their_input(build, fragment):
+    with pytest.raises(ValueError) as info:
+        build()
+    assert fragment in str(info.value)

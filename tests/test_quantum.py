@@ -360,3 +360,38 @@ def test_planted_clusters_round_trip_and_weigh(seed):
         )
         assert merged.event == frozenset({100.0})
         assert merged.event_weight() == pytest.approx(single[a] + single[b], abs=1e-10)
+
+
+Z_SPIN = spectral_decompose(np.diag([1.0, -1.0]).astype(complex))
+UP = StateVector(np.array([1.0, 0.0], dtype=complex))
+
+
+@pytest.mark.parametrize(
+    "build, fragment",
+    [
+        (lambda: Observable((), np.eye(1), [0]), "at least one eigenvalue"),
+        (lambda: Observable((0.0,), np.ones((1, 2)), [0]), "eigenbasis must be a square"),
+        (lambda: Observable((0.0,), np.eye(2), [0, 1]), "must name one eigenvalue"),
+        (lambda: Observable((0.0, 1.0), np.array([[1.0, 1.0], [0.0, 1.0]]), [0, 1]),
+         "eigenbasis is not orthonormal: max |V^dag V - I| = 1.000e+00"),
+        (lambda: Observable.from_pairs([]), "at least one spectral pair"),
+        (lambda: Observable.from_pairs([(0.0, np.ones((1, 2)))]), "projector must be a square"),
+        (lambda: Observable.from_pairs([(0.0, np.eye(2)), (1.0, np.eye(3))]),
+         "share one dimension"),
+        (lambda: MeasurementModel("m", StateVector(np.eye(3)[0]), Z_SPIN, ("a", "b"),
+                                  {"a": 1.0, "b": -1.0}), "dimensions differ"),
+        (lambda: MeasurementModel("m", UP, Z_SPIN, ("a", "a"), {"a": 1.0}),
+         "outcome labels must be unique"),
+        (lambda: MeasurementModel("m", UP, Z_SPIN, ("a", "b"),
+                                  {"a": 1.0, "b": -1.0, "c": 1.0}), "unknown labels ['c']"),
+        (lambda: spectral_decompose(np.ones((2, 3))), "input must be a square"),
+        (lambda: make_rich_measurement([]), "weights must be nonempty"),
+    ],
+    ids=["no-eigenvalue", "oblong-basis", "bad-cluster", "oblique-basis", "no-pair",
+         "oblong-projector", "mixed-dimensions", "model-dimensions", "repeated-label",
+         "unknown-label", "oblong-matrix", "no-weight"],
+)
+def test_refusals_name_their_input(build, fragment):
+    with pytest.raises(ValueError) as info:
+        build()
+    assert fragment in str(info.value)

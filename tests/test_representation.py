@@ -66,6 +66,24 @@ def test_compositions_are_every_positive_split_in_lexicographic_order(total):
         assert list(compositions(total, parts)) == brute_compositions(total, parts)
 
 
+@pytest.mark.parametrize(
+    "build, fragment",
+    [
+        (lambda: generate_rich_family(0, 3), "K and max_outcomes must be positive"),
+        (lambda: generate_rich_family(3, 0), "K and max_outcomes must be positive"),
+        (lambda: derive_representation(induced_ordering(generate_rich_family(2, 2)), 0),
+         "K must be positive"),
+        (lambda: uniqueness_search(induced_ordering(generate_rich_family(2, 2)), -1),
+         "K must be positive"),
+    ],
+    ids=["generate-K-0", "generate-max-outcomes-0", "derive-K-0", "search-K-negative"],
+)
+def test_a_nonpositive_grid_constant_is_refused(build, fragment):
+    with pytest.raises(ValueError) as info:
+        build()
+    assert str(info.value) == fragment
+
+
 class TestGenerateRichFamily:
     def test_k2_max2(self):
         family = generate_rich_family(2, 2)
