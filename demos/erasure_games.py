@@ -7,6 +7,7 @@ set of global states reachable from game 1 equals the set reachable
 from game 2 exactly when the reward branches carry equal weight.  That
 set-equality is the executable content of equal-weight indifference.
 """
+import math
 from fractions import Fraction
 
 from born_kernel import GameSpec, play_game, reachable_set, sets_equal, three_outcome_game
@@ -20,7 +21,7 @@ print("pre-erasure states at p = 1/2:")
 for name, game in (("game 1", game1), ("game 2", game2)):
     state = play_game(half, game)
     print(f"  {name}: " + " + ".join(
-        f"{abs(a):.4f}|{label.label()}>" for label, a in state.branches
+        f"{math.sqrt(w):.4f}|{label.label()}>" for label, w, _ in state.branches
     ))
 
 print()

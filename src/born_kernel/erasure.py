@@ -4,15 +4,15 @@ Models the two payoff games on a branching measurement (reward on one
 result versus reward on the other), the erasure step that destroys the
 result record while keeping the reward, and the sets of global states
 reachable by erasure, each held as the description that decides it.
-The reachable sets of the two games coincide exactly when the reward
-branches carry equal weight, which is the executable core of the
-equal-weight indifference argument.  Refinement splits one outcome into
-equally weighted suboutcomes and the derived probability of every
-coarse event must not move.
+A single state and a reachable set are keyed by one rule on exact
+branch weights.  The reachable sets of the two games coincide exactly
+when the reward branches carry equal weight, which is the executable
+core of the equal-weight indifference argument.  Refinement splits one
+outcome into equally weighted suboutcomes and the derived probability
+of every coarse event must not move.
 """
 from __future__ import annotations
 
-import cmath
 import itertools
 import math
 from dataclasses import dataclass, field, replace
@@ -55,9 +55,11 @@ class ZeroWeightRefinement(ValueError):
     """Refinement target has zero weight."""
 
 
-# A state's amplitudes are floating point; its canonical key quantizes
-# their squares to this many decimals.
-_CANONICAL_DECIMALS = 12
+def _count(name: str, value) -> int:
+    """``value``, refused unless it is an integer (not a bool) of at least 1."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+        raise ValueError(f"{name} must be an integer of at least 1, got {value!r}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -85,31 +87,32 @@ class BranchLabel:
 
 @dataclass(frozen=True)
 class BranchState:
-    """Superposition over distinct branch labels."""
+    """Superposition over distinct branch labels.  Each branch is
+    ``(label, weight, phase)``: an exact ``Fraction`` weight w >= 0 and a
+    finite float phase theta, for the amplitude sqrt(w) * exp(i * theta).
+    The weights sum to exactly 1."""
 
-    branches: tuple[tuple[BranchLabel, complex], ...]
+    branches: tuple[tuple[BranchLabel, Fraction, float], ...]
 
     def __post_init__(self) -> None:
-        labels = [label for label, _ in self.branches]
+        labels = [label for label, _, _ in self.branches]
         if len(set(labels)) != len(labels):
             raise BranchCollision("branch labels must be pairwise distinct")
-        total = sum(abs(a) ** 2 for _, a in self.branches)
-        if abs(total - 1.0) > 1e-12:
-            raise ValueError(f"squared amplitudes sum to {total!r}, not 1")
+        for label, w, theta in self.branches:
+            if not (isinstance(w, Fraction) and w >= 0 and math.isfinite(theta)):
+                raise ValueError(f"branch {label.label()} needs a Fraction weight >= 0 and "
+                                 f"a finite phase, got {w!r} and {theta!r}")
+        if (total := sum(w for _, w, _ in self.branches)) != 1:
+            raise WeightsDontSumToOne(f"branch weights sum to {total}, not 1")
 
     def canonical_key(self) -> tuple:
-        """Phase-free fingerprint: sorted (label, squared amplitude) pairs.
-
-        Zero-amplitude branches are dropped and per-branch phase is
-        discarded, so physically indistinguishable states compare equal.
-        A state holds float amplitudes, not exact weights, so for the
-        branch-phase check each square is rounded to ``_CANONICAL_DECIMALS``
-        places; reachable sets key by exact weight (:func:`reachable_set`).
-        """
+        """Phase-free fingerprint: each branch of nonzero weight as its
+        :func:`_key_item`, exact weight included, sorted, the rule of
+        :attr:`ReachableSet.states`.  Phase is discarded, so physically
+        indistinguishable states compare equal."""
         return tuple(sorted(
-            _key_item(label.result, label.detail, label.reward, w)
-            for label, amp in self.branches
-            if (w := round(abs(amp) ** 2, _CANONICAL_DECIMALS)) != 0.0
+            _key_item(label.result, label.detail, label.reward, w.as_integer_ratio())
+            for label, w, _ in self.branches if w
         ))
 
 
@@ -145,9 +148,7 @@ class ReachableSet:
     _identity: tuple | None = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        R = self.index_range
-        if isinstance(R, bool) or not isinstance(R, int) or R < 1:
-            raise ValueError(f"index_range must be an integer of at least 1, got {R!r}")
+        R = _count("index_range", self.index_range)
         flags = tuple(sorted(self.rewarded)), tuple(sorted(self.unrewarded))
         object.__setattr__(self, "rewarded", flags[0])
         object.__setattr__(self, "unrewarded", flags[1])
@@ -171,10 +172,11 @@ class ReachableSet:
 def play_game(
     prep_weights: Sequence[tuple[str, Fraction]], game: GameSpec
 ) -> BranchState:
-    """Run one game: one branch per result, amplitude sqrt(weight).
+    """Run one game: one branch per result, its exact weight, phase 0.
 
-    Weights must be strictly positive and sum exactly to 1; the reward
-    flag on each branch comes from the game's payoff rule.
+    Weights must be strictly positive and sum exactly to 1 (checked by
+    :class:`BranchState`); the reward flag on each branch comes from the
+    game's payoff rule.
     """
     if not prep_weights:
         raise ValueError("preparation needs at least one result")
@@ -186,18 +188,13 @@ def play_game(
     weights = [Fraction(w) for _, w in prep_weights]
     if any(w <= 0 for w in weights):
         raise ValueError("preparation weights must be strictly positive")
-    if sum(weights, Fraction(0)) != 1:
-        raise WeightsDontSumToOne(
-            f"preparation weights sum to {sum(weights, Fraction(0))}, not 1"
-        )
     unknown = game.reward_results - set(results)
     if unknown:
         raise ValueError(f"game rewards unknown results {sorted(unknown)}")
-    branches = tuple(
-        (BranchLabel(r, reward=r in game.reward_results), complex(math.sqrt(w)))
+    return BranchState(tuple(
+        (BranchLabel(r, reward=r in game.reward_results), w, 0.0)
         for r, w in zip(results, weights)
-    )
-    return BranchState(branches)
+    ))
 
 
 def erase(
@@ -208,12 +205,13 @@ def erase(
     """Destroy result records: every branch becomes erased(i).
 
     The choice assigns one integer microstate index (1..index_range, not
-    a bool) to every branch; reward flags and amplitudes are untouched.
+    a bool) to every branch; reward flags, weights and phases are kept.
     A choice that would merge two branches into one label is rejected,
     since the erasure step is a unitary process and cannot fuse branches.
     """
+    _count("index_range", index_range)
     new_branches = []
-    for label, amp in state.branches:
+    for label, w, theta in state.branches:
         if label not in microstate_choice:
             raise ValueError(f"microstate choice misses branch {label.label()}")
         i = microstate_choice[label]
@@ -225,7 +223,7 @@ def erase(
             raise IndexOutOfRange(
                 f"microstate index {i} outside 1..{index_range}"
             )
-        new_branches.append((BranchLabel("erased", label.reward, i), amp))
+        new_branches.append((BranchLabel("erased", label.reward, i), w, theta))
     return BranchState(tuple(new_branches))
 
 
@@ -240,8 +238,8 @@ def reachable_set(
     two branches one (index, reward) would merge them, which :func:`erase`
     refuses, so it reaches nothing."""
     flags: tuple[list, list] = ([], [])
-    for (label, _), (_, w) in zip(play_game(prep_weights, game).branches, prep_weights):
-        flags[label.reward].append(Fraction(w).as_integer_ratio())
+    for label, w, _ in play_game(prep_weights, game).branches:
+        flags[label.reward].append(w.as_integer_ratio())
     return ReachableSet(index_range, tuple(flags[True]), tuple(flags[False]))
 
 
@@ -283,16 +281,14 @@ def three_outcome_game(
 def apply_branch_phase(
     state: BranchState, phases: Mapping[BranchLabel, float]
 ) -> BranchState:
-    """Multiply each branch amplitude by exp(i * theta).
+    """Add theta to each branch's phase: its amplitude gains exp(i * theta).
 
     Canonical comparison treats per-branch phase as identity, so this
     never changes a reachable-set verdict.
     """
-    new_branches = tuple(
-        (label, amp * cmath.exp(1j * phases.get(label, 0.0)))
-        for label, amp in state.branches
-    )
-    return BranchState(new_branches)
+    return BranchState(tuple(
+        (label, w, theta + phases.get(label, 0.0)) for label, w, theta in state.branches
+    ))
 
 
 def refine(
@@ -304,8 +300,7 @@ def refine(
     exact weight w/parts each; everything else is untouched.  parts = 1
     is the admissible no-op split (single suboutcome, full weight).
     """
-    if parts < 1:
-        raise ValueError("parts must be at least 1")
+    _count("parts", parts)
     if outcome not in measurement.outcomes:
         raise UnknownOutcome(
             f"{outcome!r} is not an outcome of measurement {measurement.id!r}"

@@ -48,20 +48,20 @@ class TestPlayGame:
     def test_game1_state(self):
         state = play_game(HALF, GAME1)
         assert state.branches == (
-            (BranchLabel("up", True), complex(math.sqrt(0.5))),
-            (BranchLabel("down", False), complex(math.sqrt(0.5))),
+            (BranchLabel("up", True), Fraction(1, 2), 0.0),
+            (BranchLabel("down", False), Fraction(1, 2), 0.0),
         )
 
     def test_game2_swaps_rewards(self):
         state = play_game(HALF, GAME2)
-        flags = {label.result: label.reward for label, _ in state.branches}
+        flags = {label.result: label.reward for label, _, _ in state.branches}
         assert flags == {"up": False, "down": True}
 
     def test_certain_single_branch(self):
         state = play_game([("up", Fraction(1))], GAME1)
         assert len(state.branches) == 1
-        label, amp = state.branches[0]
-        assert label.reward and amp == complex(1.0)
+        label, w, theta = state.branches[0]
+        assert label.reward and w == 1 and theta == 0.0
 
     def test_weights_must_sum_to_one(self):
         with pytest.raises(WeightsDontSumToOne):
@@ -75,9 +75,9 @@ class TestPlayGame:
 class TestErase:
     def test_relabels_results(self):
         state = play_game(HALF, GAME1)
-        up, down = (label for label, _ in state.branches)
+        up, down = (label for label, _, _ in state.branches)
         erased = erase(state, {up: 1, down: 2}, index_range=2)
-        labels = {label for label, _ in erased.branches}
+        labels = {label for label, _, _ in erased.branches}
         assert labels == {
             BranchLabel("erased", True, 1),
             BranchLabel("erased", False, 2),
@@ -85,18 +85,16 @@ class TestErase:
 
     def test_single_branch(self):
         state = play_game([("up", Fraction(1))], GAME1)
-        (label, _), = state.branches
+        (label, _, _), = state.branches
         erased = erase(state, {label: 1}, index_range=1)
-        assert erased.branches[0][0] == BranchLabel("erased", True, 1)
-        assert erased.branches[0][1] == complex(1.0)
+        assert erased.branches == ((BranchLabel("erased", True, 1), Fraction(1), 0.0),)
 
     def test_game2_reaches_the_same_state_as_game1(self):
         """Canonical-equality oracle: the two games meet after erasure."""
         s1 = play_game(HALF, GAME1)
         s2 = play_game(HALF, GAME2)
-        up1, down1 = (label for label, _ in s1.branches)
-        down2 = next(l for l, _ in s2.branches if l.result == "down")
-        up2 = next(l for l, _ in s2.branches if l.result == "up")
+        up1, down1 = (label for label, _, _ in s1.branches)
+        up2, down2 = (label for label, _, _ in s2.branches)
         i, j = 1, 2
         e1 = erase(s1, {up1: i, down1: j}, index_range=2)
         e2 = erase(s2, {down2: i, up2: j}, index_range=2)
@@ -104,14 +102,14 @@ class TestErase:
 
     def test_index_out_of_range(self):
         state = play_game(HALF, GAME1)
-        up, down = (label for label, _ in state.branches)
+        up, down = (label for label, _, _ in state.branches)
         with pytest.raises(IndexOutOfRange):
             erase(state, {up: 3, down: 1}, index_range=2)
 
     @pytest.mark.parametrize("index", [True, 2.0, 1.5, "1", None])
     def test_non_integer_index_is_refused_naming_value_and_branch(self, index):
         state = play_game(HALF, GAME1)
-        up, down = (label for label, _ in state.branches)
+        up, down = (label for label, _, _ in state.branches)
         with pytest.raises(ValueError) as info:
             erase(state, {up: 1, down: index}, index_range=2)
         assert not isinstance(info.value, IndexOutOfRange)
@@ -159,31 +157,19 @@ class TestReachableSets:
         assert a == ReachableSet(3, (), ((1, 3), (2, 3)))
 
 
-def exact_key(state, weights):
-    """An erased state's key: its branches' (result, detail is None,
-    detail, reward, (numerator, denominator)) items, sorted, each weight
-    the exact one its branch was prepared with."""
-    return tuple(sorted(
-        (label.result, label.detail is None, label.detail, label.reward,
-         (w.numerator, w.denominator))
-        for (label, _), w in zip(state.branches, weights)
-    ))
-
-
 def per_choice_reachable_set(prep, game, index_range):
     """The oracle: erase the played state for every microstate choice,
-    skip the choices that collide, and key each erased state by exact
-    weight; returns the frozenset of keys."""
+    skip the choices that collide, and key each erased state by its
+    `canonical_key`; returns the frozenset of keys."""
     state = play_game(prep, game)
-    labels = [label for label, _ in state.branches]
-    weights = [Fraction(w) for _, w in prep]
+    labels = [label for label, _, _ in state.branches]
     keys = set()
     for assignment in itertools.product(range(1, index_range + 1), repeat=len(labels)):
         try:
             erased = erase(state, dict(zip(labels, assignment)), index_range)
         except BranchCollision:
             continue
-        keys.add(exact_key(erased, weights))
+        keys.add(erased.canonical_key())
     return frozenset(keys)
 
 
@@ -296,6 +282,30 @@ def test_weights_equal_to_12_places_give_different_sets():
     assert not (s1.states & s2.states)
 
 
+
+def test_single_states_with_weights_equal_to_12_places_have_different_keys():
+    """The erased reward-up state of game 1 and the erased reward-down
+    state of game 2 with the indices swapped share labels, but their
+    reward branches weigh 1/2 + 10**-15 and 1/2 - 10**-15."""
+    prep = [("up", NEAR_HALF), ("down", 1 - NEAR_HALF)]
+    up, down = BranchLabel("up", True), BranchLabel("down", False)
+    e1 = erase(play_game(prep, GAME1), {up: 1, down: 2}, index_range=2)
+    up, down = BranchLabel("up", False), BranchLabel("down", True)
+    e2 = erase(play_game(prep, GAME2), {down: 1, up: 2}, index_range=2)
+    assert e1.canonical_key() != e2.canonical_key()
+    assert e1.canonical_key() == (
+        ("erased", False, 1, True, NEAR_HALF.as_integer_ratio()),
+        ("erased", False, 2, False, (1 - NEAR_HALF).as_integer_ratio()),
+    )
+
+
+def test_tiny_branch_stays_in_a_single_state_key():
+    state = play_game([("a", 1 - TINY), ("b", TINY)], GameSpec(frozenset()))
+    assert state.canonical_key() == (
+        ("a", True, 0, False, (10**13 - 1, 10**13)),
+        ("b", True, 0, False, (1, 10**13)),
+    )
+
 class TestThreeOutcomeGame:
     g1 = GameSpec(frozenset({THREE_OUTCOME_RESULTS[0]}))
     g2 = GameSpec(frozenset({THREE_OUTCOME_RESULTS[1]}))
@@ -351,10 +361,11 @@ class TestBranchPhase:
         state = play_game(HALF, GAME1)
         label = state.branches[0][0]
         flipped = apply_branch_phase(state, {label: math.pi})
-        assert flipped.branches[0][1] == pytest.approx(
-            -state.branches[0][1], abs=1e-12
-        )
+        assert flipped.branches == (
+            (label, Fraction(1, 2), math.pi), state.branches[1])
         assert flipped.canonical_key() == state.canonical_key()
+        # Phases add: a second flip turns the branch by 2 pi in all.
+        assert apply_branch_phase(flipped, {label: math.pi}).branches[0][2] == 2 * math.pi
 
     def test_random_phases_keep_sets_equal(self):
         rng = np.random.default_rng(23)
@@ -362,7 +373,7 @@ class TestBranchPhase:
         s2 = play_game(HALF, GAME2)
         keys = set()
         for state in (s1, s2):
-            labels = [label for label, _ in state.branches]
+            labels = [label for label, _, _ in state.branches]
             phased = apply_branch_phase(
                 state, {l: float(rng.uniform(0, 2 * np.pi)) for l in labels}
             )
@@ -370,6 +381,12 @@ class TestBranchPhase:
             keys.add(erased.canonical_key())
         assert len(keys) == 1
 
+
+    @pytest.mark.parametrize("theta", [math.nan, math.inf, -math.inf])
+    def test_non_finite_phase_is_refused(self, theta):
+        state = play_game(HALF, GAME1)
+        with pytest.raises(ValueError, match=re.escape(f"got Fraction(1, 2) and {theta!r}")):
+            apply_branch_phase(state, {BranchLabel("up", True): theta})
 
 class TestRefine:
     def test_coin_heads_into_four(self):
@@ -499,14 +516,14 @@ class TestCanonicalEquality:
         reordered = BranchState(tuple(reversed(state.branches)))
         assert reordered.canonical_key() == state.canonical_key()
 
-    def test_zero_amplitude_branches_dropped(self):
+    def test_zero_weight_branches_dropped(self):
         a = BranchState(
             (
-                (BranchLabel("up", True), complex(1.0)),
-                (BranchLabel("down", False), complex(0.0)),
+                (BranchLabel("up", True), Fraction(1), 0.0),
+                (BranchLabel("down", False), Fraction(0), 0.0),
             )
         )
-        b = BranchState(((BranchLabel("up", True), complex(1.0)),))
+        b = BranchState(((BranchLabel("up", True), Fraction(1), 0.0),))
         assert a.canonical_key() == b.canonical_key()
 
 
@@ -514,11 +531,24 @@ class TestBranchStateValidation:
     def test_duplicate_labels_rejected(self):
         label = BranchLabel("up", True)
         with pytest.raises(ValueError):
-            BranchState(((label, complex(0.8)), (label, complex(0.6))))
+            BranchState(((label, Fraction(16, 25), 0.0), (label, Fraction(9, 25), 0.0)))
 
-    def test_norm_enforced(self):
-        with pytest.raises(ValueError):
-            BranchState(((BranchLabel("up", True), complex(0.5)),))
+    def test_weights_must_sum_to_exactly_one(self):
+        with pytest.raises(WeightsDontSumToOne, match="branch weights sum to 1/4, not 1"):
+            BranchState(((BranchLabel("up", True), Fraction(1, 4), 0.0),))
+        with pytest.raises(WeightsDontSumToOne, match="sum to 9999999999999999/10"):
+            BranchState(((BranchLabel("up", True), 1 - Fraction(1, 10**16), 0.0),))
+
+    @pytest.mark.parametrize("weight, phase", [
+        (Fraction(1), math.nan), (Fraction(1), math.inf), (Fraction(1), -math.inf),
+        (1.0, 0.0), (1, 0.0), (Fraction(-1), 0.0),
+    ])
+    def test_weight_and_phase_are_checked(self, weight, phase):
+        """A weight is an exact Fraction of at least 0 (the second branch
+        brings the sum back to 1) and a phase is finite."""
+        up, down = BranchLabel("up", True), BranchLabel("down", False)
+        with pytest.raises(ValueError, match=re.escape(f"got {weight!r} and {phase!r}")):
+            BranchState(((up, weight, phase), (down, 1 - weight, 0.0)))
 
     def test_erased_label_needs_detail(self):
         with pytest.raises(ValueError):
@@ -536,7 +566,7 @@ class TestBranchStateValidation:
             prep = [(f"r{i}", Fraction(int(p), 16)) for i, p in enumerate(parts)]
             game = GameSpec(frozenset({"r0"}))
             state = play_game(prep, game)
-            labels = [label for label, _ in state.branches]
+            labels = [label for label, _, _ in state.branches]
             phased = apply_branch_phase(
                 state, {l: float(rng.uniform(0, 2 * np.pi)) for l in labels}
             )
@@ -545,8 +575,8 @@ class TestBranchStateValidation:
                 {l: i + 1 for i, l in enumerate(labels)},
                 index_range=4,
             )
-            total = sum(abs(a) ** 2 for _, a in erased.branches)
-            assert total == pytest.approx(1.0, abs=1e-12)
+            assert [w for _, w, _ in erased.branches] == [w for _, w in prep]
+            assert sum(w for _, w, _ in erased.branches) == 1
 
 
 class TestRefusalsNameTheirInput:
@@ -554,6 +584,23 @@ class TestRefusalsNameTheirInput:
     def test_index_range_must_be_an_integer(self, index_range):
         with pytest.raises(ValueError, match=re.escape(f"got {index_range!r}")):
             reachable_set(HALF, GAME1, index_range)
+
+    @pytest.mark.parametrize("index_range", [True, 2.5, 2.0, 0])
+    def test_erase_index_range_must_be_an_integer(self, index_range):
+        state = play_game(HALF, GAME1)
+        choice = {BranchLabel("up", True): 1, BranchLabel("down", False): 2}
+        with pytest.raises(ValueError, match=re.escape(
+                f"index_range must be an integer of at least 1, got {index_range!r}")):
+            erase(state, choice, index_range)
+
+    @pytest.mark.parametrize("parts", [True, 2.0, 0, -1])
+    def test_refine_parts_must_be_an_integer(self, parts):
+        m = WeightedMeasurement("m", ("a", "b"), (Fraction(1, 2),) * 2)
+        message = re.escape(f"parts must be an integer of at least 1, got {parts!r}")
+        with pytest.raises(ValueError, match=message):
+            refine(m, "a", parts)
+        with pytest.raises(ValueError, match=message):
+            refine_family(MeasurementFamily((m,)), RefinementSpec("m", "a", parts))
 
     def test_erased_is_a_reserved_result_id(self):
         prep = [("erased", Fraction(1, 2)), ("down", Fraction(1, 2))]

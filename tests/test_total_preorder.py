@@ -349,6 +349,18 @@ def test_no_true_division_where_weights_are_ranked():
     assert divisions == []
 
 
+def test_erasure_keys_hold_no_float():
+    """Erased states are keyed by exact weights: `erasure.py` rounds
+    nothing and imports no `cmath`, so no float key can come back."""
+    tree = ast.parse((Path(born_kernel.__file__).parent / "erasure.py").read_text(encoding="utf-8"))
+    rounds = [node.lineno for node in ast.walk(tree)
+              if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "round"]
+    imports = [alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+               for alias in node.names] + [
+        node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)]
+    assert rounds == [] and "cmath" not in imports
+
+
 def test_denominators_are_read_by_one_function_per_module():
     """Exact weights are scaled to integer numerators over their least
     common denominator by one helper in `ordering.py`, and every other
