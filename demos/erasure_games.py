@@ -21,7 +21,7 @@ print("pre-erasure states at p = 1/2:")
 for name, game in (("game 1", game1), ("game 2", game2)):
     state = play_game(half, game)
     print(f"  {name}: " + " + ".join(
-        f"{math.sqrt(w):.4f}|{label.label()}>" for label, w, _ in state.branches
+        f"{math.sqrt(w):.4f}|{label.label()}>" for label, w in state.branches
     ))
 
 print()

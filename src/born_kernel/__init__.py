@@ -33,7 +33,7 @@ _MODULE_OF = {name: module for module, names in {
                   "unitary_transform",
     "erasure": "BranchCollision BranchLabel BranchState GameSpec IndexOutOfRange "
                "ReachableSet RefinementSpec UnknownOutcome WeightOutOfRange "
-               "ZeroWeightRefinement apply_branch_phase coarse_event_probability_invariance "
+               "ZeroWeightRefinement coarse_event_probability_invariance "
                "erase play_game reachable_set refine refine_family sets_equal "
                "suboutcome_image three_outcome_game",
 }.items() for name in names.split()}

@@ -5,7 +5,8 @@ result versus reward on the other), the erasure step that destroys the
 result record while keeping the reward, and the sets of global states
 reachable by erasure, each held as the description that decides it.
 A single state and a reachable set are keyed by one rule on exact
-branch weights.  The reachable sets of the two games coincide exactly
+branch weights; a key has no phase, so phase invariance holds by
+construction.  The reachable sets of the two games coincide exactly
 when the reward branches carry equal weight, which is the executable
 core of the equal-weight indifference argument.  Refinement splits one
 outcome into equally weighted suboutcomes and the derived probability
@@ -66,8 +67,8 @@ def _count(name: str, value) -> int:
 class BranchLabel:
     """Result record of one branch: result id, reward flag, microstate.
 
-    Erased branches carry a microstate index in ``detail``; live results
-    carry none.
+    Erased branches carry a microstate index in ``detail``, an integer
+    of at least 1; live results carry none.
     """
 
     result: str
@@ -75,9 +76,9 @@ class BranchLabel:
     detail: int | None = None
 
     def __post_init__(self) -> None:
-        if self.result == "erased" and self.detail is None:
-            raise ValueError("erased labels need a microstate index")
-        if self.result != "erased" and self.detail is not None:
+        if self.result == "erased":
+            _count("microstate index", self.detail)
+        elif self.detail is not None:
             raise ValueError("only erased labels carry a microstate index")
 
     def label(self) -> str:
@@ -88,31 +89,29 @@ class BranchLabel:
 @dataclass(frozen=True)
 class BranchState:
     """Superposition over distinct branch labels.  Each branch is
-    ``(label, weight, phase)``: an exact ``Fraction`` weight w >= 0 and a
-    finite float phase theta, for the amplitude sqrt(w) * exp(i * theta).
-    The weights sum to exactly 1."""
+    ``(label, weight)``, an exact ``Fraction`` weight w >= 0, and the
+    weights sum to exactly 1.  A branch, and so a key, has no phase:
+    phase invariance holds by construction."""
 
-    branches: tuple[tuple[BranchLabel, Fraction, float], ...]
+    branches: tuple[tuple[BranchLabel, Fraction], ...]
 
     def __post_init__(self) -> None:
-        labels = [label for label, _, _ in self.branches]
+        labels = [label for label, _ in self.branches]
         if len(set(labels)) != len(labels):
             raise BranchCollision("branch labels must be pairwise distinct")
-        for label, w, theta in self.branches:
-            if not (isinstance(w, Fraction) and w >= 0 and math.isfinite(theta)):
-                raise ValueError(f"branch {label.label()} needs a Fraction weight >= 0 and "
-                                 f"a finite phase, got {w!r} and {theta!r}")
-        if (total := sum(w for _, w, _ in self.branches)) != 1:
+        for label, w in self.branches:
+            if not (isinstance(w, Fraction) and w >= 0):
+                raise ValueError(f"branch {label.label()} needs a Fraction weight >= 0, got {w!r}")
+        if (total := sum(w for _, w in self.branches)) != 1:
             raise WeightsDontSumToOne(f"branch weights sum to {total}, not 1")
 
     def canonical_key(self) -> tuple:
-        """Phase-free fingerprint: each branch of nonzero weight as its
-        :func:`_key_item`, exact weight included, sorted, the rule of
-        :attr:`ReachableSet.states`.  Phase is discarded, so physically
-        indistinguishable states compare equal."""
+        """Each branch of nonzero weight as its :func:`_key_item`, exact
+        weight included, sorted: the rule of :attr:`ReachableSet.states`.
+        A key has no phase, so phase invariance holds by construction."""
         return tuple(sorted(
             _key_item(label.result, label.detail, label.reward, w.as_integer_ratio())
-            for label, w, _ in self.branches if w
+            for label, w in self.branches if w
         ))
 
 
@@ -129,6 +128,9 @@ class GameSpec:
     reward_results: frozenset[str]
 
     def __post_init__(self) -> None:
+        if isinstance(self.reward_results, str):
+            raise ValueError("reward results are a collection of result ids, "
+                             f"not the string {self.reward_results!r}")
         object.__setattr__(self, "reward_results", frozenset(self.reward_results))
 
 
@@ -172,11 +174,12 @@ class ReachableSet:
 def play_game(
     prep_weights: Sequence[tuple[str, Fraction]], game: GameSpec
 ) -> BranchState:
-    """Run one game: one branch per result, its exact weight, phase 0.
+    """Run one game: one branch per result, with its exact weight.
 
     Weights must be strictly positive and sum exactly to 1 (checked by
     :class:`BranchState`); the reward flag on each branch comes from the
-    game's payoff rule.
+    game's payoff rule.  A branch has no phase, so neither has a key:
+    phase invariance holds by construction.
     """
     if not prep_weights:
         raise ValueError("preparation needs at least one result")
@@ -188,11 +191,10 @@ def play_game(
     weights = [Fraction(w) for _, w in prep_weights]
     if any(w <= 0 for w in weights):
         raise ValueError("preparation weights must be strictly positive")
-    unknown = game.reward_results - set(results)
-    if unknown:
+    if unknown := game.reward_results - set(results):
         raise ValueError(f"game rewards unknown results {sorted(unknown)}")
     return BranchState(tuple(
-        (BranchLabel(r, reward=r in game.reward_results), w, 0.0)
+        (BranchLabel(r, reward=r in game.reward_results), w)
         for r, w in zip(results, weights)
     ))
 
@@ -205,25 +207,27 @@ def erase(
     """Destroy result records: every branch becomes erased(i).
 
     The choice assigns one integer microstate index (1..index_range, not
-    a bool) to every branch; reward flags, weights and phases are kept.
-    A choice that would merge two branches into one label is rejected,
-    since the erasure step is a unitary process and cannot fuse branches.
+    a bool) to every branch and to nothing else; reward flags and
+    weights are kept.  A choice that would merge two branches into one
+    label is rejected, since the erasure step is a unitary process and
+    cannot fuse branches.  The erased state's key has no phase, so
+    phase invariance holds by construction.
     """
     _count("index_range", index_range)
+    held = {label for label, _ in state.branches}
+    if unknown := [label.label() for label in microstate_choice if label not in held]:
+        raise ValueError(f"microstate choice names unknown branches {unknown}")
     new_branches = []
-    for label, w, theta in state.branches:
+    for label, w in state.branches:
         if label not in microstate_choice:
             raise ValueError(f"microstate choice misses branch {label.label()}")
         i = microstate_choice[label]
         if isinstance(i, bool) or not isinstance(i, int):
             raise ValueError(
-                f"microstate index of branch {label.label()} must be an integer, got {i!r}"
-            )
+                f"microstate index of branch {label.label()} must be an integer, got {i!r}")
         if not (1 <= i <= index_range):
-            raise IndexOutOfRange(
-                f"microstate index {i} outside 1..{index_range}"
-            )
-        new_branches.append((BranchLabel("erased", label.reward, i), w, theta))
+            raise IndexOutOfRange(f"microstate index {i} outside 1..{index_range}")
+        new_branches.append((BranchLabel("erased", label.reward, i), w))
     return BranchState(tuple(new_branches))
 
 
@@ -238,7 +242,7 @@ def reachable_set(
     two branches one (index, reward) would merge them, which :func:`erase`
     refuses, so it reaches nothing."""
     flags: tuple[list, list] = ([], [])
-    for label, w, _ in play_game(prep_weights, game).branches:
+    for label, w in play_game(prep_weights, game).branches:
         flags[label.reward].append(w.as_integer_ratio())
     return ReachableSet(index_range, tuple(flags[True]), tuple(flags[False]))
 
@@ -270,25 +274,8 @@ def three_outcome_game(
     w = Fraction(w)
     if not (0 < w <= Fraction(1, 2)):
         raise WeightOutOfRange(f"need 0 < w <= 1/2, got {w}")
-    plus, minus, zero = THREE_OUTCOME_RESULTS
-    prep = [(plus, w), (minus, w)]
-    rest = 1 - 2 * w
-    if rest > 0:
-        prep.append((zero, rest))
+    prep = [(r, x) for r, x in zip(THREE_OUTCOME_RESULTS, (w, w, 1 - 2 * w)) if x]
     return reachable_set(prep, game, index_range)
-
-
-def apply_branch_phase(
-    state: BranchState, phases: Mapping[BranchLabel, float]
-) -> BranchState:
-    """Add theta to each branch's phase: its amplitude gains exp(i * theta).
-
-    Canonical comparison treats per-branch phase as identity, so this
-    never changes a reachable-set verdict.
-    """
-    return BranchState(tuple(
-        (label, w, theta + phases.get(label, 0.0)) for label, w, theta in state.branches
-    ))
 
 
 def refine(
@@ -301,29 +288,18 @@ def refine(
     is the admissible no-op split (single suboutcome, full weight).
     """
     _count("parts", parts)
-    if outcome not in measurement.outcomes:
-        raise UnknownOutcome(
-            f"{outcome!r} is not an outcome of measurement {measurement.id!r}"
-        )
-    w = measurement.event_weight([outcome])
-    if w == 0:
+    outcomes, weights = measurement.outcomes, measurement.weights
+    if outcome not in outcomes:
+        raise UnknownOutcome(f"{outcome!r} is not an outcome of measurement {measurement.id!r}")
+    k = outcomes.index(outcome)
+    if (w := weights[k]) == 0:
         raise ZeroWeightRefinement(f"outcome {outcome!r} has zero weight")
-    sub_weight = w / parts
-    existing = set(measurement.outcomes)
-    new_outcomes: list[str] = []
-    new_weights: list[Fraction] = []
-    for o, wt in zip(measurement.outcomes, measurement.weights):
-        if o != outcome:
-            new_outcomes.append(o)
-            new_weights.append(wt)
-            continue
-        for i in range(1, parts + 1):
-            sub = f"{o}_{i}"
-            if sub in existing:
-                raise ValueError(f"suboutcome name {sub!r} collides")
-            new_outcomes.append(sub)
-            new_weights.append(sub_weight)
-    return WeightedMeasurement(measurement.id, tuple(new_outcomes), tuple(new_weights))
+    subs = tuple(f"{outcome}_{i}" for i in range(1, parts + 1))
+    existing = set(outcomes)
+    if clashes := [sub for sub in subs if sub in existing]:
+        raise ValueError(f"suboutcome name {clashes[0]!r} collides")
+    return WeightedMeasurement(measurement.id, outcomes[:k] + subs + outcomes[k + 1:],
+                               weights[:k] + (w / parts,) * parts + weights[k + 1:])
 
 
 @dataclass(frozen=True)
@@ -333,6 +309,9 @@ class RefinementSpec:
     measurement_id: str
     outcome: str
     parts: int
+
+    def __post_init__(self) -> None:
+        _count("parts", self.parts)
 
 
 def refine_family(

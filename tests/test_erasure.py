@@ -1,6 +1,5 @@
 """Erasure games, reachable sets, refinement, and coarse invariance."""
 import itertools
-import math
 import re
 from fractions import Fraction
 
@@ -22,7 +21,6 @@ from born_kernel import (
     WeightedMeasurement,
     WeightsDontSumToOne,
     ZeroWeightRefinement,
-    apply_branch_phase,
     coarse_event_probability_invariance,
     derive_representation,
     erase,
@@ -48,20 +46,20 @@ class TestPlayGame:
     def test_game1_state(self):
         state = play_game(HALF, GAME1)
         assert state.branches == (
-            (BranchLabel("up", True), Fraction(1, 2), 0.0),
-            (BranchLabel("down", False), Fraction(1, 2), 0.0),
+            (BranchLabel("up", True), Fraction(1, 2)),
+            (BranchLabel("down", False), Fraction(1, 2)),
         )
 
     def test_game2_swaps_rewards(self):
         state = play_game(HALF, GAME2)
-        flags = {label.result: label.reward for label, _, _ in state.branches}
+        flags = {label.result: label.reward for label, _ in state.branches}
         assert flags == {"up": False, "down": True}
 
     def test_certain_single_branch(self):
         state = play_game([("up", Fraction(1))], GAME1)
         assert len(state.branches) == 1
-        label, w, theta = state.branches[0]
-        assert label.reward and w == 1 and theta == 0.0
+        label, w = state.branches[0]
+        assert label.reward and w == 1
 
     def test_weights_must_sum_to_one(self):
         with pytest.raises(WeightsDontSumToOne):
@@ -75,9 +73,9 @@ class TestPlayGame:
 class TestErase:
     def test_relabels_results(self):
         state = play_game(HALF, GAME1)
-        up, down = (label for label, _, _ in state.branches)
+        up, down = (label for label, _ in state.branches)
         erased = erase(state, {up: 1, down: 2}, index_range=2)
-        labels = {label for label, _, _ in erased.branches}
+        labels = {label for label, _ in erased.branches}
         assert labels == {
             BranchLabel("erased", True, 1),
             BranchLabel("erased", False, 2),
@@ -85,16 +83,16 @@ class TestErase:
 
     def test_single_branch(self):
         state = play_game([("up", Fraction(1))], GAME1)
-        (label, _, _), = state.branches
+        (label, _), = state.branches
         erased = erase(state, {label: 1}, index_range=1)
-        assert erased.branches == ((BranchLabel("erased", True, 1), Fraction(1), 0.0),)
+        assert erased.branches == ((BranchLabel("erased", True, 1), Fraction(1)),)
 
     def test_game2_reaches_the_same_state_as_game1(self):
         """Canonical-equality oracle: the two games meet after erasure."""
         s1 = play_game(HALF, GAME1)
         s2 = play_game(HALF, GAME2)
-        up1, down1 = (label for label, _, _ in s1.branches)
-        up2, down2 = (label for label, _, _ in s2.branches)
+        up1, down1 = (label for label, _ in s1.branches)
+        up2, down2 = (label for label, _ in s2.branches)
         i, j = 1, 2
         e1 = erase(s1, {up1: i, down1: j}, index_range=2)
         e2 = erase(s2, {down2: i, up2: j}, index_range=2)
@@ -102,14 +100,14 @@ class TestErase:
 
     def test_index_out_of_range(self):
         state = play_game(HALF, GAME1)
-        up, down = (label for label, _, _ in state.branches)
+        up, down = (label for label, _ in state.branches)
         with pytest.raises(IndexOutOfRange):
             erase(state, {up: 3, down: 1}, index_range=2)
 
     @pytest.mark.parametrize("index", [True, 2.0, 1.5, "1", None])
     def test_non_integer_index_is_refused_naming_value_and_branch(self, index):
         state = play_game(HALF, GAME1)
-        up, down = (label for label, _, _ in state.branches)
+        up, down = (label for label, _ in state.branches)
         with pytest.raises(ValueError) as info:
             erase(state, {up: 1, down: index}, index_range=2)
         assert not isinstance(info.value, IndexOutOfRange)
@@ -162,7 +160,7 @@ def per_choice_reachable_set(prep, game, index_range):
     skip the choices that collide, and key each erased state by its
     `canonical_key`; returns the frozenset of keys."""
     state = play_game(prep, game)
-    labels = [label for label, _, _ in state.branches]
+    labels = [label for label, _ in state.branches]
     keys = set()
     for assignment in itertools.product(range(1, index_range + 1), repeat=len(labels)):
         try:
@@ -351,43 +349,6 @@ class TestThreeOutcomeGame:
             three_outcome_game(Fraction(2, 3), self.g1, 2)
 
 
-class TestBranchPhase:
-    def test_zero_phase_identity(self):
-        state = play_game(HALF, GAME1)
-        same = apply_branch_phase(state, {})
-        assert same.canonical_key() == state.canonical_key()
-
-    def test_pi_phase_canonically_equal(self):
-        state = play_game(HALF, GAME1)
-        label = state.branches[0][0]
-        flipped = apply_branch_phase(state, {label: math.pi})
-        assert flipped.branches == (
-            (label, Fraction(1, 2), math.pi), state.branches[1])
-        assert flipped.canonical_key() == state.canonical_key()
-        # Phases add: a second flip turns the branch by 2 pi in all.
-        assert apply_branch_phase(flipped, {label: math.pi}).branches[0][2] == 2 * math.pi
-
-    def test_random_phases_keep_sets_equal(self):
-        rng = np.random.default_rng(23)
-        s1 = play_game(HALF, GAME1)
-        s2 = play_game(HALF, GAME2)
-        keys = set()
-        for state in (s1, s2):
-            labels = [label for label, _, _ in state.branches]
-            phased = apply_branch_phase(
-                state, {l: float(rng.uniform(0, 2 * np.pi)) for l in labels}
-            )
-            erased = erase(phased, {l: 1 for l in labels}, index_range=1)
-            keys.add(erased.canonical_key())
-        assert len(keys) == 1
-
-
-    @pytest.mark.parametrize("theta", [math.nan, math.inf, -math.inf])
-    def test_non_finite_phase_is_refused(self, theta):
-        state = play_game(HALF, GAME1)
-        with pytest.raises(ValueError, match=re.escape(f"got Fraction(1, 2) and {theta!r}")):
-            apply_branch_phase(state, {BranchLabel("up", True): theta})
-
 class TestRefine:
     def test_coin_heads_into_four(self):
         coin = WeightedMeasurement(
@@ -519,11 +480,11 @@ class TestCanonicalEquality:
     def test_zero_weight_branches_dropped(self):
         a = BranchState(
             (
-                (BranchLabel("up", True), Fraction(1), 0.0),
-                (BranchLabel("down", False), Fraction(0), 0.0),
+                (BranchLabel("up", True), Fraction(1)),
+                (BranchLabel("down", False), Fraction(0)),
             )
         )
-        b = BranchState(((BranchLabel("up", True), Fraction(1), 0.0),))
+        b = BranchState(((BranchLabel("up", True), Fraction(1)),))
         assert a.canonical_key() == b.canonical_key()
 
 
@@ -531,30 +492,36 @@ class TestBranchStateValidation:
     def test_duplicate_labels_rejected(self):
         label = BranchLabel("up", True)
         with pytest.raises(ValueError):
-            BranchState(((label, Fraction(16, 25), 0.0), (label, Fraction(9, 25), 0.0)))
+            BranchState(((label, Fraction(16, 25)), (label, Fraction(9, 25))))
 
     def test_weights_must_sum_to_exactly_one(self):
         with pytest.raises(WeightsDontSumToOne, match="branch weights sum to 1/4, not 1"):
-            BranchState(((BranchLabel("up", True), Fraction(1, 4), 0.0),))
+            BranchState(((BranchLabel("up", True), Fraction(1, 4)),))
         with pytest.raises(WeightsDontSumToOne, match="sum to 9999999999999999/10"):
-            BranchState(((BranchLabel("up", True), 1 - Fraction(1, 10**16), 0.0),))
+            BranchState(((BranchLabel("up", True), 1 - Fraction(1, 10**16)),))
 
-    @pytest.mark.parametrize("weight, phase", [
-        (Fraction(1), math.nan), (Fraction(1), math.inf), (Fraction(1), -math.inf),
-        (1.0, 0.0), (1, 0.0), (Fraction(-1), 0.0),
-    ])
-    def test_weight_and_phase_are_checked(self, weight, phase):
+    @pytest.mark.parametrize("weight", [1.0, 1, Fraction(-1)])
+    def test_weight_is_checked(self, weight):
         """A weight is an exact Fraction of at least 0 (the second branch
-        brings the sum back to 1) and a phase is finite."""
+        brings the sum back to 1)."""
         up, down = BranchLabel("up", True), BranchLabel("down", False)
-        with pytest.raises(ValueError, match=re.escape(f"got {weight!r} and {phase!r}")):
-            BranchState(((up, weight, phase), (down, 1 - weight, 0.0)))
+        with pytest.raises(ValueError, match=re.escape(f"up;reward needs a Fraction weight >= 0, "
+                                                       f"got {weight!r}")):
+            BranchState(((up, weight), (down, 1 - weight)))
 
     def test_erased_label_needs_detail(self):
         with pytest.raises(ValueError):
             BranchLabel("erased", True)
         with pytest.raises(ValueError):
             BranchLabel("up", True, detail=2)
+
+    @pytest.mark.parametrize("detail", ["x", True, 0, -3, 1.0])
+    def test_erased_label_index_is_an_integer_of_at_least_1(self, detail):
+        """A string index beside an integer one would otherwise reach
+        `canonical_key`'s sort and raise a TypeError there."""
+        with pytest.raises(ValueError, match=re.escape(
+                f"microstate index must be an integer of at least 1, got {detail!r}")):
+            BranchLabel("erased", True, detail)
 
     def test_total_weight_preserved_through_pipeline(self):
         rng = np.random.default_rng(31)
@@ -566,17 +533,14 @@ class TestBranchStateValidation:
             prep = [(f"r{i}", Fraction(int(p), 16)) for i, p in enumerate(parts)]
             game = GameSpec(frozenset({"r0"}))
             state = play_game(prep, game)
-            labels = [label for label, _, _ in state.branches]
-            phased = apply_branch_phase(
-                state, {l: float(rng.uniform(0, 2 * np.pi)) for l in labels}
-            )
+            labels = [label for label, _ in state.branches]
             erased = erase(
-                phased,
+                state,
                 {l: i + 1 for i, l in enumerate(labels)},
                 index_range=4,
             )
-            assert [w for _, w, _ in erased.branches] == [w for _, w in prep]
-            assert sum(w for _, w, _ in erased.branches) == 1
+            assert [w for _, w in erased.branches] == [w for _, w in prep]
+            assert sum(w for _, w in erased.branches) == 1
 
 
 class TestRefusalsNameTheirInput:
@@ -602,6 +566,17 @@ class TestRefusalsNameTheirInput:
         with pytest.raises(ValueError, match=message):
             refine_family(MeasurementFamily((m,)), RefinementSpec("m", "a", parts))
 
+    @pytest.mark.parametrize("parts", [True, 0])
+    def test_suboutcome_image_reads_a_checked_part_count(self, parts):
+        """The spec is refused when built, so no image of heads into
+        {heads_1} or into the empty event is returned."""
+        family = MeasurementFamily((WeightedMeasurement("coin", ("heads", "tails"),
+                                                        (Fraction(1, 2),) * 2),))
+        with pytest.raises(ValueError, match=re.escape(
+                f"parts must be an integer of at least 1, got {parts!r}")):
+            suboutcome_image(family, RefinementSpec("coin", "heads", parts),
+                             EventRef("coin", {"heads"}))
+
     def test_erased_is_a_reserved_result_id(self):
         prep = [("erased", Fraction(1, 2)), ("down", Fraction(1, 2))]
         with pytest.raises(ValueError, match="'erased' is reserved"):
@@ -615,15 +590,22 @@ class TestRefusalsNameTheirInput:
              "result ids must be unique"),
             (lambda: play_game(HALF, GameSpec(frozenset({"sideways"}))), ValueError,
              "game rewards unknown results ['sideways']"),
+            (lambda: GameSpec("up"), ValueError,
+             "reward results are a collection of result ids, not the string 'up'"),
             (lambda: erase(play_game(HALF, GAME1), {BranchLabel("up", True): 1}, 2),
              ValueError, "microstate choice misses branch down;no reward"),
+            (lambda: erase(play_game(HALF, GAME1), {
+                BranchLabel("up", True): 1, BranchLabel("down", False): 1,
+                BranchLabel("sideways", True): 7}, 2),
+             ValueError, "microstate choice names unknown branches ['sideways;reward']"),
             (lambda: refine(WeightedMeasurement("m", ("a", "a_2"), (Fraction(1, 2),) * 2),
                             "a", 2), ValueError, "suboutcome name 'a_2' collides"),
             (lambda: refine_family(MeasurementFamily((uniform_measurement(2),)),
                                    RefinementSpec("nope", "u1", 2)),
              UnknownOutcome, "no measurement 'nope' in family"),
         ],
-        ids=["no-result", "repeated-result", "unknown-reward", "missing-branch",
+        ids=["no-result", "repeated-result", "unknown-reward", "string-rewards",
+             "missing-branch", "unknown-branch",
              "colliding-suboutcome", "unknown-measurement"],
     )
     def test_refusal(self, build, error, fragment):

@@ -7,14 +7,17 @@ on the v1 pair list of the same relation (the bytes `ordering_to_json`
 writes) and again on the v2 file, where only `inputs_digest` may differ.
 The `--text` reports of the same runs are pinned too, and so is the
 stderr of every run that writes any: `derive -K 2` is refused in text
-mode with an empty stdout and one error line.
+mode with an empty stdout and one error line.  So is the stdout of the
+two demos that print exact verdicts and rationals.
 The properties at the end pin the two facts the byte identity rests on:
 the subset-sum helper equals the per-mask sum, and canonical position
 order is (measurement id, event bitmask) order.
 """
 import hashlib
 import json
+import runpy
 from fractions import Fraction
+from pathlib import Path
 
 from hypothesis import given, strategies as st
 
@@ -48,6 +51,11 @@ QUADRUPLE = {
     },
     "event": [0.0, 2.0],
 }
+
+ROOT = Path(__file__).resolve().parents[1]
+# The demos that print exact rationals and verdicts only; the ones that
+# print floats from numpy's linear algebra are left unpinned.
+EXACT_DEMOS = ("demos/erasure_games.py", "demos/branching_refinement.py")
 
 GOLDEN = {
     "gen-rich:stdout":
@@ -94,6 +102,10 @@ GOLDEN = {
         "d0a53b5fdbd038745828bc572d0d22b47ea85c2d22f0b79c42cacc86f351e978",
     "demo-erasure-1/2-text:stdout":
         "1e4d37cbc9862ce7755191f490f1253ea5685ddcea737886daf991563112a656",
+    "demos/erasure_games.py:stdout":
+        "a991f0078f75fddf172177788127f2334736f33cdd9becfa28103a4e0fcabc5a",
+    "demos/branching_refinement.py:stdout":
+        "425358f0578a9b618487b63c8799a1fa5df46865a540a94c2148988142de50b2",
 }
 
 
@@ -169,6 +181,12 @@ def golden_digests(tmp_path, monkeypatch, capsysbinary) -> dict:
     assert out["derive-K2-text:stdout"] == _sha(b"")
     run("canon-text", 0, "canon", "--quad", "quad.json", "--text")
     run("demo-erasure-1/2-text", 0, "demo-erasure", "--p-num", "1", "--p-den", "2", "--text")
+
+    for demo in EXACT_DEMOS:
+        runpy.run_path(str(ROOT / demo), run_name="__main__")
+        stdout, err = capsysbinary.readouterr()
+        assert not err, demo
+        out[f"{demo}:stdout"] = _sha(stdout)
     return out
 
 

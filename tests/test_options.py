@@ -139,7 +139,7 @@ def test_package_exports():
         # erasure
         "BranchCollision", "BranchLabel", "BranchState", "GameSpec",
         "IndexOutOfRange", "ReachableSet", "RefinementSpec", "UnknownOutcome",
-        "WeightOutOfRange", "ZeroWeightRefinement", "apply_branch_phase",
+        "WeightOutOfRange", "ZeroWeightRefinement",
         "coarse_event_probability_invariance", "erase", "play_game",
         "reachable_set", "refine", "refine_family", "sets_equal",
         "suboutcome_image", "three_outcome_game",
