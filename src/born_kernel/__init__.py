@@ -15,10 +15,10 @@ import importlib
 __version__ = "0.1.0"
 
 _MODULE_OF = {name: module for module, names in {
-    "numeric": "DEFAULT_POLICY NumericPolicy",
+    "numeric": "DEFAULT_POLICY NumericPolicy WeightsDontSumToOne",
     "quantum": "DegenerateClustering MeasurementModel NoRationalWithinTolerance "
                "NonHermitianInput NonpositiveWeight Observable StateVector "
-               "UnknownOutcomeLabel WeightsDontSumToOne make_rich_measurement "
+               "UnknownOutcomeLabel make_rich_measurement "
                "rational_weight spectral_decompose weight",
     "ordering": "AxiomReport EventRef LikelihoodOrdering MeasurementFamily "
                 "WeightedMeasurement check_dominance check_equivalence check_separation "

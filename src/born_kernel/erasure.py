@@ -21,14 +21,13 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Mapping, Sequence
 
-from .numeric import DEFAULT_INDEX_RANGE
+from .numeric import DEFAULT_INDEX_RANGE, WeightsDontSumToOne, _count
 from .ordering import (
     EventRef,
     MeasurementFamily,
     WeightedMeasurement,
     induced_ordering,
 )
-from .quantum import WeightsDontSumToOne
 from .representation import (
     derive_representation,
     uniform_measurement,
@@ -54,13 +53,6 @@ class UnknownOutcome(ValueError):
 
 class ZeroWeightRefinement(ValueError):
     """Refinement target has zero weight."""
-
-
-def _count(name: str, value) -> int:
-    """``value``, refused unless it is an integer (not a bool) of at least 1."""
-    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
-        raise ValueError(f"{name} must be an integer of at least 1, got {value!r}")
-    return value
 
 
 @dataclass(frozen=True)
@@ -215,7 +207,8 @@ def erase(
     """
     _count("index_range", index_range)
     held = {label for label, _ in state.branches}
-    if unknown := [label.label() for label in microstate_choice if label not in held]:
+    if unknown := [key.label() if isinstance(key, BranchLabel) else key
+                   for key in microstate_choice if key not in held]:
         raise ValueError(f"microstate choice names unknown branches {unknown}")
     new_branches = []
     for label, w in state.branches:
@@ -360,6 +353,7 @@ def coarse_event_probability_invariance(
     suboutcome image.  Families are padded with the uniform grid
     measurement the derivation requires, if absent.
     """
+    K = _count("K", K)
     base = _with_uniform(family, K)
     pr_before = derive_representation(induced_ordering(base), K)
 

@@ -1,5 +1,6 @@
-"""Shared tolerance policy for the floating-point layer, and the erasure
-games' default index range, which the CLI reads without importing erasure.
+"""What both halves share: the floating-point tolerance policy, the one
+count rule (:func:`_count`), the exact-sum refusal, and the erasure games'
+default index range, which the CLI reads without importing erasure.
 
 All Hilbert-space computations (states, projectors, weights) run in
 floating point against these tolerances.  The decision kernel never
@@ -44,8 +45,20 @@ class NumericPolicy:
 
 DEFAULT_POLICY = NumericPolicy()
 
+
+class WeightsDontSumToOne(ValueError):
+    """Exact rational weights do not sum to 1."""
+
+
 # Erasure microstates per branch when a caller names no index range.
 DEFAULT_INDEX_RANGE = 4
+
+
+def _count(name: str, value) -> int:
+    """``value`` as an ``int``; it must be an int or NumPy integer, not a bool, >= 1."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
+        raise ValueError(f"{name} must be an integer of at least 1, got {value!r}")
+    return int(value)
 
 
 def max_abs(m: np.ndarray) -> float:

@@ -20,7 +20,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .numeric import DEFAULT_POLICY, NumericPolicy, max_abs
+from .numeric import DEFAULT_POLICY, NumericPolicy, WeightsDontSumToOne, _count, max_abs
 
 
 class NonHermitianInput(ValueError):
@@ -33,10 +33,6 @@ class DegenerateClustering(ValueError):
 
 class UnknownOutcomeLabel(ValueError):
     """Event contains a label outside the measurement's outcome set."""
-
-
-class WeightsDontSumToOne(ValueError):
-    """Exact rational weights do not sum to 1."""
 
 
 class NonpositiveWeight(ValueError):
@@ -378,8 +374,7 @@ def rational_weight(
     rational misses the computed weight by more than the observable's
     ``rational_tol``, which signals a genuinely irrational or noisy weight.
     """
-    if max_den < 1:
-        raise ValueError("max_den must be at least 1")
+    max_den = _count("max_den", max_den)
     w = weight(model, event)
     approx = Fraction(w).limit_denominator(max_den)
     gap = abs(float(approx) - w)

@@ -25,6 +25,7 @@ from typing import Iterable
 
 import numpy as np
 
+from .numeric import _count
 from .ordering import (
     MAX_EXTENSIONAL_EVENTS,
     AxiomReport,
@@ -161,8 +162,7 @@ def generate_rich_family(K: int, max_outcomes: int) -> MeasurementFamily:
     once its running total passes the cap; only then is the count a lower
     bound, and the message says "at least".
     """
-    if K < 1 or max_outcomes < 1:
-        raise ValueError("K and max_outcomes must be positive")
+    K, max_outcomes = _count("K", K), _count("max_outcomes", max_outcomes)
     if max_outcomes >= K:
         b = 1 + math.floor((K - 1) * _LOG2_3)
         if b >= _MAX_PRINTED_BITS:
@@ -188,17 +188,14 @@ def generate_rich_family(K: int, max_outcomes: int) -> MeasurementFamily:
 
 def uniform_measurement(K: int) -> WeightedMeasurement:
     """The K-outcome measurement with every weight equal to 1/K."""
-    return WeightedMeasurement(
-        f"uniform-{K}",
-        tuple(f"u{i + 1}" for i in range(K)),
-        tuple(Fraction(1, K) for _ in range(K)),
-    )
+    K = _count("K", K)
+    outcomes = tuple(f"u{i + 1}" for i in range(K))
+    return WeightedMeasurement(f"uniform-{K}", outcomes, (Fraction(1, K),) * K)
 
 
-def _require_grid(family: MeasurementFamily, K: int) -> None:
-    """K >= 1 and every weight's denominator divides K."""
-    if K < 1:
-        raise ValueError("K must be positive")
+def _require_grid(family: MeasurementFamily, K: int) -> int:
+    """K as an ``int``: a count (:func:`_count`) every weight's denominator divides."""
+    K = _count("K", K)
     for m in family.measurements:
         for w in m.weights:
             if K % w.denominator != 0:
@@ -206,6 +203,7 @@ def _require_grid(family: MeasurementFamily, K: int) -> None:
                     f"weight {w} of measurement {m.id!r} does not live on the "
                     f"1/{K} grid"
                 )
+    return K
 
 
 def _find_uniform(family: MeasurementFamily, K: int) -> WeightedMeasurement | None:
@@ -235,7 +233,7 @@ def derive_representation(
     read off the blocks' ranks alone, one search for every outcome.
     """
     family = ordering.family
-    _require_grid(family, K)
+    K = _require_grid(family, K)
     for report in ordering.reports:
         if not report.satisfied:
             raise PreconditionViolated(report)
@@ -296,7 +294,7 @@ def uniqueness_search(ordering: LikelihoodOrdering, K: int) -> list[ProbabilityA
     ``MAX_SEARCH_STEPS`` values tried, it raises :class:`SearchSpaceTooLarge`.
     """
     family = ordering.family
-    _require_grid(family, K)
+    K = _require_grid(family, K)
     if ordering.ranks is None:
         return []
     rank = ordering.ranks.tolist()

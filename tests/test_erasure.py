@@ -1,6 +1,8 @@
 """Erasure games, reachable sets, refinement, and coarse invariance."""
 import itertools
 import re
+import subprocess
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -36,6 +38,7 @@ from born_kernel import (
 )
 from born_kernel.erasure import THREE_OUTCOME_RESULTS, _with_uniform
 from born_kernel.ordering import EventRef
+from conftest import subprocess_env
 
 GAME1 = GameSpec(frozenset({"up"}))
 GAME2 = GameSpec(frozenset({"down"}))
@@ -598,6 +601,9 @@ class TestRefusalsNameTheirInput:
                 BranchLabel("up", True): 1, BranchLabel("down", False): 1,
                 BranchLabel("sideways", True): 7}, 2),
              ValueError, "microstate choice names unknown branches ['sideways;reward']"),
+            (lambda: erase(play_game(HALF, GAME1), {
+                BranchLabel("up", True): 1, BranchLabel("down", False): 1, "up": 2}, 2),
+             ValueError, "microstate choice names unknown branches ['up']"),
             (lambda: refine(WeightedMeasurement("m", ("a", "a_2"), (Fraction(1, 2),) * 2),
                             "a", 2), ValueError, "suboutcome name 'a_2' collides"),
             (lambda: refine_family(MeasurementFamily((uniform_measurement(2),)),
@@ -605,10 +611,25 @@ class TestRefusalsNameTheirInput:
              UnknownOutcome, "no measurement 'nope' in family"),
         ],
         ids=["no-result", "repeated-result", "unknown-reward", "string-rewards",
-             "missing-branch", "unknown-branch",
+             "missing-branch", "unknown-branch", "key-not-a-label",
              "colliding-suboutcome", "unknown-measurement"],
     )
     def test_refusal(self, build, error, fragment):
         with pytest.raises(error) as info:
             build()
         assert fragment in str(info.value)
+
+
+def test_demo_erasure_loads_no_quantum_layer():
+    """In a new interpreter, `demo-erasure` loads `erasure` and the exact
+    layers beside `cli` and `formats`: neither `quantum` nor `neutrality`."""
+    script = (
+        "import sys\n"
+        "from born_kernel import cli\n"
+        "rc = cli.main(['demo-erasure', '--p-num', '1', '--p-den', '2', '--index-range', '2'])\n"
+        "print(rc, sorted(m for m in sys.modules if m.startswith('born_kernel.')), file=sys.stderr)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], text=True, capture_output=True,
+                          check=False, env=subprocess_env())
+    modules = ["cli", "erasure", "formats", "numeric", "ordering", "representation"]
+    assert proc.stderr.splitlines()[-1:] == [f"0 {[f'born_kernel.{m}' for m in modules]}"]

@@ -20,13 +20,17 @@ from born_kernel import (
     NonconformingDenominator,
     PreconditionViolated,
     ProbabilityAssignment,
+    RefinementSpec,
     SearchSpaceTooLarge,
     SizeLimitExceeded,
     WeightedMeasurement,
+    coarse_event_probability_invariance,
     derive_representation,
     generate_rich_family,
     induced_ordering,
+    make_rich_measurement,
     outcome_count_ordering,
+    rational_weight,
     replay_witness,
     run_all_checks,
     uniform_measurement,
@@ -35,6 +39,7 @@ from born_kernel import (
 )
 from born_kernel import ordering as ordering_module
 from born_kernel import representation as representation_module
+from born_kernel.formats import assignment_to_json
 from born_kernel.ordering import (
     ALL_CHECKS,
     MAX_EXTENSIONAL_EVENTS,
@@ -66,22 +71,49 @@ def test_compositions_are_every_positive_split_in_lexicographic_order(total):
         assert list(compositions(total, parts)) == brute_compositions(total, parts)
 
 
+RICH_2 = generate_rich_family(2, 2)
+# Every call where a count enters, as (id, name of the count, call).
+COUNT_CALLS = [
+    ("generate-K", "K", lambda v: generate_rich_family(v, 2)),
+    ("generate-max-outcomes", "max_outcomes", lambda v: generate_rich_family(2, v)),
+    ("uniform-K", "K", uniform_measurement),
+    ("derive-K", "K", lambda v: derive_representation(induced_ordering(RICH_2), v)),
+    ("search-K", "K", lambda v: uniqueness_search(induced_ordering(RICH_2), v)),
+    ("coarse-K", "K", lambda v: coarse_event_probability_invariance(
+        MeasurementFamily((uniform_measurement(2),)), RefinementSpec("uniform-2", "u1", 2), v)),
+    ("rational-max-den", "max_den", lambda v: rational_weight(
+        make_rich_measurement((Fraction(1, 2), Fraction(1, 2))), {"o1"}, v)),
+]
+NOT_COUNTS = [(True, "True"), (2.0, "2.0"), ("2", "string"), (None, "None"), (0, "0"),
+              (-1, "negative")]
+
+
 @pytest.mark.parametrize(
-    "build, fragment",
-    [
-        (lambda: generate_rich_family(0, 3), "K and max_outcomes must be positive"),
-        (lambda: generate_rich_family(3, 0), "K and max_outcomes must be positive"),
-        (lambda: derive_representation(induced_ordering(generate_rich_family(2, 2)), 0),
-         "K must be positive"),
-        (lambda: uniqueness_search(induced_ordering(generate_rich_family(2, 2)), -1),
-         "K must be positive"),
-    ],
-    ids=["generate-K-0", "generate-max-outcomes-0", "derive-K-0", "search-K-negative"],
+    "call, name, value",
+    [pytest.param(call, name, value, id=f"{cid}-{vid}")
+     for cid, name, call in COUNT_CALLS for value, vid in NOT_COUNTS],
 )
-def test_a_nonpositive_grid_constant_is_refused(build, fragment):
+def test_a_nonpositive_grid_constant_is_refused(call, name, value):
+    """A grid constant, bound or index is an int or NumPy integer of at
+    least 1, never a bool: anything else gets the one count rule's
+    ValueError, which names the count and the value."""
     with pytest.raises(ValueError) as info:
-        build()
-    assert str(info.value) == fragment
+        call(value)
+    assert type(info.value) is ValueError
+    assert str(info.value) == f"{name} must be an integer of at least 1, got {value!r}"
+
+
+def test_a_numpy_integer_grid_constant_gives_what_the_int_gives():
+    family = generate_rich_family(np.int64(3), np.uint8(3))
+    assert family == generate_rich_family(3, 3)
+    assert uniform_measurement(np.int32(3)) == uniform_measurement(3)
+    ordering = induced_ordering(family)
+    derived = derive_representation(ordering, np.int64(3))
+    assert derived == derive_representation(ordering, 3)
+    assert assignment_to_json(derived) == assignment_to_json(derive_representation(ordering, 3))
+    assert uniqueness_search(ordering, np.int64(3)) == uniqueness_search(ordering, 3) == [derived]
+    model = make_rich_measurement((Fraction(1, 3), Fraction(2, 3)))
+    assert rational_weight(model, {"o1"}, np.int64(4)) == rational_weight(model, {"o1"}, 4)
 
 
 class TestGenerateRichFamily:

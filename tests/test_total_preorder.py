@@ -361,6 +361,24 @@ def test_erasure_keys_hold_no_float():
     assert rounds == [] and "cmath" not in imports
 
 
+def test_the_exact_half_imports_nothing_from_the_float_half():
+    """`ordering.py`, `representation.py` and `erasure.py` decide in exact
+    rationals: none of them imports `quantum` or `neutrality`, at module
+    level or inside a function."""
+    package = Path(born_kernel.__file__).parent
+    imports = [
+        (name, node.lineno)
+        for name in ("ordering.py", "representation.py", "erasure.py")
+        for node in ast.walk(ast.parse((package / name).read_text(encoding="utf-8")))
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        and {"quantum", "neutrality"} & {
+            part for module in [getattr(node, "module", None) or "",
+                                *(alias.name for alias in node.names)]
+            for part in module.split(".")}
+    ]
+    assert imports == []
+
+
 def test_denominators_are_read_by_one_function_per_module():
     """Exact weights are scaled to integer numerators over their least
     common denominator by one helper in `ordering.py`, and every other
